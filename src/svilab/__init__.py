@@ -70,7 +70,6 @@ from .ppawss import (
 from .extragradient import (
     ExtragradientConfig,
     eg_sample_size,
-    eg_step,
     run_extragradient,
 )
 from .bench import ExperimentConfig, parse_config, run_experiment, summarize
@@ -112,7 +111,6 @@ __all__ = [
     "batch_mean",
     "bimatrix_from_payoff",
     "eg_sample_size",
-    "eg_step",
     "evaluate_point",
     "gamma_update",
     "inner_iterations",

@@ -431,15 +431,42 @@ def _run_cell(job):
     return out_path
 
 
+def _worker_count(raw, cells):
+    """Worker processes for ``cells`` cells given ``SVILAB_THREADS``.
+
+    ``raw`` is the variable's text, or None when it is unset; unset or
+    blank means one worker. Anything but a positive integer raises
+    :class:`ConfigError`. The count is clamped to the number of cells
+    and to the machine's core count, so a huge value never starts more
+    processes than there is work or hardware for.
+    """
+    if raw is None or not raw.strip():
+        return 1
+    try:
+        requested = int(raw)
+        if requested < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(
+            f"SVILAB_THREADS must be a positive integer; got {raw!r}"
+        ) from None
+    return max(1, min(requested, cells, os.cpu_count() or 1))
+
+
 def run_experiment(config, base_dir="."):
     """Run the full scheme x row x seed matrix; returns the summary text.
 
     Writes one trace CSV per cell plus ``summary.csv`` into the output
     directory. Cells run in parallel when the environment variable
-    ``SVILAB_THREADS`` is set above 1; outputs do not depend on the
-    schedule since every cell owns its file and its substream.
+    ``SVILAB_THREADS`` is set above 1, with at most one worker per cell
+    and per core; outputs do not depend on the schedule since every
+    cell owns its file and its substream.
     """
     validate_solver_configs(config)
+    workers = _worker_count(
+        os.environ.get("SVILAB_THREADS"),
+        len(config.lipschitz) * len(config.schemes) * len(config.seeds),
+    )
     out_dir = os.path.join(base_dir, config.output_path)
     os.makedirs(out_dir, exist_ok=True)
     problems = [_build_problem(config, row)
@@ -453,9 +480,8 @@ def run_experiment(config, base_dir="."):
                     out_dir, _cell_filename(scheme, lip_label, lam_label, seed)
                 )
                 jobs.append((config, scheme, row, problems[row], seed, path))
-    threads = int(os.environ.get("SVILAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             paths = list(pool.map(_run_cell, jobs))
     else:
         paths = [_run_cell(job) for job in jobs]

@@ -21,7 +21,6 @@ from .trace import RunTrace, TraceRow
 __all__ = [
     "ExtragradientConfig",
     "eg_sample_size",
-    "eg_step",
     "run_extragradient",
 ]
 
@@ -71,24 +70,6 @@ def eg_sample_size(k, theta, mu_shift, b):
         raise ContractViolation(f"mu_shift must be > 1; got {mu_shift!r}")
     shifted = k + mu_shift
     return int(math.ceil(theta * shifted * math.log(shifted) ** (1.0 + b)))
-
-
-def eg_step(z_k, feasible_set, oracle, stepsize, n_k, streams=None):
-    """One extragradient update: probe half-step, then the real step.
-
-    Consumes two independent batches of ``n_k`` samples, the first at
-    ``z_k`` and the second at the projected half-step point. Callers
-    running many steps should pass a persistent ``streams`` pair;
-    otherwise fresh streams 0 and 1 are derived, which would repeat
-    randomness across calls.
-    """
-    if streams is None:
-        streams = (oracle.stream(0), oracle.stream(1))
-    stream_half, stream_full = streams
-    estimate, _ = batch_mean(oracle, z_k, n_k, stream_half)
-    z_half = feasible_set.project(z_k - stepsize * estimate)
-    estimate_half, _ = batch_mean(oracle, z_half, n_k, stream_full)
-    return feasible_set.project(z_k - stepsize * estimate_half)
 
 
 def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",

@@ -41,7 +41,6 @@ class SampleStream:
 
     def __init__(self, seed, *key):
         entropy = tuple(int(v) & _MASK64 for v in (seed, *key))
-        self.key = entropy
         self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def standard_normal(self, size):

@@ -29,22 +29,35 @@ def _checked(v, dim=None):
     return arr
 
 
-def _simplex_core(v, steps):
-    # v: validated float64 vector, steps: [1.0, ..., len(v)]
-    u = np.sort(v)[::-1]
-    cssv = u.cumsum()
-    cssv -= 1.0
-    rho = np.nonzero(u * steps > cssv)[0][-1]
-    tau = cssv[rho] / (rho + 1.0)
+def _simplex_core(v):
+    # v: validated float64 vector. The threshold search runs over Python
+    # floats: for the short blocks used throughout (<= 20 coordinates)
+    # one interpreted pass costs less than the dozen numpy dispatches of
+    # a sort/cumsum/nonzero form. It does the same IEEE operations in the
+    # same order as that form (running sum, then the test and the
+    # threshold at the last passing index), so results are bit-identical.
+    s = 0.0
+    tau = 0.0
+    for k, u in enumerate(sorted(v.tolist(), reverse=True), 1):
+        s += u
+        if u * k > s - 1.0:
+            tau = (s - 1.0) / k
     return np.maximum(v - tau, 0.0)
 
 
 def project_simplex(v):
     """Project ``v`` onto the probability simplex.
 
-    Sort-based algorithm, O(n log n): sort descending, find the largest
-    prefix whose running threshold keeps its last entry positive, then
-    shift and clip.
+    Sort-based algorithm of Duchi et al. (ICML 2008), O(n log n): sort
+    descending, find the largest prefix whose running threshold keeps
+    its last entry positive, then shift and clip.
+
+    The cost is one C-level sort of the entries as Python floats, one
+    interpreted pass over them, and one vectorised shift-and-clip. That
+    is fast for the blocks of at most 20 coordinates that every shipped
+    config, test and example uses. The interpreted pass grows with the
+    dimension: measured against a fully vectorised numpy form it is
+    slower from about 50 coordinates and 7-9x slower at 1000.
 
     Parameters
     ----------
@@ -59,7 +72,7 @@ def project_simplex(v):
     v = _checked(v)
     if v.size == 0:
         raise ContractViolation("cannot project an empty vector")
-    return _simplex_core(v, np.arange(1.0, v.size + 1.0))
+    return _simplex_core(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,17 +166,16 @@ class Simplex:
         if int(self.dim) < 1:
             raise ValueError("simplex dimension must be at least 1")
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "_steps", np.arange(1.0, self.dim + 1.0))
 
     @property
     def dimension(self):
         return self.dim
 
     def project(self, v):
-        return _simplex_core(_checked(v, self.dim), self._steps)
+        return _simplex_core(_checked(v, self.dim))
 
     def _project(self, v):
-        return _simplex_core(v, self._steps)
+        return _simplex_core(v)
 
     def contains(self, v, tol=1e-12):
         v = _checked(v, self.dim)
@@ -186,8 +198,15 @@ class Product:
         if not blocks:
             raise ValueError("product needs at least one block")
         object.__setattr__(self, "blocks", tuple(blocks))
-        offsets = np.cumsum([0] + [b.dimension for b in self.blocks])
-        object.__setattr__(self, "_offsets", offsets)
+        # Python-int slices: numpy-int bounds would be converted on every
+        # call of the projection
+        slices = []
+        start = 0
+        for b in self.blocks:
+            stop = start + int(b.dimension)
+            slices.append(slice(start, stop))
+            start = stop
+        object.__setattr__(self, "_slices", tuple(slices))
         # per-block projector without re-validation; third-party blocks
         # that only define project() fall back to the checked one
         object.__setattr__(
@@ -196,25 +215,20 @@ class Product:
 
     @property
     def dimension(self):
-        return int(self._offsets[-1])
-
-    def _split(self, v):
-        o = self._offsets
-        return [v[o[i]:o[i + 1]] for i in range(len(self.blocks))]
+        return self._slices[-1].stop
 
     def project(self, v):
         return self._project(_checked(v, self.dimension))
 
     def _project(self, v):
         out = np.empty_like(v)
-        o = self._offsets
-        for i, p in enumerate(self._fast):
-            out[o[i]:o[i + 1]] = p(v[o[i]:o[i + 1]])
+        for sl, p in zip(self._slices, self._fast):
+            out[sl] = p(v[sl])
         return out
 
     def contains(self, v, tol=1e-12):
         v = _checked(v, self.dimension)
-        return all(b.contains(p, tol) for b, p in zip(self.blocks, self._split(v)))
+        return all(b.contains(v[sl], tol) for b, sl in zip(self.blocks, self._slices))
 
     def random_point(self, rng):
         return np.concatenate([b.random_point(rng) for b in self.blocks])

@@ -141,7 +141,7 @@ def sample_size(k, rho, min_batch=1):
     if k < 0:
         raise ContractViolation("iteration index must be nonnegative")
     value = rho ** (-k)
-    if not np.isfinite(value) or value >= 2**62:
+    if not math.isfinite(value) or value >= 2**62:
         raise ScheduleOverflow(
             f"sample size rho^-k overflowed at k={k} (rho={rho:g})"
         )

@@ -13,7 +13,7 @@ from svilab import (
     run_experiment,
     summarize,
 )
-from svilab.bench import _iterations_within, _solver_config
+from svilab.bench import _iterations_within, _solver_config, _worker_count
 from svilab.vs_ave import sample_size
 
 AFFINE_CFG = """\
@@ -196,6 +196,37 @@ class TestSolverDerivation:
         used = sum(2 * sample_size(k, rho, 1) for k in range(iters))
         overshoot = used + 2 * sample_size(iters, rho, 1)
         assert used <= limit < overshoot
+
+
+class TestWorkerCount:
+    def test_unset_or_blank_is_serial(self):
+        assert _worker_count(None, cells=8) == 1
+        assert _worker_count("", cells=8) == 1
+        assert _worker_count("  ", cells=8) == 1
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "2x", "0", "-3"])
+    def test_bad_values_rejected(self, raw):
+        with pytest.raises(ConfigError, match="SVILAB_THREADS must be a positive"):
+            _worker_count(raw, cells=8)
+
+    def test_clamped_to_cells_and_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count("3", cells=8) == 3
+        assert _worker_count("1000000000", cells=8) == 4
+        assert _worker_count("64", cells=2) == 2
+        assert _worker_count("1", cells=8) == 1
+
+    def test_unknown_core_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count("8", cells=8) == 1
+
+    def test_run_experiment_rejects_before_any_work(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SVILAB_THREADS", "lots")
+        config = parse_config(BIMATRIX_CFG.replace(
+            "seeds = 0,1", f"seeds = 0,1\nout = {tmp_path}/res"))
+        with pytest.raises(ConfigError, match="SVILAB_THREADS"):
+            run_experiment(config)
+        assert not os.path.exists(tmp_path / "res")
 
 
 class TestRunExperiment:

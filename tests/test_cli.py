@@ -77,6 +77,14 @@ class TestRunCommand:
         assert main(["run", good_cfg, "--budget", "-5"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_bad_thread_count_exit_code(self, good_cfg, monkeypatch, capsys):
+        monkeypatch.setenv("SVILAB_THREADS", "4 workers")
+        assert main(["run", good_cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: SVILAB_THREADS must be a positive integer;"
+            " got '4 workers'\n"
+        )
+
 
 class TestSummarizeCommand:
     def test_reaggregates_existing_run(self, good_cfg, tmp_path, capsys):

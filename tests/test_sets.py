@@ -83,6 +83,82 @@ class TestSimplex:
         assert s.contains(once, tol=1e-12)
 
 
+def reference_simplex(v):
+    """The vectorised sort/cumsum/nonzero form that ``_simplex_core``
+    replaced; the library's result must equal it bit for bit."""
+    u = np.sort(v)[::-1]
+    cssv = u.cumsum()
+    cssv -= 1.0
+    rho = np.nonzero(u * np.arange(1.0, v.size + 1.0) > cssv)[0][-1]
+    tau = cssv[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+def unit_list(dim, lo=-1.0, hi=1.0):
+    return st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)
+
+
+@st.composite
+def simplex_inputs(draw):
+    """Vectors of 1-64 entries: one scale from 1e-8 to 1e3, per-entry
+    magnitudes over that range, points within 1e-8 of the simplex, and
+    entries drawn from a pool of at most three values (ties)."""
+    dim = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["scaled", "mixed", "near_simplex", "ties"]))
+    if kind == "scaled":
+        return np.array(draw(unit_list(dim))) * 10.0 ** draw(st.floats(-8.0, 3.0))
+    if kind == "mixed":
+        signs = np.array(draw(unit_list(dim)))
+        exponents = np.array(draw(unit_list(dim, -8.0, 3.0)))
+        return np.sign(signs) * 10.0 ** exponents
+    if kind == "near_simplex":
+        weights = np.array(draw(unit_list(dim, 0.0, 1.0)))
+        total = weights.sum()
+        point = weights / total if total > 0 else np.full(dim, 1.0 / dim)
+        jitter = np.array(draw(unit_list(dim))) * 10.0 ** draw(st.floats(-16.0, -8.0))
+        return point + jitter
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim)))
+
+
+def assert_bit_identical(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSimplexMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(simplex_inputs())
+    def test_every_entry_point(self, v):
+        want = reference_simplex(v)
+        assert_bit_identical(project_simplex(v), want)
+        assert_bit_identical(Simplex(v.size).project(v), want)
+        product = Product(Simplex(v.size), Simplex(v.size))
+        got = product.project(np.concatenate([v, v[::-1]]))
+        assert_bit_identical(got[:v.size], want)
+        assert_bit_identical(got[v.size:], reference_simplex(v[::-1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        v = np.array([0.3, bad, 0.1])
+        with pytest.raises(ContractViolation, match="non-finite"):
+            project_simplex(v)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            Simplex(3).project(v)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            Product(Simplex(1), Simplex(2)).project(v)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ContractViolation, match="expected length 3"):
+            Simplex(3).project(np.ones(4))
+        with pytest.raises(ContractViolation, match="expected length 3"):
+            Product(Simplex(1), Simplex(2)).project(np.ones(2))
+        with pytest.raises(ContractViolation, match="empty"):
+            project_simplex(np.ones(0))
+        with pytest.raises(ContractViolation, match="1-D"):
+            project_simplex(np.ones((2, 2)))
+
+
 class TestBox:
     def test_clips_componentwise(self):
         b = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
