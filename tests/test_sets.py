@@ -94,10 +94,6 @@ def reference_simplex(v):
     return np.maximum(v - tau, 0.0)
 
 
-def unit_list(dim, lo=-1.0, hi=1.0):
-    return st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)
-
-
 @st.composite
 def simplex_inputs(draw):
     """Vectors of 1-64 entries: one scale from 1e-8 to 1e3, per-entry
@@ -106,16 +102,15 @@ def simplex_inputs(draw):
     dim = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(["scaled", "mixed", "near_simplex", "ties"]))
     if kind == "scaled":
-        return np.array(draw(unit_list(dim))) * 10.0 ** draw(st.floats(-8.0, 3.0))
+        return draw(finite_vec(dim, -1.0, 1.0)) * 10.0 ** draw(st.floats(-8.0, 3.0))
     if kind == "mixed":
-        signs = np.array(draw(unit_list(dim)))
-        exponents = np.array(draw(unit_list(dim, -8.0, 3.0)))
-        return np.sign(signs) * 10.0 ** exponents
+        signs = np.sign(draw(finite_vec(dim, -1.0, 1.0)))
+        return signs * 10.0 ** draw(finite_vec(dim, -8.0, 3.0))
     if kind == "near_simplex":
-        weights = np.array(draw(unit_list(dim, 0.0, 1.0)))
+        weights = draw(finite_vec(dim, 0.0, 1.0))
         total = weights.sum()
         point = weights / total if total > 0 else np.full(dim, 1.0 / dim)
-        jitter = np.array(draw(unit_list(dim))) * 10.0 ** draw(st.floats(-16.0, -8.0))
+        jitter = draw(finite_vec(dim, -1.0, 1.0)) * 10.0 ** draw(st.floats(-16.0, -8.0))
         return point + jitter
     pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
     return np.array(draw(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim)))
