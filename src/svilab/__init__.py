@@ -41,14 +41,13 @@ from .problems import (
 )
 from .detsolve import solve_deterministic_vi
 from .metrics import (
-    MetricReport,
     evaluate_point,
     natural_residual,
     saddle_gap,
     strongly_monotone_gap,
     yosida_residual,
 )
-from .trace import CSV_HEADER, RunTrace, TraceRow
+from .trace import CSV_HEADER, Recorder, RunTrace, TraceRow
 from .vs_ave import (
     VsAveConfig,
     VsAveState,
@@ -91,12 +90,12 @@ __all__ = [
     "ExperimentConfig",
     "ExtragradientConfig",
     "MatrixPerturbation",
-    "MetricReport",
     "MetricUnavailable",
     "NoConvergence",
     "PpawssConfig",
     "ProblemInstance",
     "Product",
+    "Recorder",
     "RunTrace",
     "SampleStream",
     "ScheduleOverflow",

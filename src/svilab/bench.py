@@ -15,6 +15,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .extragradient import ExtragradientConfig, eg_sample_size, run_extragradien
 from .oracle import BudgetCounter
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
-from .trace import RunTrace
+from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, rate_q, run_vs_ave, sample_size
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "summarize"]
@@ -119,7 +120,7 @@ def _parse_value(raw, kind, lineno):
             return tuple(float(part) for part in raw.split(","))
         if kind == "int_list":
             return tuple(int(part) for part in raw.split(","))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"cannot parse {raw!r} as {kind}", line=lineno) from None
     raise AssertionError(kind)
 
@@ -403,30 +404,23 @@ def _run_cell(job):
                                 params["outer_iterations"])
         _, trace = run_ppawss(problem, start, solver, budget,
                               scheme=scheme, seed=seed)
-    elif scheme == "vs_ave":
-        pinned = params["iterations"]
-        probe = _solver_config(config, scheme, row, 1)
-        iters = pinned or _iterations_within(
-            config.budget,
-            lambda k: sample_size(k, probe.rho, probe.min_batch),
-        )
-        solver = _solver_config(config, scheme, row, iters)
-        _, trace = run_vs_ave(
-            problem, start, solver, budget, scheme=scheme, seed=seed,
-            trace_every=max(1, math.ceil(iters / 200)),
-        )
     else:
-        pinned = params["iterations"]
-        iters = pinned or _iterations_within(
-            config.budget,
-            lambda k: eg_sample_size(k, params["theta"], params["mu_shift"],
-                                     params["b"]),
-        )
+        if scheme == "vs_ave":
+            run = run_vs_ave
+            probe = _solver_config(config, scheme, row, 1)
+            size_of = partial(sample_size, rho=probe.rho,
+                              min_batch=probe.min_batch)
+        else:
+            run = run_extragradient
+            size_of = partial(eg_sample_size, theta=params["theta"],
+                              mu_shift=params["mu_shift"], b=params["b"])
+        iters = params["iterations"] or _iterations_within(config.budget,
+                                                           size_of)
         solver = _solver_config(config, scheme, row, iters)
-        _, trace = run_extragradient(
-            problem, start, solver, budget, scheme=scheme, seed=seed,
-            trace_every=max(1, math.ceil(iters / 200)),
-        )
+        # flat schemes trace about 200 rows, whatever their length
+        every = max(1, math.ceil(iters / 200))
+        _, trace = run(problem, start, solver, budget, scheme=scheme,
+                       seed=seed, recorder=Recorder(every=every))
     trace.write_csv(out_path)
     return out_path
 

@@ -48,7 +48,7 @@ def _apply_overrides(config, args):
     if args.budget is not None:
         try:
             budget = int(float(args.budget))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ConfigError(f"cannot parse --budget {args.budget!r}") from None
         if budget <= 0:
             raise ConfigError(f"budget must be positive; got {budget}")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetExhausted, ConfigError, ContractViolation
 from .metrics import evaluate_point
 from .oracle import batch_mean
-from .trace import RunTrace, TraceRow
+from .trace import Recorder, RunTrace
 
 __all__ = [
     "ExtragradientConfig",
@@ -73,15 +73,14 @@ def eg_sample_size(k, theta, mu_shift, b):
 
 
 def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
-                      seed=0, trace_every=None, record=True, want_gap=False,
-                      want_yosida=False, yosida_lam=None, yosida_tol=1e-10):
+                      seed=0, recorder=Recorder()):
     """Run the baseline until ``max_iterations`` or budget exhaustion.
 
     Returns ``(point, trace)`` where ``point`` is the final iterate, or
     the running uniform average of the half-step points when
     ``config.averaged`` is set (the average is what the monotone-case
-    gap guarantee covers). Metrics in the trace are evaluated on the
-    same point that is returned.
+    gap guarantee covers). ``recorder`` sets the trace rows, evaluated
+    on the same point that is returned; ``None`` records nothing.
     """
     oracle = problem.oracle.with_budget(budget)
     feasible_set = problem.feasible_set
@@ -95,34 +94,9 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
     trace = RunTrace(scheme, seed)
-    residual_gamma = 1.0 / lip if lip > 0 else 1.0
-    k_max = config.max_iterations
-    if trace_every is None:
-        trace_every = max(1, math.ceil(min(k_max, 10**6) / 200))
     calls_total = 0
     completed = 0
-
-    def current_point():
-        return average if config.averaged else z
-
-    def record_row():
-        report = evaluate_point(
-            problem, current_point(), residual_gamma, want_gap=want_gap,
-            want_yosida=want_yosida, yosida_lam=yosida_lam,
-            yosida_tol=yosida_tol,
-        )
-        trace.add(TraceRow(
-            outer_k=completed,
-            inner_k=0,
-            calls=calls_total,
-            natural_residual=report.natural_residual,
-            gap=report.gap,
-            yosida_sq=report.yosida_sq,
-            saddle_gap=report.saddle_gap,
-            dist_ref_sq=report.dist_to_ref_sq,
-        ))
-
-    for k in range(k_max):
+    for k in range(config.max_iterations):
         n_k = eg_sample_size(k, config.theta, config.mu_shift, config.b)
         try:
             estimate, c1 = batch_mean(oracle, z, n_k, streams[0])
@@ -136,10 +110,11 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
         # uniform running mean of the half-step points
         average += (z_half - average) / (k + 1)
         completed = k + 1
-        if record and (completed % trace_every == 0 or completed == k_max):
-            record_row()
-    if record and completed > 0:
-        last_k = trace.rows[-1].outer_k if trace.rows else -1
-        if last_k != completed:
-            record_row()
-    return current_point(), trace
+        if recorder is not None and recorder.due(completed):
+            trace.add(evaluate_point(problem, average if config.averaged else z,
+                                     recorder, completed, 0, calls_total))
+    point = average if config.averaged else z
+    if recorder is not None and trace.missing(completed):
+        trace.add(evaluate_point(problem, point, recorder, completed, 0,
+                                 calls_total))
+    return point, trace

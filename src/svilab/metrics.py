@@ -7,23 +7,25 @@ complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .detsolve import solve_deterministic_vi
 from .errors import MetricUnavailable
 from .maps import AffineMap, ShiftedMap
 from .problems import z_saddle_value
+from .trace import TraceRow
 
 __all__ = [
-    "MetricReport",
+    "YOSIDA_TOL",
     "natural_residual",
     "strongly_monotone_gap",
     "yosida_residual",
     "saddle_gap",
     "evaluate_point",
 ]
+
+# natural residual to which trace rows certify each Yosida resolvent
+YOSIDA_TOL = 1e-10
 
 
 def _clamp(v):
@@ -33,17 +35,6 @@ def _clamp(v):
             raise MetricUnavailable(f"metric came out negative: {v:.3e}")
         return 0.0
     return v
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One point's metric values; fields are None when not computable."""
-
-    natural_residual: float = None
-    gap: float = None
-    yosida_sq: float = None
-    saddle_gap: float = None
-    dist_to_ref_sq: float = None
 
 
 def natural_residual(x, mean_map, feasible_set, gamma):
@@ -87,11 +78,11 @@ def strongly_monotone_gap(x, mean_map, feasible_set, tol=1e-9, max_steps=10**6):
     return _clamp(val)
 
 
-def yosida_residual(u, lam, problem, tol=1e-10):
+def yosida_residual(u, lam, problem):
     """Norm of the Yosida map ``(u - J_lam(u)) / lam``.
 
     The resolvent ``J_lam(u)`` solves the deterministic shifted VI on the
-    mean map; the solve is certified to natural residual ``tol``.
+    mean map; the solve is certified to natural residual ``YOSIDA_TOL``.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -99,7 +90,8 @@ def yosida_residual(u, lam, problem, tol=1e-10):
     shifted = ShiftedMap(problem.mean_map, lam, u)
     try:
         j = solve_deterministic_vi(
-            shifted, problem.feasible_set, tol, z0=problem.feasible_set.project(u)
+            shifted, problem.feasible_set, YOSIDA_TOL,
+            z0=problem.feasible_set.project(u),
         )
     except Exception as exc:  # noqa: BLE001 - nonconvergence surfaces as unavailability
         raise MetricUnavailable(f"resolvent solve failed: {exc}") from exc
@@ -114,41 +106,38 @@ def saddle_gap(x, y, problem):
     return abs(z_saddle_value(payoff, x, y) - problem.reference_saddle_value)
 
 
-def evaluate_point(problem, point, residual_gamma, want_gap=False,
-                   want_yosida=False, yosida_lam=None, yosida_tol=1e-10):
-    """Assemble a :class:`MetricReport` at one point.
+def evaluate_point(problem, point, recorder, outer_k, inner_k, calls):
+    """The :class:`~svilab.trace.TraceRow` of ``point`` at one iteration.
 
-    Cheap metrics (natural residual, distance to reference, bimatrix
-    saddle gap) are always computed; the gap and Yosida metrics only on
-    request since each needs an auxiliary solve.
+    Always computed: the natural residual at step 1/L of the mean map
+    (1 when L = 0) and, given reference data, the squared distance to
+    it and the bimatrix saddle gap. ``recorder.gap`` and
+    ``recorder.yosida_lam`` each add an auxiliary solve (the gap's
+    ascent; a resolvent solve to ``YOSIDA_TOL``); either stays empty
+    where it is unavailable.
     """
     point = np.asarray(point, dtype=np.float64)
-    res = natural_residual(point, problem.mean_map, problem.feasible_set, residual_gamma)
-    dist_sq = None
+    lip = problem.mean_map.lipschitz
+    res = natural_residual(point, problem.mean_map, problem.feasible_set,
+                           1.0 / lip if lip > 0 else 1.0)
+    row = TraceRow(outer_k, inner_k, calls, natural_residual=res)
     if problem.reference_solution is not None:
         d = point - problem.reference_solution
-        dist_sq = float(np.dot(d, d))
-    sgap = None
+        row.dist_ref_sq = float(np.dot(d, d))
     payoff = problem.payoff_mean
     if payoff is not None and problem.reference_saddle_value is not None:
         n = payoff.shape[1]
-        sgap = saddle_gap(point[:n], point[n:], problem)
-    gap = None
-    if want_gap:
+        row.saddle_gap = saddle_gap(point[:n], point[n:], problem)
+    if recorder.gap:
         try:
-            gap = strongly_monotone_gap(point, problem.mean_map, problem.feasible_set)
+            row.gap = strongly_monotone_gap(point, problem.mean_map,
+                                            problem.feasible_set)
         except MetricUnavailable:
-            gap = None
-    yosida_sq = None
-    if want_yosida and yosida_lam is not None:
+            pass
+    if recorder.yosida_lam is not None:
         try:
-            yosida_sq = yosida_residual(point, yosida_lam, problem, yosida_tol) ** 2
+            row.yosida_sq = yosida_residual(point, recorder.yosida_lam,
+                                            problem) ** 2
         except MetricUnavailable:
-            yosida_sq = None
-    return MetricReport(
-        natural_residual=res,
-        gap=gap,
-        yosida_sq=yosida_sq,
-        saddle_gap=sgap,
-        dist_to_ref_sq=dist_sq,
-    )
+            pass
+    return row

@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import BudgetCounter, shift
 from .problems import ProblemInstance
-from .trace import RunTrace, TraceRow
+from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, run_vs_ave, schedule_cost
 
 __all__ = [
@@ -106,11 +106,7 @@ def prox_subproblem(problem, u_k, lam):
     if not lam > 0:
         raise ContractViolation(f"lam must be positive; got {lam!r}")
     shifted = shift(problem.oracle, lam, u_k)
-    return ProblemInstance(
-        oracle=shifted,
-        feasible_set=problem.feasible_set,
-        mean_map=shifted.mean_map,
-    )
+    return ProblemInstance(oracle=shifted, feasible_set=problem.feasible_set)
 
 
 def relaxation_step(u_k, z_k, eta):
@@ -123,18 +119,17 @@ def relaxation_step(u_k, z_k, eta):
 
 
 def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
-               want_gap=False, want_yosida=False, yosida_lam=None,
-               yosida_tol=1e-10):
+               recorder=Recorder()):
     """Run the outer loop for ``config.outer_iterations`` steps.
 
-    Returns ``(u_K, trace)`` with one trace row per completed outer
-    iteration (``inner_k`` records that step's inner iteration count,
-    ``calls`` the cumulative oracle consumption). A subproblem whose
-    sampling schedule cannot fit in the remaining budget is not started:
-    a partial inner result would be discarded anyway, so the run ends
-    with ``trace.truncated`` set and the last completed iterate, exactly
-    as if the budget had run out mid-subproblem, without burning the
-    leftover samples.
+    Returns ``(u_K, trace)``; ``recorder`` picks the completed outer
+    iterations that get a row (``inner_k`` records that step's inner
+    iteration count, ``calls`` the cumulative oracle consumption). A
+    subproblem whose sampling schedule cannot fit in the remaining
+    budget is not started: a partial inner result would be discarded
+    anyway, so the run ends with ``trace.truncated`` set and the last
+    completed iterate, exactly as if the budget had run out
+    mid-subproblem, without burning the leftover samples.
     """
     if budget is None:
         budget = BudgetCounter(2**63)
@@ -146,12 +141,10 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     inner_lip = lip + inner_mu
     rho = q ** config.beta
     trace = RunTrace(scheme, seed)
-    if want_yosida and yosida_lam is None:
-        yosida_lam = config.lam
-    residual_gamma = 1.0 / lip if lip > 0 else 1.0
     streams = (problem.oracle.stream(0), problem.oracle.stream(1))
     u0_proj = u.copy()
     consumed_before = budget.consumed
+    last = (0, 0, 0)  # (outer_k, inner_k, calls) of the last completed step
     for k in range(config.outer_iterations):
         ell_k = inner_iterations(k, q, config.alpha, config.min_inner)
         inner_config = VsAveConfig(
@@ -175,25 +168,15 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
         y_start = u if config.warm_start else u0_proj
         z, inner_trace = run_vs_ave(
             sub, y_start, inner_config, budget,
-            streams=streams, record=False,
+            streams=streams, recorder=None,
         )
         if inner_trace.truncated:
             trace.truncated = True
             break
         u = relaxation_step(u, z, config.eta)
-        report = evaluate_point(
-            problem, u, residual_gamma, want_gap=want_gap,
-            want_yosida=want_yosida, yosida_lam=yosida_lam,
-            yosida_tol=yosida_tol,
-        )
-        trace.add(TraceRow(
-            outer_k=k + 1,
-            inner_k=ell_k,
-            calls=budget.consumed - consumed_before,
-            natural_residual=report.natural_residual,
-            gap=report.gap,
-            yosida_sq=report.yosida_sq,
-            saddle_gap=report.saddle_gap,
-            dist_ref_sq=report.dist_to_ref_sq,
-        ))
+        last = (k + 1, ell_k, budget.consumed - consumed_before)
+        if recorder is not None and recorder.due(k + 1):
+            trace.add(evaluate_point(problem, u, recorder, *last))
+    if recorder is not None and trace.missing(last[0]):
+        trace.add(evaluate_point(problem, u, recorder, *last))
     return u, trace

@@ -40,9 +40,13 @@ class ProblemInstance:
 
     oracle: StochasticOracle
     feasible_set: object
-    mean_map: object
     reference_solution: np.ndarray = None
     reference_saddle_value: float = None
+
+    @property
+    def mean_map(self):
+        """The oracle's mean map, so the two can never disagree."""
+        return self.oracle.mean_map
 
     @property
     def dimension(self):
@@ -101,7 +105,6 @@ def bimatrix_from_payoff(payoff, noise_scale=0.0, seed=0, with_reference=True,
     problem = ProblemInstance(
         oracle=StochasticOracle(mean_map, noise, rng_seed=seed),
         feasible_set=Product(Simplex(n), Simplex(m)),
-        mean_map=mean_map,
     )
     if with_reference:
         point, value = reference_solution(problem, reference_tol)
@@ -160,7 +163,6 @@ def make_affine_strongly_monotone(n, mu, lipschitz, sigma, seed):
     return ProblemInstance(
         oracle=StochasticOracle(mean_map, noise, rng_seed=seed),
         feasible_set=Box(-np.ones(n), np.ones(n)),
-        mean_map=mean_map,
         reference_solution=root,
     )
 

@@ -7,16 +7,42 @@ written with ``repr`` so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractViolation
 
-__all__ = ["CSV_HEADER", "TraceRow", "RunTrace"]
+__all__ = ["CSV_HEADER", "Recorder", "TraceRow", "RunTrace"]
 
 CSV_HEADER = (
     "scheme,seed,outer_k,inner_k,calls,natural_residual,gap,"
     "yosida_sq,saddle_gap,dist_ref_sq,truncated"
 )
+
+
+@dataclass(frozen=True)
+class Recorder:
+    """What a solver records: a row after every ``every``-th completed
+    iteration and after the last one if the cadence skipped it.
+
+    Rows always carry the cheap metrics (natural residual, distance to
+    the reference, bimatrix saddle gap). Each optional one costs an
+    auxiliary deterministic solve per row: ``gap=True`` the strongly
+    monotone gap's ascent, a ``yosida_lam`` the resolvent solve of the
+    squared Yosida residual at that weight. Solvers take
+    ``recorder=None`` to record nothing.
+    """
+
+    every: int = 1
+    gap: bool = False
+    yosida_lam: float = None
+
+    def __post_init__(self):
+        if not (isinstance(self.every, int) and self.every >= 1):
+            raise ContractViolation(f"every must be >= 1; got {self.every!r}")
+
+    def due(self, k):
+        """Whether completed iteration ``k`` falls on the cadence."""
+        return k % self.every == 0
 
 
 @dataclass
@@ -51,7 +77,6 @@ class RunTrace:
         self.seed = int(seed)
         self.rows = []
         self.truncated = False
-        self.history = None  # populated only in debug-history runs
 
     def add(self, row):
         if self.rows and row.calls <= self.rows[-1].calls:
@@ -60,6 +85,10 @@ class RunTrace:
                 f"after {self.rows[-1].calls}"
             )
         self.rows.append(row)
+
+    def missing(self, k):
+        """Whether completed iteration ``k`` > 0 still lacks its row."""
+        return k > 0 and (not self.rows or self.rows[-1].outer_k != k)
 
     @property
     def final(self):
@@ -92,17 +121,10 @@ class RunTrace:
                     raise ContractViolation(f"{path}: malformed row {line!r}")
                 if trace is None:
                     trace = RunTrace(parts[0], int(parts[1]))
-                row = TraceRow(
-                    outer_k=int(parts[2]),
-                    inner_k=int(parts[3]),
-                    calls=int(parts[4]),
-                    natural_residual=None if parts[5] == "" else float(parts[5]),
-                    gap=None if parts[6] == "" else float(parts[6]),
-                    yosida_sq=None if parts[7] == "" else float(parts[7]),
-                    saddle_gap=None if parts[8] == "" else float(parts[8]),
-                    dist_ref_sq=None if parts[9] == "" else float(parts[9]),
-                )
-                trace.add(row)
+                trace.add(TraceRow(
+                    int(parts[2]), int(parts[3]), int(parts[4]),
+                    *(None if p == "" else float(p) for p in parts[5:10]),
+                ))
                 trace.truncated = parts[10] == "true"
         if trace is None:
             raise ContractViolation(f"{path}: no data rows")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BudgetExhausted, ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import batch_mean
-from .trace import RunTrace, TraceRow
+from .trace import Recorder, RunTrace
 
 __all__ = [
     "VsAveConfig",
@@ -112,7 +112,6 @@ class VsAveState:
     """
 
     config: VsAveConfig
-    k: int
     gamma_k: float
     Gamma_k: float
     weighted_presum: np.ndarray
@@ -140,7 +139,10 @@ def sample_size(k, rho, min_batch=1):
         raise ContractViolation(f"rho must lie in (0, 1); got {rho!r}")
     if k < 0:
         raise ContractViolation("iteration index must be nonnegative")
-    value = rho ** (-k)
+    try:
+        value = float(rho) ** -k
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value) or value >= 2**62:
         raise ScheduleOverflow(
             f"sample size rho^-k overflowed at k={k} (rho={rho:g})"
@@ -164,16 +166,14 @@ def schedule_cost(iterations, rho, min_batch=1, stop_at=None):
     return total
 
 
-def x_step(state, feasible_set, estimate_y, n_k):
+def x_step(state, feasible_set, estimate_y):
     """Averaging step: fold the batch estimate at ``y_k`` into the
     weighted pre-projection sum and project.
 
-    ``estimate_y`` must be the batch mean at ``state.y_k`` with ``n_k``
-    samples (``n_k`` documents the precondition; the arithmetic only
-    involves the estimate). The estimate buffer is consumed as scratch;
-    callers that still need it must pass a copy.
+    ``estimate_y`` must be the batch mean at ``state.y_k``. The estimate
+    buffer is consumed as scratch; callers that still need it must pass
+    a copy.
     """
-    del n_k
     est = estimate_y
     est /= -state.config.mu
     est += state.y_k
@@ -196,25 +196,20 @@ def y_step(x_k, feasible_set, estimate_x, lipschitz):
 
 
 def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
-               seed=0, trace_every=1, record=True, want_gap=False,
-               want_yosida=False, yosida_lam=None, yosida_tol=1e-10,
-               debug_history=False):
+               seed=0, recorder=Recorder()):
     """Run the scheme for ``config.max_iterations`` iterations.
 
     Returns ``(averaged, trace)`` where ``averaged`` is the weighted
     average of the ``y`` iterates at the last completed iteration. A
     refused oracle batch (budget) or a schedule overflow ends the run
     early with ``trace.truncated`` set; the average of the completed
-    prefix is returned.
+    prefix is returned. ``recorder`` sets the trace rows, evaluated at
+    the running average; ``None`` records nothing.
 
     ``streams`` may supply the two sample streams (step-1.1 batches,
     step-1.2 batches) so nested callers keep one continuous stream pair
     across repeated runs; by default fresh streams 0 and 1 are derived
     from the problem oracle.
-
-    With ``debug_history=True`` the returned trace carries per-iteration
-    ``(gamma, y, estimate_y)`` records so tests can recompute the
-    running sums from scratch; renormalization is disabled in this mode.
     """
     oracle = problem.oracle.with_budget(budget)
     feasible_set = problem.feasible_set
@@ -224,7 +219,6 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     y = feasible_set.project(np.asarray(y0, dtype=np.float64))
     state = VsAveState(
         config=config,
-        k=0,
         gamma_k=1.0,
         Gamma_k=1.0,
         weighted_presum=np.zeros_like(y),
@@ -233,14 +227,9 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
         y_k=y,
     )
     trace = RunTrace(scheme, seed)
-    if debug_history:
-        trace.history = []
-    lip_mean = problem.mean_map.lipschitz
-    residual_gamma = 1.0 / lip_mean if lip_mean > 0 else 1.0
     calls_total = 0
     completed = 0
-    k_max = config.max_iterations
-    for k in range(k_max):
+    for k in range(config.max_iterations):
         try:
             n_k = sample_size(k, config.rho, config.min_batch)
         except ScheduleOverflow:
@@ -248,12 +237,7 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
             break
         try:
             estimate_y, c1 = batch_mean(oracle, state.y_k, n_k, stream_y)
-            if debug_history:
-                trace.history.append(
-                    {"gamma": state.gamma_k, "y": state.y_k.copy(),
-                     "estimate_y": estimate_y.copy()}
-                )
-            x = x_step(state, feasible_set, estimate_y, n_k)
+            x = x_step(state, feasible_set, estimate_y)
             estimate_x, c2 = batch_mean(oracle, x, n_k, stream_x)
         except BudgetExhausted:
             trace.truncated = True
@@ -265,50 +249,19 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
         )
         state.weighted_ysum += state.gamma_k * y_next
         state.y_k = y_next
-        state.k = k + 1
         completed = k + 1
-        if state.Gamma_k > _RENORM_AT and not debug_history:
+        if state.Gamma_k > _RENORM_AT:
             scale = 1.0 / state.Gamma_k
             state.weighted_presum *= scale
             state.weighted_ysum *= scale
             state.gamma_k *= scale
             state.Gamma_k = 1.0
-        if record and (completed % trace_every == 0 or completed == k_max):
+        if recorder is not None and recorder.due(completed):
             averaged = state.weighted_ysum / state.Gamma_k
-            report = evaluate_point(
-                problem, averaged, residual_gamma, want_gap=want_gap,
-                want_yosida=want_yosida, yosida_lam=yosida_lam,
-                yosida_tol=yosida_tol,
-            )
-            trace.add(TraceRow(
-                outer_k=completed,
-                inner_k=0,
-                calls=calls_total,
-                natural_residual=report.natural_residual,
-                gap=report.gap,
-                yosida_sq=report.yosida_sq,
-                saddle_gap=report.saddle_gap,
-                dist_ref_sq=report.dist_to_ref_sq,
-            ))
-    if debug_history:
-        trace.history.append({"gamma": state.gamma_k, "y": state.y_k.copy()})
+            trace.add(evaluate_point(problem, averaged, recorder, completed,
+                                     0, calls_total))
     averaged = state.weighted_ysum / state.Gamma_k
-    if record and trace.truncated and completed > 0:
-        last_k = trace.rows[-1].outer_k if trace.rows else -1
-        if last_k != completed:
-            report = evaluate_point(
-                problem, averaged, residual_gamma, want_gap=want_gap,
-                want_yosida=want_yosida, yosida_lam=yosida_lam,
-                yosida_tol=yosida_tol,
-            )
-            trace.add(TraceRow(
-                outer_k=completed,
-                inner_k=0,
-                calls=calls_total,
-                natural_residual=report.natural_residual,
-                gap=report.gap,
-                yosida_sq=report.yosida_sq,
-                saddle_gap=report.saddle_gap,
-                dist_ref_sq=report.dist_to_ref_sq,
-            ))
+    if recorder is not None and trace.missing(completed):
+        trace.add(evaluate_point(problem, averaged, recorder, completed, 0,
+                                 calls_total))
     return averaged, trace

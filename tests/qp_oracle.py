@@ -19,7 +19,11 @@ def project_simplex_bruteforce(v):
 
     For every nonempty support S the equality-constrained minimizer is
     x_i = v_i - tau with tau = (sum_{i in S} v_i - 1)/|S|; the true
-    projection is the closest candidate that is feasible.
+    projection is the closest candidate that is feasible and leaves out
+    only coordinates with v_i <= tau. The second condition matters in
+    floating point: two feasible candidates can differ in squared
+    distance by less than its rounding, and the comparison alone then
+    picks the wrong support.
     """
     v = np.asarray(v, dtype=np.float64)
     d = v.size
@@ -31,6 +35,8 @@ def project_simplex_bruteforce(v):
             x = np.zeros(d)
             x[idx] = v[idx] - tau
             if np.any(x[idx] < -1e-12):
+                continue
+            if r < d and np.delete(v, idx).max() - tau > 1e-12:
                 continue
             dist = float(np.dot(x - v, x - v))
             if dist < best_dist:

@@ -22,6 +22,7 @@ from svilab import (
     Ball,
     PpawssConfig,
     Product,
+    Recorder,
     Simplex,
     VsAveConfig,
     batch_mean,
@@ -165,8 +166,7 @@ def test_criterion_4_yosida_decay_slope(capsys):
     config = PpawssConfig(lam=10.0, eta=1.0, alpha=1.001, beta=1.001,
                           outer_iterations=200, warm_start=True)
     _, trace = run_ppawss(problem, np.zeros(10), config, None,
-                          want_yosida=True, yosida_lam=10.0,
-                          yosida_tol=1e-10)
+                          recorder=Recorder(yosida_lam=10.0))
     ks = np.array([row.outer_k for row in trace.rows])
     ys = np.array([row.yosida_sq for row in trace.rows])
     mask = (ks >= 10) & (ys > 0)

@@ -91,6 +91,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot parse 'three' as int"):
             parse_config(bad)
 
+    def test_infinite_integer_rejected(self):
+        for old, new in (("budget = 2000", "budget = inf"), ("n = 3", "n = inf")):
+            bad = AFFINE_CFG.replace(old, new)
+            with pytest.raises(ConfigError, match="cannot parse 'inf' as int"):
+                parse_config(bad)
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="key outside any section"):
             parse_config("budget = 5\n" + AFFINE_CFG)

@@ -77,6 +77,12 @@ class TestRunCommand:
         assert main(["run", good_cfg, "--budget", "-5"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_infinite_budget_exit_code(self, good_cfg, capsys):
+        assert main(["run", good_cfg, "--budget", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot parse --budget 'inf'\n"
+        )
+
     def test_bad_thread_count_exit_code(self, good_cfg, monkeypatch, capsys):
         monkeypatch.setenv("SVILAB_THREADS", "4 workers")
         assert main(["run", good_cfg]) == 2

@@ -10,6 +10,7 @@ from svilab import (
     ConfigError,
     ContractViolation,
     ExtragradientConfig,
+    Recorder,
     bimatrix_from_payoff,
     eg_sample_size,
     make_affine_strongly_monotone,
@@ -126,7 +127,7 @@ class TestBudgetAccounting:
         # the fourth iteration's first batch fits, its second does not
         budget = BudgetCounter(cum3 + sizes[3])
         _, trace = run_extragradient(problem, np.zeros(4), cfg, budget,
-                                     trace_every=1)
+                                     recorder=Recorder(every=1))
         assert trace.truncated
         assert trace.final.calls == cum3
         assert budget.consumed == cum3 + sizes[3]
@@ -142,10 +143,30 @@ class TestBudgetAccounting:
         assert [r.saddle_gap for r in t1.rows] == \
                [r.saddle_gap for r in t2.rows]
 
+    def test_unrecorded_run_matches_recorded(self):
+        # recording reads the state only: same point, same ledger
+        problem = self._noisy_pennies()
+        cfg = ExtragradientConfig(stepsize=0.2, max_iterations=12,
+                                  averaged=True)
+        b1, b2 = BudgetCounter(10**6), BudgetCounter(10**6)
+        z1, t1 = run_extragradient(problem, np.zeros(4), cfg, b1)
+        z2, t2 = run_extragradient(problem, np.zeros(4), cfg, b2,
+                                   recorder=None)
+        assert len(t1.rows) == 12
+        assert t2.rows == []
+        assert np.array_equal(z1, z2)
+        assert b1.consumed == b2.consumed
+
 
 class TestTraceCadence:
     def test_rows_follow_trace_every(self, pennies_problem):
         cfg = ExtragradientConfig(stepsize=0.2, max_iterations=10)
         _, trace = run_extragradient(pennies_problem, np.zeros(4), cfg, None,
-                                     trace_every=3)
+                                     recorder=Recorder(every=3))
         assert [r.outer_k for r in trace.rows] == [3, 6, 9, 10]
+
+    def test_every_iteration_by_default(self, pennies_problem):
+        cfg = ExtragradientConfig(stepsize=0.2, max_iterations=10)
+        _, trace = run_extragradient(pennies_problem, np.zeros(4), cfg, None)
+        assert [r.outer_k for r in trace.rows] == list(range(1, 11))
+

@@ -9,6 +9,7 @@ from svilab import (
     BudgetCounter,
     MetricUnavailable,
     ProblemInstance,
+    Recorder,
     StochasticOracle,
     ZeroNoise,
     evaluate_point,
@@ -25,7 +26,6 @@ def _problem(mean_map, feasible_set):
     return ProblemInstance(
         oracle=StochasticOracle(mean_map, ZeroNoise(), rng_seed=0),
         feasible_set=feasible_set,
-        mean_map=mean_map,
     )
 
 
@@ -137,25 +137,28 @@ class TestSaddleGap:
 class TestEvaluatePoint:
     def test_affine_fields(self, affine_problem):
         x = np.zeros(affine_problem.dimension)
-        report = evaluate_point(affine_problem, x, 1.0)
-        assert report.natural_residual >= 0.0
-        assert report.dist_to_ref_sq >= 0.0
-        assert report.saddle_gap is None
-        assert report.gap is None
-        assert report.yosida_sq is None
+        row = evaluate_point(affine_problem, x, Recorder(), 3, 0, 42)
+        assert (row.outer_k, row.inner_k, row.calls) == (3, 0, 42)
+        lip = affine_problem.mean_map.lipschitz
+        assert row.natural_residual == natural_residual(
+            x, affine_problem.mean_map, affine_problem.feasible_set, 1.0 / lip
+        )
+        assert row.dist_ref_sq >= 0.0
+        assert row.saddle_gap is None
+        assert row.gap is None
+        assert row.yosida_sq is None
 
     def test_gap_on_request(self, affine_problem):
         x = np.zeros(affine_problem.dimension)
-        report = evaluate_point(affine_problem, x, 1.0, want_gap=True)
-        assert report.gap is not None
+        row = evaluate_point(affine_problem, x, Recorder(gap=True), 1, 0, 1)
+        assert row.gap is not None
         d = x - affine_problem.reference_solution
-        assert report.gap >= 0.5 * affine_problem.mean_map.mu * (d @ d) - 1e-8
+        assert row.gap >= 0.5 * affine_problem.mean_map.mu * (d @ d) - 1e-8
 
     def test_bimatrix_fields(self, pennies_problem):
         z = np.array([1.0, 0.0, 0.0, 1.0])
-        report = evaluate_point(pennies_problem, z, 0.5,
-                                want_gap=True, want_yosida=True,
-                                yosida_lam=10.0)
+        report = evaluate_point(pennies_problem, z,
+                                Recorder(gap=True, yosida_lam=10.0), 1, 0, 1)
         assert report.saddle_gap is not None
         # the gap needs strong monotonicity, which a game map lacks
         assert report.gap is None
@@ -167,10 +170,9 @@ class TestEvaluatePoint:
         problem = ProblemInstance(
             oracle=pennies_problem.oracle.with_budget(budget),
             feasible_set=pennies_problem.feasible_set,
-            mean_map=pennies_problem.mean_map,
             reference_solution=pennies_problem.reference_solution,
             reference_saddle_value=pennies_problem.reference_saddle_value,
         )
-        evaluate_point(problem, np.full(4, 0.25), 0.5,
-                       want_gap=True, want_yosida=True, yosida_lam=5.0)
+        evaluate_point(problem, np.full(4, 0.25),
+                       Recorder(gap=True, yosida_lam=5.0), 1, 0, 1)
         assert budget.consumed == 0

@@ -13,6 +13,7 @@ from svilab import (
     ContractViolation,
     PpawssConfig,
     ProblemInstance,
+    Recorder,
     StochasticOracle,
     ZeroNoise,
     bimatrix_from_payoff,
@@ -98,7 +99,6 @@ class TestProxSubproblem:
         problem = ProblemInstance(
             oracle=oracle,
             feasible_set=pennies_problem.feasible_set,
-            mean_map=pennies_problem.mean_map,
         )
         sub = prox_subproblem(problem, np.zeros(4), 1.0)
         assert sub.oracle.noise_model is oracle.noise_model
@@ -128,7 +128,6 @@ class TestZeroMapResolvent:
         problem = ProblemInstance(
             oracle=StochasticOracle(zero_map, ZeroNoise(), rng_seed=0),
             feasible_set=box,
-            mean_map=zero_map,
         )
         cfg = _config(lam=2.0, outer_iterations=4)
         u, trace = run_ppawss(problem, np.array([2.0, -3.0]), cfg, None)
@@ -229,13 +228,46 @@ class TestBudgetAccounting:
         assert [r.natural_residual for r in t1.rows] == \
                [r.natural_residual for r in t2.rows]
 
+    def test_unrecorded_run_matches_recorded(self):
+        # recording reads the state only: same point, same ledger
+        problem = self._noisy_pennies()
+        cfg = _config(lam=5.0, outer_iterations=5)
+        b1, b2 = BudgetCounter(10**6), BudgetCounter(10**6)
+        u1, t1 = run_ppawss(problem, np.zeros(4), cfg, b1)
+        u2, t2 = run_ppawss(problem, np.zeros(4), cfg, b2, recorder=None)
+        assert len(t1.rows) == 5
+        assert t2.rows == []
+        assert np.array_equal(u1, u2)
+        assert b1.consumed == b2.consumed
+
+    def test_sparse_cadence_keeps_final_step(self):
+        problem = self._noisy_pennies()
+        cfg = _config(lam=5.0, outer_iterations=5)
+        _, full = run_ppawss(problem, np.zeros(4), cfg, BudgetCounter(10**6))
+        _, sparse = run_ppawss(problem, np.zeros(4), cfg,
+                               BudgetCounter(10**6),
+                               recorder=Recorder(every=2))
+        assert [r.outer_k for r in sparse.rows] == [2, 4, 5]
+        assert sparse.rows == [full.rows[1], full.rows[3], full.rows[4]]
+
+    def test_sparse_cadence_keeps_last_step_before_truncation(self):
+        problem = self._noisy_pennies()
+        cfg = _config(lam=5.0, outer_iterations=6)
+        _, full = run_ppawss(problem, np.zeros(4), cfg, BudgetCounter(10**6))
+        # three outer steps fit; the fourth subproblem is not affordable
+        budget = BudgetCounter(full.rows[2].calls + 1)
+        _, sparse = run_ppawss(problem, np.zeros(4), cfg, budget,
+                               recorder=Recorder(every=2))
+        assert sparse.truncated
+        assert sparse.rows == [full.rows[1], full.rows[2]]
+
 
 class TestYosidaTracking:
     def test_squared_residual_decreases(self, pennies_problem):
         cfg = _config(lam=10.0, outer_iterations=12)
         u0 = np.array([1.0, 0.0, 0.0, 1.0])
         _, trace = run_ppawss(pennies_problem, u0, cfg, None,
-                              want_yosida=True)
+                              recorder=Recorder(yosida_lam=10.0))
         values = [row.yosida_sq for row in trace.rows]
         assert all(v is not None for v in values)
         assert values[-1] < values[0]

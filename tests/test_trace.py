@@ -2,7 +2,7 @@
 
 import pytest
 
-from svilab import CSV_HEADER, ContractViolation, RunTrace, TraceRow
+from svilab import CSV_HEADER, ContractViolation, Recorder, RunTrace, TraceRow
 
 
 class TestSchema:
@@ -28,6 +28,30 @@ class TestRunTrace:
         trace.add(TraceRow(outer_k=1, inner_k=0, calls=2))
         trace.add(TraceRow(outer_k=2, inner_k=0, calls=6))
         assert trace.final.outer_k == 2
+
+    def test_missing_names_an_unrecorded_last_iteration(self):
+        trace = RunTrace("vs_ave", 0)
+        assert not trace.missing(0)
+        assert trace.missing(1)
+        trace.add(TraceRow(outer_k=2, inner_k=0, calls=6))
+        assert not trace.missing(2)
+        assert trace.missing(3)
+
+
+class TestRecorder:
+    def test_cadence(self):
+        assert [k for k in range(1, 8) if Recorder(every=3).due(k)] == [3, 6]
+        assert all(Recorder().due(k) for k in range(1, 5))
+
+    def test_defaults_record_cheap_metrics_only(self):
+        recorder = Recorder()
+        assert (recorder.every, recorder.gap, recorder.yosida_lam) == \
+               (1, False, None)
+
+    def test_rejects_bad_values(self):
+        for bad in (0, -2, 1.5):
+            with pytest.raises(ContractViolation, match="every"):
+                Recorder(every=bad)
 
 
 class TestCsvRoundTrip:

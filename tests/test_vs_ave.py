@@ -1,6 +1,7 @@
 """Tests for the variable-sample-size averaging solver."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from svilab import (
     ContractViolation,
     ScheduleOverflow,
     BudgetCounter,
+    Recorder,
     VsAveConfig,
     VsAveState,
     gamma_update,
@@ -120,6 +122,15 @@ class TestSampleSize:
         with pytest.raises(ScheduleOverflow, match="k=62"):
             sample_size(62, 0.5)
 
+    @pytest.mark.parametrize("rho", [0.5, np.float64(0.5)])
+    def test_float_overflow(self, rho):
+        # rho^-k past the float range is a schedule overflow, with no
+        # bare OverflowError and no numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleOverflow, match="k=5000"):
+                sample_size(5000, rho)
+
     def test_contracts(self):
         with pytest.raises(ContractViolation):
             sample_size(-1, 0.5)
@@ -149,11 +160,18 @@ class TestScheduleCost:
         with pytest.raises(ScheduleOverflow):
             schedule_cost(63, 0.5)
 
+    @pytest.mark.parametrize("rho", [1e-310, np.float64(1e-310)])
+    def test_float_overflow(self, rho):
+        # a subnormal rho leaves the float range at k = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleOverflow, match="k=1"):
+                schedule_cost(2, rho)
+
 
 def _fresh_state(config, y0, dim):
     return VsAveState(
         config=config,
-        k=0,
         gamma_k=1.0,
         Gamma_k=1.0,
         weighted_presum=np.zeros(dim),
@@ -168,7 +186,7 @@ class TestSteps:
         cfg = VsAveConfig(mu=1.0, lipschitz=3.0, rho=0.2, max_iterations=5)
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         state = _fresh_state(cfg, [0.2, 0.0], 2)
-        x = x_step(state, box, np.array([1.0, -1.0]), 1)
+        x = x_step(state, box, np.array([1.0, -1.0]))
         # y - estimate/mu = (0.2-1, 0+1), weight 1, already inside the box
         np.testing.assert_allclose(x, [-0.8, 1.0], atol=1e-15)
         np.testing.assert_allclose(state.weighted_presum, [-0.8, 1.0],
@@ -182,7 +200,7 @@ class TestSteps:
         state.gamma_k = 0.5
         state.Gamma_k = 2.0
         state.weighted_presum = np.array([0.4, 0.0])
-        x = x_step(state, box, np.array([2.0, 2.0]), 1)
+        x = x_step(state, box, np.array([2.0, 2.0]))
         # presum gains 0.5 * (0 - [1,1]) giving [-0.1,-0.5]; divide by 2
         np.testing.assert_allclose(x, [-0.05, -0.25], atol=1e-15)
 
@@ -251,19 +269,33 @@ class TestRunDeterministic:
                  for r in t2.rows]
         assert rows1 == rows2
 
-    def test_debug_history_reconstructs_average(self):
+    def test_unrecorded_run_matches_recorded(self):
+        # recording reads the state only: same point, same ledger
         prob = make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0,
                                              sigma=0.5, seed=13)
-        cfg = VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5, max_iterations=20)
-        averaged, trace = run_vs_ave(prob, np.zeros(3), cfg, None,
-                                     debug_history=True)
-        gammas = np.array([h["gamma"] for h in trace.history])
-        ys = np.stack([h["y"] for h in trace.history])
-        rebuilt = (gammas[:, None] * ys).sum(axis=0) / gammas.sum()
-        np.testing.assert_allclose(averaged, rebuilt, rtol=1e-10)
-        # weights follow the recurrence gamma_{k+1} = mu/(mu+L) * Gamma_k
-        totals = np.cumsum(gammas)
-        np.testing.assert_allclose(gammas[1:], totals[:-1] / 3.0, rtol=1e-13)
+        cfg = VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5, max_iterations=12)
+        b1, b2 = BudgetCounter(10**6), BudgetCounter(10**6)
+        a1, t1 = run_vs_ave(prob, np.zeros(3), cfg, b1)
+        a2, t2 = run_vs_ave(prob, np.zeros(3), cfg, b2, recorder=None)
+        assert len(t1.rows) == 12
+        assert t2.rows == []
+        assert np.array_equal(a1, a2)
+        assert b1.consumed == b2.consumed
+
+    def test_gap_column_on_request(self):
+        prob = make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0,
+                                             sigma=0.5, seed=13)
+        cfg = VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5, max_iterations=6)
+        _, plain = run_vs_ave(prob, np.zeros(3), cfg, None)
+        _, trace = run_vs_ave(prob, np.zeros(3), cfg, None,
+                              recorder=Recorder(gap=True))
+        assert all(r.gap is None for r in plain.rows)
+        assert [r.outer_k for r in trace.rows] == list(range(1, 7))
+        for row in trace.rows:
+            # the gap bounds (mu/2)|x - x*|^2 from above
+            assert row.gap >= 0.5 * row.dist_ref_sq - 1e-8
+        assert [r.natural_residual for r in trace.rows] == \
+               [r.natural_residual for r in plain.rows]
 
 
 class TestBudgetAndSchedule:
@@ -309,7 +341,7 @@ class TestBudgetAndSchedule:
         cfg = VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5, max_iterations=60)
         budget = BudgetCounter(20)
         _, trace = run_vs_ave(prob, np.zeros(3), cfg, budget,
-                              trace_every=1000)
+                              recorder=Recorder(every=1000))
         assert trace.truncated
         assert len(trace.rows) == 1
         assert trace.rows[0].outer_k == 3
