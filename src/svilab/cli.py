@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from glob import glob
 
-from .bench import parse_config, run_experiment, summarize
+from .bench import _parse_value, parse_config, run_experiment, summarize
 from .errors import ConfigError, SvilabError
 
 
@@ -47,8 +47,9 @@ def _apply_overrides(config, args):
         config = replace(config, seeds=seeds)
     if args.budget is not None:
         try:
-            budget = int(float(args.budget))
-        except (ValueError, OverflowError):
+            # the config file's own parse: a fractional value is refused
+            budget = _parse_value(args.budget, "int", None)
+        except ConfigError:
             raise ConfigError(f"cannot parse --budget {args.budget!r}") from None
         if budget <= 0:
             raise ConfigError(f"budget must be positive; got {budget}")

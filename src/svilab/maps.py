@@ -106,6 +106,10 @@ class BimatrixMap:
             raise ValueError("payoff must be finite")
         object.__setattr__(self, "payoff", A)
         object.__setattr__(self, "_lip", float(np.linalg.norm(A, 2)))
+        # -A x equals -(A x) bit for bit (negation is exact), so the
+        # negated matrix saves negating every result
+        object.__setattr__(self, "_at", A.T)
+        object.__setattr__(self, "_neg", -A)
 
     @property
     def n(self):
@@ -128,12 +132,11 @@ class BimatrixMap:
         return self._lip
 
     def __call__(self, z):
-        A = self.payoff
-        m, n = A.shape
+        m, n = self.payoff.shape
         out = np.empty(n + m)
-        np.matmul(A.T, z[n:], out=out[:n])
-        np.matmul(A, z[:n], out=out[n:])
-        np.negative(out[n:], out=out[n:])
+        # ndarray.dot is np.dot without its dispatch wrapper
+        self._at.dot(z[n:], out[:n])
+        self._neg.dot(z[:n], out[n:])
         return out
 
 

@@ -133,28 +133,33 @@ class MatrixPerturbation:
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "scale", float(self.scale))
+        # matrices per uniform draw: about 2 MB of doubles at a time
+        object.__setattr__(self, "_chunk",
+                           max(1, 262144 // (self.rows * self.cols)))
 
     def variance_bound(self, dim):
         # E|E_ij|^2 = 1/3; on the product of simplices |x|, |y| <= 1
         return self.scale**2 * (self.rows + self.cols) / 3.0
 
     def noise_sum(self, z, n, stream):
-        cols = self.cols
+        rows, cols = self.rows, self.cols
         if n == 1:
-            e_sum = stream.uniform(-1.0, 1.0, (self.rows, cols))
+            e_sum = stream.uniform(-1.0, 1.0, (rows, cols))
         else:
-            e_sum = np.zeros((self.rows, cols))
-            chunk = max(1, 262144 // (self.rows * cols))
-            left = n
+            c = min(n, self._chunk)
+            e_sum = stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
+            left = n - c
             while left > 0:
-                c = min(left, chunk)
-                e_sum += stream.uniform(-1.0, 1.0, (c, self.rows, cols)).sum(axis=0)
+                c = min(left, self._chunk)
+                e_sum += stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
                 left -= c
         e_sum *= self.scale
-        out = np.empty_like(z)
-        np.matmul(e_sum.T, z[cols:], out=out[:cols])
-        np.matmul(e_sum, z[:cols], out=out[cols:])
-        np.negative(out[cols:], out=out[cols:])
+        out = np.empty(z.size)
+        tail = out[cols:]
+        # ndarray.dot is np.dot without its dispatch wrapper
+        e_sum.T.dot(z[cols:], out[:cols])
+        e_sum.dot(z[:cols], tail)
+        np.negative(tail, out=tail)
         return out
 
 

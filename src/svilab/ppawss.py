@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, ScheduleOverflow
+from .errors import ConfigError, ContractViolation
 from .metrics import evaluate_point
 from .oracle import BudgetCounter, shift
 from .problems import ProblemInstance
 from .trace import Recorder, RunTrace
-from .vs_ave import VsAveConfig, run_vs_ave, schedule_cost
+from .vs_ave import VsAveConfig, run_vs_ave
 
 __all__ = [
     "PpawssConfig",
@@ -153,15 +153,9 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
             rho=rho,
             max_iterations=ell_k,
         )
-        remaining = budget.limit - budget.consumed
-        try:
-            needed = schedule_cost(
-                ell_k, rho, inner_config.min_batch, stop_at=remaining
-            )
-        except ScheduleOverflow:
-            trace.truncated = True
-            break
-        if needed > remaining:
+        # the run below iterates these same sizes
+        sizes = inner_config.batch_sizes
+        if len(sizes) < ell_k or 2 * sum(sizes) > budget.remaining:
             trace.truncated = True
             break
         sub = prox_subproblem(problem, u, config.lam)

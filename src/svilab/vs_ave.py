@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,23 @@ class VsAveConfig:
     @property
     def kappa(self):
         return self.lipschitz / self.mu
+
+    @cached_property
+    def batch_sizes(self):
+        """Batch sizes ``N_k`` of the run's steps, in order, as a tuple.
+
+        Built on first use and kept, so a caller that tests the schedule
+        against a budget and the run itself share one computation.
+        Holds ``max_iterations`` sizes, or fewer when :func:`sample_size`
+        overflows first; a run ends where the tuple ends.
+        """
+        sizes = []
+        try:
+            for k in range(self.max_iterations):
+                sizes.append(sample_size(k, self.rho, self.min_batch))
+        except ScheduleOverflow:
+            pass
+        return tuple(sizes)
 
 
 @dataclass
@@ -229,18 +247,12 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     trace = RunTrace(scheme, seed)
     calls_total = 0
     completed = 0
-    for k in range(config.max_iterations):
-        try:
-            n_k = sample_size(k, config.rho, config.min_batch)
-        except ScheduleOverflow:
-            trace.truncated = True
-            break
+    for n_k in config.batch_sizes:
         try:
             estimate_y, c1 = batch_mean(oracle, state.y_k, n_k, stream_y)
             x = x_step(state, feasible_set, estimate_y)
             estimate_x, c2 = batch_mean(oracle, x, n_k, stream_x)
         except BudgetExhausted:
-            trace.truncated = True
             break
         y_next = y_step(x, feasible_set, estimate_x, config.lipschitz)
         calls_total += c1 + c2
@@ -249,7 +261,7 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
         )
         state.weighted_ysum += state.gamma_k * y_next
         state.y_k = y_next
-        completed = k + 1
+        completed += 1
         if state.Gamma_k > _RENORM_AT:
             scale = 1.0 / state.Gamma_k
             state.weighted_presum *= scale
@@ -260,6 +272,8 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
             averaged = state.weighted_ysum / state.Gamma_k
             trace.add(evaluate_point(problem, averaged, recorder, completed,
                                      0, calls_total))
+    # a refused batch or a schedule overflow ended the run early
+    trace.truncated = completed < config.max_iterations
     averaged = state.weighted_ysum / state.Gamma_k
     if recorder is not None and trace.missing(completed):
         trace.add(evaluate_point(problem, averaged, recorder, completed, 0,

@@ -1,12 +1,14 @@
 """Tests for the command-line entry point."""
 
+import argparse
 import os
 import subprocess
 import sys
 
 import pytest
 
-from svilab.cli import main
+from svilab.bench import parse_config
+from svilab.cli import _apply_overrides, main
 
 GOOD_CFG = """\
 [problem]
@@ -65,6 +67,20 @@ class TestRunCommand:
                                                 capsys):
         out = str(tmp_path / "res")
         assert main(["run", good_cfg, "--budget", "1e3", "--out", out]) == 0
+        capsys.readouterr()
+
+    def test_budget_override_parses_like_the_config(self, good_cfg, tmp_path,
+                                                    capsys):
+        # a fractional budget is refused, as in the config file; it used
+        # to be floored
+        assert main(["run", good_cfg, "--budget", "2000.7"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot parse --budget '2000.7'\n"
+        )
+        args = argparse.Namespace(seeds=None, budget="2e6", out=None)
+        assert _apply_overrides(parse_config(GOOD_CFG), args).budget == 2_000_000
+        out = str(tmp_path / "res")
+        assert main(["run", good_cfg, "--budget", "2e6", "--out", out]) == 0
         capsys.readouterr()
 
     def test_bad_overrides(self, good_cfg, capsys):

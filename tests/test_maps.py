@@ -118,3 +118,36 @@ class TestShiftedMap:
             x = rng.standard_normal(4)
             want = base(x) + (x - center) / 3.0
             assert np.allclose(f(x), want, atol=1e-14, rtol=0)
+
+
+def plain_saddle(a, z):
+    n = a.shape[1]
+    return np.concatenate([a.T @ z[n:], -(a @ z[:n])])
+
+
+class TestBitForBit:
+    """The maps against plain products, with np.array_equal: a cached
+    transpose and negated matrix must not move a single bit."""
+
+    SHAPES = [(1, 1), (2, 3), (10, 20), (20, 10), (7, 33)]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_bimatrix(self, m, n):
+        rng = np.random.default_rng(m * 100 + n)
+        a = rng.standard_normal((m, n))
+        f = BimatrixMap(a)
+        for _ in range(50):
+            z = rng.standard_normal(n + m)
+            assert np.array_equal(f(z), plain_saddle(a, z))
+            z = np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))])
+            assert np.array_equal(f(z), plain_saddle(a, z))
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_shifted_bimatrix(self, m, n):
+        rng = np.random.default_rng(m * 100 + n + 1)
+        a = rng.standard_normal((m, n))
+        center = rng.standard_normal(n + m)
+        f = ShiftedMap(BimatrixMap(a), 3500.0, center)
+        for _ in range(50):
+            z = rng.standard_normal(n + m)
+            assert np.array_equal(f(z), plain_saddle(a, z) + (z - center) / 3500.0)

@@ -209,6 +209,52 @@ class TestMatrixPerturbation:
         assert np.all(np.abs(err) <= 5.0 / np.sqrt(3 * n))
 
 
+def reference_noise_sum(rows, cols, scale, z, n, stream):
+    """The accumulation noise_sum must reproduce bit for bit: per-chunk
+    sums of at most 262144 // (rows * cols) matrices added to zeros, then
+    (E^T y, -(E x)) from plain products."""
+    if n == 1:
+        e_sum = stream.uniform(-1.0, 1.0, (rows, cols))
+    else:
+        e_sum = np.zeros((rows, cols))
+        chunk = max(1, 262144 // (rows * cols))
+        left = n
+        while left > 0:
+            c = min(left, chunk)
+            e_sum += stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
+            left -= c
+    e_sum *= scale
+    return np.concatenate([e_sum.T @ z[cols:], -(e_sum @ z[:cols])])
+
+
+class TestMatrixPerturbationBits:
+    # the table-1 game: 10 rows, 20 columns, 1310 matrices per chunk
+    ROWS, COLS, SCALE = 10, 20, 0.1
+    CHUNK = 262144 // (ROWS * COLS)
+
+    def point(self):
+        rng = np.random.default_rng(12)
+        return np.concatenate([rng.dirichlet(np.ones(self.COLS)),
+                               rng.dirichlet(np.ones(self.ROWS))])
+
+    def check(self, sizes):
+        noise = MatrixPerturbation(self.ROWS, self.COLS, self.SCALE)
+        z = self.point()
+        got_stream, want_stream = SampleStream(3, 0, 1), SampleStream(3, 0, 1)
+        for n in sizes:
+            got = noise.noise_sum(z, n, got_stream)
+            want = reference_noise_sum(self.ROWS, self.COLS, self.SCALE, z, n,
+                                       want_stream)
+            assert np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("n", [1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_matches_reference(self, n):
+        self.check([n])
+
+    def test_mixed_sizes_on_one_stream(self):
+        self.check([1, 3, 1, self.CHUNK + 1, 1, 2, 2 * self.CHUNK + 3, 1, 4])
+
+
 class TestShift:
     def test_shifted_oracle_shares_noise_and_budget(self):
         oracle = gaussian_oracle(seed=9).with_budget(BudgetCounter(50))

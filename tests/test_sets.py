@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qp_oracle import (
@@ -154,6 +154,76 @@ class TestSimplexMatchesReference:
             project_simplex(np.ones(0))
         with pytest.raises(ContractViolation, match="1-D"):
             project_simplex(np.ones((2, 2)))
+
+
+@st.composite
+def huge_inputs(draw):
+    """1-8 entries around an offset of magnitude 8e15 to 1e300, either
+    sign, spread by under an ulp of it, by a few ulps, or by up to three
+    times its size, with a max of magnitude 2**53 or more: there
+    max - 1.0 rounds, to the max itself or 2 below it."""
+    dim = draw(st.integers(1, 8))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(15.9, 300.0))
+    spread = draw(st.sampled_from([1.0, abs(offset) * 1e-15, abs(offset)]))
+    v = offset + draw(finite_vec(dim, -3.0, 3.0)) * spread
+    assume(abs(v.max()) >= 2.0**53)
+    return v
+
+
+class TestSimplexLargeEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(huge_inputs())
+    @example(np.array([1e16, 0.0]))
+    @example(np.array([1e308, 1e308]))
+    @example(np.array([-1e17, 0.0, 5.0]))
+    @example(np.array([-1e17]))
+    @example(np.array([2.0**53 + 2.0, 0.0]))  # max - 1.0 rounds 2 below it
+    def test_lands_on_simplex(self, v):
+        # the projection commutes with a common shift, and the entries
+        # within 1 of the max lose nothing when it is subtracted
+        got = project_simplex(v)
+        assert np.all(got >= 0.0)
+        assert abs(got.sum() - 1.0) <= 1e-12
+        assert np.allclose(got, reference_simplex(v - v.max()), rtol=0, atol=1e-12)
+        assert_bit_identical(Simplex(v.size).project(v), got)
+
+    @pytest.mark.parametrize("v, want", [
+        ([1e16, 0.0], [1.0, 0.0]),
+        ([1e308, 1e308], [0.5, 0.5]),
+        ([-1e17, 0.0, 5.0], [0.0, 0.0, 1.0]),
+        ([-1e17], [1.0]),
+        ([2.0**53 + 2.0, 0.0], [1.0, 0.0]),
+    ])
+    def test_pinned_values(self, v, want):
+        assert np.array_equal(project_simplex(v), want)
+
+
+class TestProductValidation:
+    @pytest.mark.parametrize("first", [Simplex(2), Box(-np.ones(2), np.ones(2))],
+                             ids=["simplex", "box"])
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_in_every_position(self, first, position, bad):
+        v = np.full(5, 0.2)
+        v[position] = bad
+        with pytest.raises(ContractViolation, match="non-finite"):
+            Product(first, Simplex(3)).project(v)
+
+    @pytest.mark.parametrize("first", [Simplex(2), Box(-np.ones(2), np.ones(2))],
+                             ids=["simplex", "box"])
+    @pytest.mark.parametrize("size", [0, 4, 6])
+    def test_wrong_length_rejected(self, first, size):
+        with pytest.raises(ContractViolation, match="expected length 5"):
+            Product(first, Simplex(3)).project(np.full(size, 0.2))
+
+    def test_overflowing_finite_blocks_project(self):
+        # each block's entries sum to inf as Python floats, yet are finite
+        big = [1e308, 1e308]
+        got = Product(Simplex(2), Simplex(2)).project(big + big)
+        assert np.array_equal(got, [0.5, 0.5, 0.5, 0.5])
+        box = Box(-np.ones(2), np.ones(2))
+        got = Product(box, Simplex(3)).project(big + [1e308, 1e308, -1e308])
+        assert np.array_equal(got, [1.0, 1.0, 0.5, 0.5, 0.0])
 
 
 class TestBox:
