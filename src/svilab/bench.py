@@ -15,17 +15,17 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleOverflow
-from .extragradient import ExtragradientConfig, eg_sample_size, run_extragradient
+from .errors import ConfigError
+from .extragradient import ExtragradientConfig, run_extragradient
 from .oracle import BudgetCounter
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
+from .schedule import steps_within
 from .trace import Recorder, RunTrace
-from .vs_ave import VsAveConfig, rate_q, run_vs_ave, sample_size
+from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "summarize"]
 
@@ -340,26 +340,27 @@ def _solver_config(config, scheme, row, iterations):
 
 
 def validate_solver_configs(config):
-    """Build every cell's solver config once, before any run starts."""
+    """Build every cell's solver config once, before any run starts, and
+    check that the budget pays for each cell's first step.
+
+    A PPAWSS step is its whole first subproblem, priced on the row's
+    configured Lipschitz constant.
+    """
     for scheme in config.schemes:
         for row in range(len(config.lipschitz)):
-            _solver_config(config, scheme, row, iterations=1)
-
-
-def _iterations_within(budget, size_of):
-    """Completed iterations before the schedule Sum 2*N_k passes budget."""
-    k = 0
-    consumed = 0
-    while True:
-        try:
-            n = size_of(k)
-        except ScheduleOverflow:
-            break
-        if consumed + 2 * n > budget:
-            break
-        consumed += 2 * n
-        k += 1
-    return max(k, 1)
+            first = _solver_config(config, scheme, row, iterations=1)
+            if scheme == "ppawss":
+                first = first.subproblem(0, config.lipschitz[row])
+            sizes = list(first.schedule)
+            where = f"{scheme} on row {row} (L = {config.lipschitz[row]:g})"
+            if len(sizes) < first.max_iterations:
+                raise ConfigError(f"{where}: batch sizes overflow within"
+                                  " the first step")
+            cost = 2 * sum(sizes)
+            if cost > config.budget:
+                raise ConfigError(f"budget {config.budget} cannot pay for the"
+                                  f" first step of {where}: it costs {cost}"
+                                  " oracle calls")
 
 
 def _build_problem(config, row):
@@ -405,20 +406,13 @@ def _run_cell(job):
         _, trace = run_ppawss(problem, start, solver, budget,
                               scheme=scheme, seed=seed)
     else:
-        if scheme == "vs_ave":
-            run = run_vs_ave
-            probe = _solver_config(config, scheme, row, 1)
-            size_of = partial(sample_size, rho=probe.rho,
-                              min_batch=probe.min_batch)
-        else:
-            run = run_extragradient
-            size_of = partial(eg_sample_size, theta=params["theta"],
-                              mu_shift=params["mu_shift"], b=params["b"])
-        iters = params["iterations"] or _iterations_within(config.budget,
-                                                           size_of)
-        solver = _solver_config(config, scheme, row, iters)
+        solver = _solver_config(config, scheme, row, params["iterations"])
+        if not params["iterations"]:
+            solver = replace(solver, max_iterations=steps_within(
+                solver.schedule, config.budget))
+        run = run_vs_ave if scheme == "vs_ave" else run_extragradient
         # flat schemes trace about 200 rows, whatever their length
-        every = max(1, math.ceil(iters / 200))
+        every = max(1, math.ceil(solver.max_iterations / 200))
         _, trace = run(problem, start, solver, budget, scheme=scheme,
                        seed=seed, recorder=Recorder(every=every))
     trace.write_csv(out_path)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExhausted, ConfigError, ContractViolation
+from .errors import BudgetExhausted, ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import batch_mean
+from .schedule import Schedule
 from .trace import Recorder, RunTrace
 
 __all__ = [
@@ -61,15 +63,33 @@ class ExtragradientConfig:
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
+    @cached_property
+    def schedule(self):
+        """The run's batch sizes ``N_k`` (:func:`eg_sample_size`), as a
+        :class:`Schedule` of at most ``max_iterations`` steps that is
+        built only as far as it is walked."""
+        theta, mu_shift, b = self.theta, self.mu_shift, self.b
+        return Schedule(lambda k: eg_sample_size(k, theta, mu_shift, b),
+                        self.max_iterations)
+
 
 def eg_sample_size(k, theta, mu_shift, b):
-    """Batch size ceil(theta * (k + mu) * ln(k + mu)^(1+b))."""
+    """Batch size ceil(theta * (k + mu) * ln(k + mu)^(1+b)).
+
+    Raises :class:`ScheduleOverflow` where the size reaches 2**62, as
+    :func:`~svilab.vs_ave.sample_size` does.
+    """
     if k < 0:
         raise ContractViolation("iteration index must be nonnegative")
     if not mu_shift > 1:
         raise ContractViolation(f"mu_shift must be > 1; got {mu_shift!r}")
     shifted = k + mu_shift
-    return int(math.ceil(theta * shifted * math.log(shifted) ** (1.0 + b)))
+    value = theta * shifted * math.log(shifted) ** (1.0 + b)
+    if not value < 2**62:
+        raise ScheduleOverflow(
+            f"sample size overflowed at k={k} (theta={theta:g})"
+        )
+    return int(math.ceil(value))
 
 
 def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
@@ -81,6 +101,9 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     ``config.averaged`` is set (the average is what the monotone-case
     gap guarantee covers). ``recorder`` sets the trace rows, evaluated
     on the same point that is returned; ``None`` records nothing.
+    As in the other solvers, ``trace.truncated`` is set when fewer than
+    ``max_iterations`` steps completed, here because the budget refused
+    a batch.
     """
     oracle = problem.oracle.with_budget(budget)
     feasible_set = problem.feasible_set
@@ -96,14 +119,12 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     trace = RunTrace(scheme, seed)
     calls_total = 0
     completed = 0
-    for k in range(config.max_iterations):
-        n_k = eg_sample_size(k, config.theta, config.mu_shift, config.b)
+    for k, n_k in enumerate(config.schedule):
         try:
             estimate, c1 = batch_mean(oracle, z, n_k, streams[0])
             z_half = feasible_set.project(z - config.stepsize * estimate)
             estimate_half, c2 = batch_mean(oracle, z_half, n_k, streams[1])
         except BudgetExhausted:
-            trace.truncated = True
             break
         z = feasible_set.project(z - config.stepsize * estimate_half)
         calls_total += c1 + c2
@@ -113,6 +134,7 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
         if recorder is not None and recorder.due(completed):
             trace.add(evaluate_point(problem, average if config.averaged else z,
                                      recorder, completed, 0, calls_total))
+    trace.truncated = completed < config.max_iterations
     point = average if config.averaged else z
     if recorder is not None and trace.missing(completed):
         trace.add(evaluate_point(problem, point, recorder, completed, 0,

@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractViolation
 from .metrics import evaluate_point
 from .oracle import BudgetCounter, shift
 from .problems import ProblemInstance
+from .schedule import steps_within
 from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, run_vs_ave
 
@@ -76,6 +77,19 @@ class PpawssConfig:
         """Inner linear rate 1 - 1/(kappa_in + 2) for the given outer L."""
         kappa_in = self.lam * lipschitz + 1.0
         return 1.0 - 1.0 / (kappa_in + 2.0)
+
+    def subproblem(self, k, lipschitz):
+        """VS-Ave config of outer step ``k``'s subproblem for a map with
+        Lipschitz constant ``lipschitz``: ``inner_iterations`` steps on
+        batches growing at ``rho = q**beta``."""
+        q = self.inner_q(lipschitz)
+        inner_mu = 1.0 / self.lam
+        return VsAveConfig(
+            mu=inner_mu,
+            lipschitz=lipschitz + inner_mu,
+            rho=q ** self.beta,
+            max_iterations=inner_iterations(k, q, self.alpha, self.min_inner),
+        )
 
 
 def inner_iterations(k, q, alpha, min_inner):
@@ -136,27 +150,16 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     feasible_set = problem.feasible_set
     u = feasible_set.project(np.asarray(u0, dtype=np.float64))
     lip = problem.mean_map.lipschitz
-    q = config.inner_q(lip)
-    inner_mu = 1.0 / config.lam
-    inner_lip = lip + inner_mu
-    rho = q ** config.beta
     trace = RunTrace(scheme, seed)
     streams = (problem.oracle.stream(0), problem.oracle.stream(1))
     u0_proj = u.copy()
     consumed_before = budget.consumed
     last = (0, 0, 0)  # (outer_k, inner_k, calls) of the last completed step
     for k in range(config.outer_iterations):
-        ell_k = inner_iterations(k, q, config.alpha, config.min_inner)
-        inner_config = VsAveConfig(
-            mu=inner_mu,
-            lipschitz=inner_lip,
-            rho=rho,
-            max_iterations=ell_k,
-        )
-        # the run below iterates these same sizes
-        sizes = inner_config.batch_sizes
-        if len(sizes) < ell_k or 2 * sum(sizes) > budget.remaining:
-            trace.truncated = True
+        inner_config = config.subproblem(k, lip)
+        ell_k = inner_config.max_iterations
+        # the inner run iterates the sizes this walk computes
+        if steps_within(inner_config.schedule, budget.remaining) < ell_k:
             break
         sub = prox_subproblem(problem, u, config.lam)
         y_start = u if config.warm_start else u0_proj
@@ -165,12 +168,12 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
             streams=streams, recorder=None,
         )
         if inner_trace.truncated:
-            trace.truncated = True
             break
         u = relaxation_step(u, z, config.eta)
         last = (k + 1, ell_k, budget.consumed - consumed_before)
         if recorder is not None and recorder.due(k + 1):
             trace.add(evaluate_point(problem, u, recorder, *last))
+    trace.truncated = last[0] < config.outer_iterations
     if recorder is not None and trace.missing(last[0]):
         trace.add(evaluate_point(problem, u, recorder, *last))
     return u, trace

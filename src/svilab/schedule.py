@@ -1,0 +1,56 @@
+"""Batch-size schedules and what a sample budget pays for.
+
+Every scheme is defined by its schedule ``N_0, N_1, ...``, and one step
+``k`` draws two batches of ``N_k`` samples. A solver config holds one
+:class:`Schedule`; the run iterates it, and the harness and the PPAWSS
+outer loop measure it against a budget with :func:`steps_within`.
+"""
+
+from __future__ import annotations
+
+from .errors import ScheduleOverflow
+
+__all__ = ["Schedule", "steps_within"]
+
+
+class Schedule:
+    """Batch sizes of one run, computed as they are walked and kept.
+
+    ``size_of(k)`` gives ``N_k``. The schedule ends after ``length``
+    sizes, or before the first size that raises
+    :class:`ScheduleOverflow`. Walking it again, or a second walker
+    reaching sizes the first already computed, reuses them, so a budget
+    test and the run that follows it share one computation.
+    """
+
+    def __init__(self, size_of, length):
+        self._size_of = size_of
+        self._length = length
+        self._sizes = []
+
+    def __iter__(self):
+        sizes = self._sizes
+        k = 0
+        while True:
+            if k == len(sizes):
+                if k >= self._length:
+                    return
+                try:
+                    sizes.append(self._size_of(k))
+                except ScheduleOverflow:
+                    self._length = k
+                    return
+            yield sizes[k]
+            k += 1
+
+
+def steps_within(schedule, limit):
+    """Number of leading steps of ``schedule`` whose costs ``2 * N_k``
+    sum to at most ``limit`` oracle calls."""
+    steps = spent = 0
+    for n_k in schedule:
+        spent += 2 * n_k
+        if spent > limit:
+            break
+        steps += 1
+    return steps

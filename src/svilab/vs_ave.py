@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetExhausted, ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import batch_mean
+from .schedule import Schedule
 from .trace import Recorder, RunTrace
 
 __all__ = [
@@ -103,21 +104,13 @@ class VsAveConfig:
         return self.lipschitz / self.mu
 
     @cached_property
-    def batch_sizes(self):
-        """Batch sizes ``N_k`` of the run's steps, in order, as a tuple.
-
-        Built on first use and kept, so a caller that tests the schedule
-        against a budget and the run itself share one computation.
-        Holds ``max_iterations`` sizes, or fewer when :func:`sample_size`
-        overflows first; a run ends where the tuple ends.
-        """
-        sizes = []
-        try:
-            for k in range(self.max_iterations):
-                sizes.append(sample_size(k, self.rho, self.min_batch))
-        except ScheduleOverflow:
-            pass
-        return tuple(sizes)
+    def schedule(self):
+        """The run's batch sizes ``N_k`` (:func:`sample_size`), as a
+        :class:`Schedule` of at most ``max_iterations`` steps that is
+        built only as far as it is walked."""
+        rho, min_batch = self.rho, self.min_batch
+        return Schedule(lambda k: sample_size(k, rho, min_batch),
+                        self.max_iterations)
 
 
 @dataclass
@@ -247,7 +240,7 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     trace = RunTrace(scheme, seed)
     calls_total = 0
     completed = 0
-    for n_k in config.batch_sizes:
+    for n_k in config.schedule:
         try:
             estimate_y, c1 = batch_mean(oracle, state.y_k, n_k, stream_y)
             x = x_step(state, feasible_set, estimate_y)

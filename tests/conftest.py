@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from svilab import bimatrix_from_payoff, make_affine_strongly_monotone
+from svilab import make_affine_strongly_monotone
+from svilab.problems import bimatrix_from_payoff
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

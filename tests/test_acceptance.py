@@ -15,30 +15,25 @@ import numpy as np
 import pytest
 
 from svilab import (
-    AffineMap,
     BimatrixSpec,
-    Box,
     BudgetCounter,
-    Ball,
     PpawssConfig,
-    Product,
     Recorder,
-    Simplex,
     VsAveConfig,
-    batch_mean,
-    bimatrix_from_payoff,
-    inner_iterations,
     make_affine_strongly_monotone,
     make_bimatrix,
     parse_config,
-    rate_q,
     run_experiment,
     run_ppawss,
     run_vs_ave,
-    sample_size,
-    schedule_cost,
-    strongly_monotone_gap,
 )
+from svilab.maps import AffineMap
+from svilab.metrics import strongly_monotone_gap
+from svilab.oracle import batch_mean
+from svilab.ppawss import inner_iterations
+from svilab.problems import bimatrix_from_payoff
+from svilab.sets import Ball, Box, Product, Simplex
+from svilab.vs_ave import rate_q, sample_size, schedule_cost
 from qp_oracle import (
     project_ball_bruteforce,
     project_box_bruteforce,

@@ -7,13 +7,16 @@ import pytest
 
 from svilab import (
     ConfigError,
-    RunTrace,
-    TraceRow,
+    ExtragradientConfig,
+    VsAveConfig,
     parse_config,
     run_experiment,
     summarize,
 )
-from svilab.bench import _iterations_within, _solver_config, _worker_count
+from svilab.bench import _solver_config, _worker_count
+from svilab.extragradient import eg_sample_size
+from svilab.schedule import steps_within
+from svilab.trace import RunTrace, TraceRow
 from svilab.vs_ave import sample_size
 
 AFFINE_CFG = """\
@@ -196,12 +199,66 @@ class TestSolverDerivation:
         assert solver_alt.rho == pytest.approx((2.0 / 3.0) ** 1.001, rel=1e-12)
 
     def test_iterations_within_budget(self):
-        rho = 0.75
         limit = 1000
-        iters = _iterations_within(limit, lambda k: sample_size(k, rho, 1))
-        used = sum(2 * sample_size(k, rho, 1) for k in range(iters))
-        overshoot = used + 2 * sample_size(iters, rho, 1)
-        assert used <= limit < overshoot
+        schedules = [
+            (VsAveConfig(mu=1.0, lipschitz=10.0, rho=0.75,
+                         max_iterations=2**31),
+             lambda k: sample_size(k, 0.75, 1)),
+            (ExtragradientConfig(stepsize=0.1),
+             lambda k: eg_sample_size(k, 1.0, 2.001, 1e-3)),
+        ]
+        for solver, size in schedules:
+            iters = steps_within(solver.schedule, limit)
+            used = sum(2 * size(k) for k in range(iters))
+            overshoot = used + 2 * size(iters)
+            assert used <= limit < overshoot
+
+    def test_budget_bound_cells_run_what_the_budget_pays_for(self, tmp_path):
+        config = parse_config(AFFINE_CFG.replace(
+            "seeds = 0,1", f"seeds = 0,1\nout = {tmp_path}/res")
+            + "\n[scheme.extragradient]\n")
+        run_experiment(config)
+        for scheme in ("vs_ave", "extragradient"):
+            steps = steps_within(_solver_config(config, scheme, 0, 0).schedule,
+                                 config.budget)
+            for seed in (0, 1):
+                trace = RunTrace.read_csv(
+                    tmp_path / "res" / f"{scheme}_L2_lamna_seed{seed}.csv")
+                assert trace.final.outer_k == steps
+                assert not trace.truncated
+
+    def test_budget_below_first_step_rejected(self):
+        # a first step costs 2 * min_batch (VS-Ave), 2 * eg_sample_size(0)
+        # = 4 here (extragradient), or the whole first subproblem of
+        # min_inner steps (PPAWSS)
+        cases = [
+            (AFFINE_CFG.replace("budget = 2000", "budget = 5")
+             + "min_batch = 3\n", 5, "vs_ave", 6),
+            (BIMATRIX_CFG.replace("budget = 4000", "budget = 1"),
+             1, "ppawss", 2),
+            (BIMATRIX_CFG.replace("budget = 4000", "budget = 5").replace(
+                "lambda = 5.0", "lambda = 5.0\nmin_inner = 3"),
+             5, "ppawss", 6),
+            (BIMATRIX_CFG.replace("budget = 4000", "budget = 3"),
+             3, "extragradient", 4),
+        ]
+        for text, budget, scheme, cost in cases:
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert str(err.value) == (
+                f"budget {budget} cannot pay for the first step of {scheme}"
+                f" on row 0 (L = 2): it costs {cost} oracle calls"
+            )
+        assert parse_config(BIMATRIX_CFG.replace("budget = 4000",
+                                                 "budget = 4")).budget == 4
+        with pytest.raises(ConfigError, match="extragradient on row 0 .L = 2.:"
+                           " batch sizes overflow within the first step"):
+            parse_config(BIMATRIX_CFG + "theta = 1e308\n")
+        # rho^-k passes 2**62 near k = 106, before the 1000th inner step
+        with pytest.raises(ConfigError, match="ppawss on row 0 .L = 2.: batch"
+                           " sizes overflow within the first step"):
+            parse_config(BIMATRIX_CFG.replace(
+                "lambda = 5.0", "lambda = 0.001\nmin_inner = 1000"))
 
 
 class TestWorkerCount:

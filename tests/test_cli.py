@@ -93,6 +93,17 @@ class TestRunCommand:
         assert main(["run", good_cfg, "--budget", "-5"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["1", "3"])
+    def test_budget_below_first_step_exit_code(self, budget, tmp_path, capsys):
+        # on the golden affine config a budget of 1 cannot pay for a
+        # VS-Ave step (2 calls), 3 not for an extragradient step (4 calls)
+        cfg = os.path.join(os.path.dirname(__file__), "fixtures", "golden",
+                           "affine.cfg")
+        out = tmp_path / "res"
+        assert main(["run", cfg, "--budget", budget, "--out", str(out)]) == 2
+        assert "cannot pay for the first step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_budget_exit_code(self, good_cfg, capsys):
         assert main(["run", good_cfg, "--budget", "inf"]) == 2
         assert capsys.readouterr().err == (

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from svilab import (
-    AffineMap,
-    Box,
-    NoConvergence,
-    ShiftedMap,
-    natural_residual,
-    solve_deterministic_vi,
-)
+from svilab.detsolve import solve_deterministic_vi
+from svilab.errors import NoConvergence
+from svilab.maps import AffineMap, ShiftedMap
+from svilab.metrics import natural_residual
+from svilab.sets import Box
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 

@@ -8,14 +8,14 @@ import pytest
 from svilab import (
     BudgetCounter,
     ConfigError,
-    ContractViolation,
     ExtragradientConfig,
     Recorder,
-    bimatrix_from_payoff,
-    eg_sample_size,
     make_affine_strongly_monotone,
     run_extragradient,
 )
+from svilab.errors import ContractViolation, ScheduleOverflow
+from svilab.extragradient import eg_sample_size
+from svilab.problems import bimatrix_from_payoff
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -32,6 +32,13 @@ class TestSampleSize:
     def test_nondecreasing(self):
         sizes = [eg_sample_size(k, 1.0, 2.001, 1e-3) for k in range(500)]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+    def test_overflow_is_schedule_overflow(self):
+        # ceil of an infinite size used to raise a bare OverflowError
+        with pytest.raises(ScheduleOverflow, match="k=0"):
+            eg_sample_size(0, 1e308, 2.001, 1e-3)
+        with pytest.raises(ScheduleOverflow, match="k=0"):
+            eg_sample_size(0, 2.0**62, 2.001, 1e-3)
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):

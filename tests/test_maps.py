@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from svilab import AffineMap, BimatrixMap, ContractViolation, ShiftedMap
+from svilab.errors import ContractViolation
+from svilab.maps import AffineMap, BimatrixMap, ShiftedMap
 
 
 class TestAffineMap:

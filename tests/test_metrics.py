@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from svilab import (
-    AffineMap,
-    Box,
-    BudgetCounter,
-    MetricUnavailable,
-    ProblemInstance,
-    Recorder,
-    StochasticOracle,
-    ZeroNoise,
+from svilab import BudgetCounter, Recorder
+from svilab.errors import MetricUnavailable
+from svilab.maps import AffineMap
+from svilab.metrics import (
     evaluate_point,
     natural_residual,
     saddle_gap,
     strongly_monotone_gap,
     yosida_residual,
 )
+from svilab.oracle import StochasticOracle, ZeroNoise
+from svilab.problems import ProblemInstance
+from svilab.sets import Box
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from svilab import (
+from svilab import BudgetCounter
+from svilab.errors import BudgetExhausted, ContractViolation
+from svilab.maps import AffineMap
+from svilab.oracle import (
     AdditiveGaussian,
-    AffineMap,
-    BudgetCounter,
-    BudgetExhausted,
-    ContractViolation,
     MatrixPerturbation,
     SampleStream,
     StochasticOracle,
@@ -162,7 +161,7 @@ class TestGaussianNoise:
 class TestMatrixPerturbation:
     def make_oracle(self, scale=0.5, seed=0):
         payoff = np.array([[1.0, 0.0, -1.0], [0.5, 0.5, 0.0]])
-        from svilab import BimatrixMap
+        from svilab.maps import BimatrixMap
 
         return StochasticOracle(
             BimatrixMap(payoff), MatrixPerturbation(2, 3, scale), rng_seed=seed

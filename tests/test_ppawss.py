@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from svilab import (
-    AffineMap,
-    Box,
     BudgetCounter,
     ConfigError,
-    ContractViolation,
     PpawssConfig,
-    ProblemInstance,
     Recorder,
-    StochasticOracle,
-    ZeroNoise,
-    bimatrix_from_payoff,
-    inner_iterations,
-    prox_subproblem,
-    relaxation_step,
     run_ppawss,
-    schedule_cost,
 )
+from svilab.errors import ContractViolation
+from svilab.maps import AffineMap
+from svilab.oracle import StochasticOracle, ZeroNoise
+from svilab.ppawss import inner_iterations, prox_subproblem, relaxation_step
+from svilab.problems import ProblemInstance, bimatrix_from_payoff
+from svilab.sets import Box
+from svilab.vs_ave import schedule_cost
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 

@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from svilab import (
-    AdditiveGaussian,
     BimatrixSpec,
     BudgetCounter,
-    ContractViolation,
-    MatrixPerturbation,
     VsAveConfig,
-    ZeroNoise,
-    bimatrix_from_payoff,
     make_affine_strongly_monotone,
     make_bimatrix,
-    natural_residual,
+    run_vs_ave,
+)
+from svilab.errors import ContractViolation
+from svilab.metrics import natural_residual
+from svilab.oracle import AdditiveGaussian, MatrixPerturbation, ZeroNoise
+from svilab.problems import (
+    bimatrix_from_payoff,
     read_matrix,
     reference_solution,
-    run_vs_ave,
     write_matrix,
     z_saddle_value,
 )

@@ -12,7 +12,8 @@ from qp_oracle import (
     project_box_bruteforce,
     project_simplex_bruteforce,
 )
-from svilab import Ball, Box, ContractViolation, Product, Simplex, project_simplex
+from svilab.errors import ContractViolation
+from svilab.sets import Ball, Box, Product, Simplex, project_simplex
 
 
 def finite_vec(dim, lo=-10.0, hi=10.0):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from svilab import CSV_HEADER, ContractViolation, Recorder, RunTrace, TraceRow
+from svilab import Recorder
+from svilab.errors import ContractViolation
+from svilab.trace import CSV_HEADER, RunTrace, TraceRow
 
 
 class TestSchema:

@@ -7,25 +7,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import svilab.vs_ave
 from svilab import (
-    Box,
-    ConfigError,
-    ContractViolation,
-    ScheduleOverflow,
     BudgetCounter,
+    ConfigError,
     Recorder,
     VsAveConfig,
+    make_affine_strongly_monotone,
+    run_vs_ave,
+)
+from svilab.errors import ContractViolation, ScheduleOverflow
+from svilab.oracle import batch_mean
+from svilab.sets import Box
+from svilab.vs_ave import (
     VsAveState,
     gamma_update,
-    make_affine_strongly_monotone,
     rate_q,
-    run_vs_ave,
     sample_size,
     schedule_cost,
     x_step,
     y_step,
 )
-from svilab.oracle import batch_mean
 
 
 class TestRateQ:
@@ -309,6 +311,25 @@ class TestBudgetAndSchedule:
         assert expected == 2 * (2**12 - 1)
         assert trace.final.calls == expected
         assert budget.consumed == expected
+
+    def test_schedule_built_only_as_far_as_the_run_goes(self, monkeypatch):
+        computed = []
+
+        def counting(k, rho, min_batch=1):
+            computed.append(k)
+            return sample_size(k, rho, min_batch)
+
+        monkeypatch.setattr(svilab.vs_ave, "sample_size", counting)
+        prob = make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0,
+                                             sigma=1.0, seed=2)
+        # about 2.1 million sizes before overflow; the budget pays for 500
+        cfg = VsAveConfig(mu=1.0, lipschitz=1e5, rho=0.99998,
+                          max_iterations=2**31)
+        _, trace = run_vs_ave(prob, np.zeros(3), cfg, BudgetCounter(1000),
+                              recorder=Recorder(every=100))
+        assert trace.truncated
+        assert trace.final.outer_k == 500
+        assert len(computed) <= trace.final.outer_k + 1
 
     def test_truncation_on_budget(self):
         prob = make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0,
