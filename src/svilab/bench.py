@@ -105,7 +105,11 @@ def _parse_value(raw, kind, lineno):
         if kind == "str":
             return raw
         if kind == "int":
-            value = float(raw)
+            try:
+                # exact for integers past 2**53, such as 64-bit seeds
+                return int(raw)
+            except ValueError:
+                value = float(raw)
             if value != int(value):
                 raise ValueError
             return int(value)
@@ -234,12 +238,8 @@ def parse_config(text):
             f"budget must be positive; got {run['budget']}",
             line=key_lines.get(("run", "budget")),
         )
-    if not run["seeds"]:
-        raise ConfigError("seeds list must not be empty",
-                          line=key_lines.get(("run", "seeds")))
-    if len(set(run["seeds"])) != len(run["seeds"]):
-        raise ConfigError("seeds must be distinct",
-                          line=key_lines.get(("run", "seeds")))
+    _check_seeds(run["seeds"], "seeds", key_lines.get(("run", "seeds")))
+    _check_seeds((problem["seed"],), "seed", key_lines.get(("problem", "seed")))
 
     # normalize per-row lists: length 1 broadcasts, otherwise must match
     for name, per_row_key in (("ppawss", "lambda"), ("vs_ave", "rho"),
@@ -276,6 +276,17 @@ def parse_config(text):
     )
     validate_solver_configs(config)
     return config
+
+
+def _check_seeds(seeds, name, line=None):
+    """Seeds must be distinct integers in ``[0, 2**64)``, the range
+    every random stream is keyed by."""
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{name} must be distinct", line=line)
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{name} must lie in [0, 2**64); got {seed}",
+                              line=line)
 
 
 def _map_bounds(config, row):

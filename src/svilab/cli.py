@@ -15,7 +15,8 @@ import sys
 from dataclasses import replace
 from glob import glob
 
-from .bench import _parse_value, parse_config, run_experiment, summarize
+from .bench import (_check_seeds, _parse_value, parse_config, run_experiment,
+                    summarize)
 from .errors import ConfigError, SvilabError
 
 
@@ -42,8 +43,7 @@ def _apply_overrides(config, args):
             seeds = tuple(int(part) for part in args.seeds.split(","))
         except ValueError:
             raise ConfigError(f"cannot parse --seeds {args.seeds!r}") from None
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError("--seeds must be a nonempty distinct list")
+        _check_seeds(seeds, "--seeds")
         config = replace(config, seeds=seeds)
     if args.budget is not None:
         try:

@@ -29,6 +29,8 @@ class BudgetExhausted(SvilabError):
 
     The batch is refused wholesale; ``consumed`` reflects the counter state
     before the refused request, ``requested`` the size of that request.
+    Solvers size their runs to the budget first, so inside a solver this
+    signals a broken invariant.
     """
 
     def __init__(self, consumed, requested, limit):

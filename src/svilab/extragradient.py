@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExhausted, ConfigError, ContractViolation, ScheduleOverflow
+from .errors import ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
-from .oracle import batch_mean
-from .schedule import Schedule
+from .oracle import batch_mean, ledger
+from .schedule import Schedule, steps_within
 from .trace import Recorder, RunTrace
 
 __all__ = [
@@ -94,17 +95,20 @@ def eg_sample_size(k, theta, mu_shift, b):
 
 def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
                       seed=0, recorder=Recorder()):
-    """Run the baseline until ``max_iterations`` or budget exhaustion.
+    """Run the leading steps of ``config.schedule`` that ``budget`` pays
+    for in full.
 
     Returns ``(point, trace)`` where ``point`` is the final iterate, or
     the running uniform average of the half-step points when
     ``config.averaged`` is set (the average is what the monotone-case
     gap guarantee covers). ``recorder`` sets the trace rows, evaluated
     on the same point that is returned; ``None`` records nothing.
-    As in the other solvers, ``trace.truncated`` is set when fewer than
-    ``max_iterations`` steps completed, here because the budget refused
-    a batch.
+    As in the other solvers, the run length is fixed before the first
+    draw, so no step is started that the budget cannot finish, and
+    ``trace.truncated`` is set when fewer than ``max_iterations`` steps
+    run. ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
     """
+    budget = ledger(budget)
     oracle = problem.oracle.with_budget(budget)
     feasible_set = problem.feasible_set
     lip = problem.mean_map.lipschitz
@@ -117,26 +121,21 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
     trace = RunTrace(scheme, seed)
-    calls_total = 0
-    completed = 0
-    for k, n_k in enumerate(config.schedule):
-        try:
-            estimate, c1 = batch_mean(oracle, z, n_k, streams[0])
-            z_half = feasible_set.project(z - config.stepsize * estimate)
-            estimate_half, c2 = batch_mean(oracle, z_half, n_k, streams[1])
-        except BudgetExhausted:
-            break
+    calls = 0
+    steps = steps_within(config.schedule, budget.remaining)
+    for k, n_k in enumerate(islice(config.schedule, steps), 1):
+        estimate, _ = batch_mean(oracle, z, n_k, streams[0])
+        z_half = feasible_set.project(z - config.stepsize * estimate)
+        estimate_half, _ = batch_mean(oracle, z_half, n_k, streams[1])
         z = feasible_set.project(z - config.stepsize * estimate_half)
-        calls_total += c1 + c2
+        calls += 2 * n_k
         # uniform running mean of the half-step points
-        average += (z_half - average) / (k + 1)
-        completed = k + 1
-        if recorder is not None and recorder.due(completed):
+        average += (z_half - average) / k
+        if recorder is not None and recorder.due(k):
             trace.add(evaluate_point(problem, average if config.averaged else z,
-                                     recorder, completed, 0, calls_total))
-    trace.truncated = completed < config.max_iterations
+                                     recorder, k, 0, calls))
+    trace.truncated = steps < config.max_iterations
     point = average if config.averaged else z
-    if recorder is not None and trace.missing(completed):
-        trace.add(evaluate_point(problem, point, recorder, completed, 0,
-                                 calls_total))
+    if recorder is not None and trace.missing(steps):
+        trace.add(evaluate_point(problem, point, recorder, steps, 0, calls))
     return point, trace

@@ -15,6 +15,7 @@ draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "MatrixPerturbation",
     "StochasticOracle",
     "batch_mean",
+    "ledger",
     "shift",
 ]
 
@@ -53,14 +55,15 @@ class SampleStream:
 class BudgetCounter:
     """Mutable ledger of single-sample oracle evaluations.
 
-    ``consumed`` only ever grows and never exceeds ``limit``. A request
-    that would overshoot raises :class:`BudgetExhausted` and leaves the
-    counter untouched.
+    ``consumed`` only ever grows and never exceeds ``limit``, a positive
+    integer or ``math.inf``. A request that would overshoot raises
+    :class:`BudgetExhausted` and leaves the counter untouched.
     """
 
     def __init__(self, limit):
-        limit = int(limit)
-        if limit <= 0:
+        if limit != math.inf:
+            limit = int(limit)
+        if not limit > 0:
             raise ValueError("budget limit must be positive")
         self.limit = limit
         self.consumed = 0
@@ -212,6 +215,12 @@ def batch_mean(oracle, x, n, stream):
         estimate /= n
     estimate += oracle.mean_map(x)
     return estimate, n
+
+
+def ledger(budget):
+    """The counter a solver charges: ``budget`` itself, or a fresh one
+    with no cap when it is None."""
+    return BudgetCounter(math.inf) if budget is None else budget
 
 
 def shift(oracle, lam, center):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .metrics import evaluate_point
-from .oracle import BudgetCounter, shift
+from .oracle import ledger, shift
 from .problems import ProblemInstance
 from .schedule import steps_within
 from .trace import Recorder, RunTrace
@@ -139,14 +139,12 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     Returns ``(u_K, trace)``; ``recorder`` picks the completed outer
     iterations that get a row (``inner_k`` records that step's inner
     iteration count, ``calls`` the cumulative oracle consumption). A
-    subproblem whose sampling schedule cannot fit in the remaining
-    budget is not started: a partial inner result would be discarded
-    anyway, so the run ends with ``trace.truncated`` set and the last
-    completed iterate, exactly as if the budget had run out
-    mid-subproblem, without burning the leftover samples.
+    subproblem whose whole sampling schedule the remaining budget cannot
+    pay for is not started: the run ends there with ``trace.truncated``
+    set and the last completed iterate, and draws nothing more.
+    ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
     """
-    if budget is None:
-        budget = BudgetCounter(2**63)
+    budget = ledger(budget)
     feasible_set = problem.feasible_set
     u = feasible_set.project(np.asarray(u0, dtype=np.float64))
     lip = problem.mean_map.lipschitz
@@ -163,12 +161,8 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
             break
         sub = prox_subproblem(problem, u, config.lam)
         y_start = u if config.warm_start else u0_proj
-        z, inner_trace = run_vs_ave(
-            sub, y_start, inner_config, budget,
-            streams=streams, recorder=None,
-        )
-        if inner_trace.truncated:
-            break
+        z, _ = run_vs_ave(sub, y_start, inner_config, budget,
+                          streams=streams, recorder=None)
         u = relaxation_step(u, z, config.eta)
         last = (k + 1, ell_k, budget.consumed - consumed_before)
         if recorder is not None and recorder.due(k + 1):

@@ -2,8 +2,9 @@
 
 Every scheme is defined by its schedule ``N_0, N_1, ...``, and one step
 ``k`` draws two batches of ``N_k`` samples. A solver config holds one
-:class:`Schedule`; the run iterates it, and the harness and the PPAWSS
-outer loop measure it against a budget with :func:`steps_within`.
+:class:`Schedule`. Before its first draw, a run measures it against the
+remaining budget with :func:`steps_within` and iterates only the steps
+that fit; the harness and the PPAWSS outer loop price it the same way.
 """
 
 from __future__ import annotations

@@ -107,25 +107,36 @@ class RunTrace:
 
     @staticmethod
     def read_csv(path):
-        """Parse a trace CSV back; raises on any schema deviation."""
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CSV_HEADER:
-                raise ContractViolation(
-                    f"{path}: unexpected header {header!r}"
-                )
-            trace = None
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 11:
-                    raise ContractViolation(f"{path}: malformed row {line!r}")
-                if trace is None:
-                    trace = RunTrace(parts[0], int(parts[1]))
+        """Parse a trace CSV back; raises :class:`ContractViolation` on any
+        deviation from what :meth:`write_csv` writes, including a
+        non-numeric field, a flag other than ``true`` or ``false``, and
+        rows that disagree on scheme, seed or flag."""
+        try:
+            with open(path, encoding="ascii") as fh:
+                header = fh.readline().rstrip("\n")
+                lines = [line.rstrip("\n") for line in fh]
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(f"{path}: not ASCII: {exc}") from None
+        if header != CSV_HEADER:
+            raise ContractViolation(f"{path}: unexpected header {header!r}")
+        if not lines:
+            raise ContractViolation(f"{path}: no data rows")
+        rows = [line.split(",") for line in lines]
+        run = rows[0][:2] + rows[0][10:]
+        for line, parts in zip(lines, rows):
+            if len(parts) != 11 or parts[10] not in ("true", "false"):
+                raise ContractViolation(f"{path}: malformed row {line!r}")
+            if parts[:2] + parts[10:] != run:
+                raise ContractViolation(f"{path}: row {line!r} disagrees with"
+                                        " the first on scheme, seed or flag")
+        try:
+            trace = RunTrace(run[0], int(run[1]))
+            for parts in rows:
                 trace.add(TraceRow(
                     int(parts[2]), int(parts[3]), int(parts[4]),
                     *(None if p == "" else float(p) for p in parts[5:10]),
                 ))
-                trace.truncated = parts[10] == "true"
-        if trace is None:
-            raise ContractViolation(f"{path}: no data rows")
+        except ValueError as exc:
+            raise ContractViolation(f"{path}: non-numeric field: {exc}") from None
+        trace.truncated = run[2] == "true"
         return trace

@@ -13,24 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExhausted, ConfigError, ContractViolation, ScheduleOverflow
+from .errors import ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
-from .oracle import batch_mean
-from .schedule import Schedule
+from .oracle import batch_mean, ledger
+from .schedule import Schedule, steps_within
 from .trace import Recorder, RunTrace
 
 __all__ = [
     "VsAveConfig",
-    "VsAveState",
-    "gamma_update",
     "rate_q",
     "sample_size",
     "schedule_cost",
-    "x_step",
-    "y_step",
     "run_vs_ave",
 ]
 
@@ -52,10 +49,6 @@ def rate_q(kappa, rule="kappa_plus_2"):
     raise ConfigError(
         f"q rule must be 'kappa_plus_2' or 'kappa_plus_1'; got {rule!r}"
     )
-
-# running sums are rescaled once Gamma passes this; all downstream
-# quantities depend only on ratios, so the rescale is exact
-_RENORM_AT = 1e100
 
 
 @dataclass(frozen=True)
@@ -113,33 +106,6 @@ class VsAveConfig:
                         self.max_iterations)
 
 
-@dataclass
-class VsAveState:
-    """Mutable per-run state.
-
-    ``weighted_presum`` accumulates ``gamma_i (y_i - (1/mu) estimate_i)``
-    and ``weighted_ysum`` accumulates ``gamma_i y_i``; both are running
-    sums so one iteration costs O(n) regardless of k.
-    """
-
-    config: VsAveConfig
-    gamma_k: float
-    Gamma_k: float
-    weighted_presum: np.ndarray
-    weighted_ysum: np.ndarray
-    x_k: np.ndarray
-    y_k: np.ndarray
-
-
-def gamma_update(gamma_k, Gamma_k, mu, lipschitz):
-    """Averaging-weight recurrence: next weight is ``mu/(mu+L)`` of the
-    running total, which then grows by the new weight."""
-    if not (gamma_k > 0 and Gamma_k > 0 and mu > 0 and lipschitz > 0):
-        raise ContractViolation("gamma_update needs positive inputs")
-    gamma_next = (mu / (mu + lipschitz)) * Gamma_k
-    return gamma_next, Gamma_k + gamma_next
-
-
 def sample_size(k, rho, min_batch=1):
     """Batch size ``max(min_batch, floor(rho^-k))``.
 
@@ -177,98 +143,64 @@ def schedule_cost(iterations, rho, min_batch=1, stop_at=None):
     return total
 
 
-def x_step(state, feasible_set, estimate_y):
-    """Averaging step: fold the batch estimate at ``y_k`` into the
-    weighted pre-projection sum and project.
-
-    ``estimate_y`` must be the batch mean at ``state.y_k``. The estimate
-    buffer is consumed as scratch; callers that still need it must pass
-    a copy.
-    """
-    est = estimate_y
-    est /= -state.config.mu
-    est += state.y_k
-    est *= state.gamma_k
-    state.weighted_presum += est
-    state.x_k = feasible_set.project(state.weighted_presum / state.Gamma_k)
-    return state.x_k
-
-
-def y_step(x_k, feasible_set, estimate_x, lipschitz):
-    """Half-step from ``x_k`` with the batch estimate taken there.
-
-    The estimate buffer is consumed as scratch; callers that still need
-    it must pass a copy.
-    """
-    est = estimate_x
-    est /= -lipschitz
-    est += x_k
-    return feasible_set.project(est)
-
-
 def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
                seed=0, recorder=Recorder()):
-    """Run the scheme for ``config.max_iterations`` iterations.
+    """Run the leading steps of ``config.schedule`` that ``budget`` pays
+    for in full.
 
     Returns ``(averaged, trace)`` where ``averaged`` is the weighted
-    average of the ``y`` iterates at the last completed iteration. A
-    refused oracle batch (budget) or a schedule overflow ends the run
-    early with ``trace.truncated`` set; the average of the completed
-    prefix is returned. ``recorder`` sets the trace rows, evaluated at
-    the running average; ``None`` records nothing.
+    average of the ``y`` iterates at the last completed iteration. The
+    run length is fixed before the first draw: a step whose two batches
+    the budget cannot both pay for is not started, so a run that stops
+    early draws nothing past its last completed step. When the budget
+    or a schedule overflow ends the run before ``max_iterations``,
+    ``trace.truncated`` is set. ``budget=None`` means no cap
+    (:func:`~svilab.oracle.ledger`). ``recorder`` sets the trace rows,
+    evaluated at the running average; ``None`` records nothing.
 
     ``streams`` may supply the two sample streams (step-1.1 batches,
     step-1.2 batches) so nested callers keep one continuous stream pair
     across repeated runs; by default fresh streams 0 and 1 are derived
     from the problem oracle.
     """
+    budget = ledger(budget)
     oracle = problem.oracle.with_budget(budget)
-    feasible_set = problem.feasible_set
+    project = problem.feasible_set.project
     if streams is None:
         streams = (oracle.stream(0), oracle.stream(1))
     stream_y, stream_x = streams
-    y = feasible_set.project(np.asarray(y0, dtype=np.float64))
-    state = VsAveState(
-        config=config,
-        gamma_k=1.0,
-        Gamma_k=1.0,
-        weighted_presum=np.zeros_like(y),
-        weighted_ysum=y.copy(),
-        x_k=None,
-        y_k=y,
-    )
+    mu, lip = config.mu, config.lipschitz
+    weight = mu / (mu + lip)
+    y = project(np.asarray(y0, dtype=np.float64))
+    # running sums of gamma_i (y_i - estimate_i / mu) and gamma_i y_i
+    presum = np.zeros_like(y)
+    ysum = y.copy()
+    gamma = Gamma = 1.0
     trace = RunTrace(scheme, seed)
-    calls_total = 0
-    completed = 0
-    for n_k in config.schedule:
-        try:
-            estimate_y, c1 = batch_mean(oracle, state.y_k, n_k, stream_y)
-            x = x_step(state, feasible_set, estimate_y)
-            estimate_x, c2 = batch_mean(oracle, x, n_k, stream_x)
-        except BudgetExhausted:
-            break
-        y_next = y_step(x, feasible_set, estimate_x, config.lipschitz)
-        calls_total += c1 + c2
-        state.gamma_k, state.Gamma_k = gamma_update(
-            state.gamma_k, state.Gamma_k, config.mu, config.lipschitz
-        )
-        state.weighted_ysum += state.gamma_k * y_next
-        state.y_k = y_next
-        completed += 1
-        if state.Gamma_k > _RENORM_AT:
-            scale = 1.0 / state.Gamma_k
-            state.weighted_presum *= scale
-            state.weighted_ysum *= scale
-            state.gamma_k *= scale
-            state.Gamma_k = 1.0
-        if recorder is not None and recorder.due(completed):
-            averaged = state.weighted_ysum / state.Gamma_k
-            trace.add(evaluate_point(problem, averaged, recorder, completed,
-                                     0, calls_total))
-    # a refused batch or a schedule overflow ended the run early
-    trace.truncated = completed < config.max_iterations
-    averaged = state.weighted_ysum / state.Gamma_k
-    if recorder is not None and trace.missing(completed):
-        trace.add(evaluate_point(problem, averaged, recorder, completed, 0,
-                                 calls_total))
+    calls = 0
+    steps = steps_within(config.schedule, budget.remaining)
+    # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
+    for k, n_k in enumerate(islice(config.schedule, steps), 1):
+        # each estimate buffer is fresh, so it is used as scratch
+        est, _ = batch_mean(oracle, y, n_k, stream_y)
+        est /= -mu
+        est += y
+        est *= gamma
+        presum += est
+        x = project(presum / Gamma)
+        est, _ = batch_mean(oracle, x, n_k, stream_x)
+        est /= -lip
+        est += x
+        y = project(est)
+        calls += 2 * n_k
+        gamma = weight * Gamma
+        Gamma += gamma
+        ysum += gamma * y
+        if recorder is not None and recorder.due(k):
+            trace.add(evaluate_point(problem, ysum / Gamma, recorder, k, 0,
+                                     calls))
+    trace.truncated = steps < config.max_iterations
+    averaged = ysum / Gamma
+    if recorder is not None and trace.missing(steps):
+        trace.add(evaluate_point(problem, averaged, recorder, steps, 0, calls))
     return averaged, trace

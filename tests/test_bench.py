@@ -143,6 +143,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             parse_config(AFFINE_CFG.replace("seeds = 0,1", "seeds = 0,0"))
 
+    def test_seeds_outside_64_bits_rejected(self):
+        # a negative trial seed split one cell into two summary rows, and
+        # 2**64 aliased seed 0 in the 64-bit keyed sample streams
+        for seeds, bad in (("-1, 0", -1), ("0, 18446744073709551616", 2**64)):
+            text = AFFINE_CFG.replace("seeds = 0,1", f"seeds = {seeds}")
+            with pytest.raises(ConfigError, match=(
+                    rf"line 10: seeds must lie in \[0, 2\*\*64\); got {bad}$")):
+                parse_config(text)
+        # a negative problem seed reached numpy's seeding as a ValueError
+        text = AFFINE_CFG.replace("noise = 0.5", "noise = 0.5\nseed = -3")
+        with pytest.raises(ConfigError,
+                           match=r"line 7: seed must lie in .*; got -3$"):
+            parse_config(text)
+
+    def test_largest_seeds_parse_exactly(self):
+        top = 2**64 - 1
+        text = AFFINE_CFG.replace("noise = 0.5", f"noise = 0.5\nseed = {top}")
+        config = parse_config(text.replace("seeds = 0,1", f"seeds = 0,{top}"))
+        assert config.problem_seed == top
+        assert config.seeds == (0, top)
+
     def test_per_row_list_broadcast(self):
         text = BIMATRIX_CFG.replace("lipschitz = 2.0", "lipschitz = 2.0,4.0,8.0")
         config = parse_config(text)

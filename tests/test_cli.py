@@ -9,6 +9,7 @@ import pytest
 
 from svilab.bench import parse_config
 from svilab.cli import _apply_overrides, main
+from svilab.trace import CSV_HEADER
 
 GOOD_CFG = """\
 [problem]
@@ -93,6 +94,18 @@ class TestRunCommand:
         assert main(["run", good_cfg, "--budget", "-5"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["-1,0", "0,18446744073709551616"])
+    def test_seed_override_outside_64_bits(self, seeds, good_cfg, tmp_path,
+                                           capsys):
+        out = tmp_path / "res"
+        assert main(["run", good_cfg, f"--seeds={seeds}", "--out",
+                     str(out)]) == 2
+        bad = seeds.split(",")[0 if seeds.startswith("-") else 1]
+        assert capsys.readouterr().err == (
+            f"config error: --seeds must lie in [0, 2**64); got {bad}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", ["1", "3"])
     def test_budget_below_first_step_exit_code(self, budget, tmp_path, capsys):
         # on the golden affine config a budget of 1 cannot pay for a
@@ -129,6 +142,13 @@ class TestSummarizeCommand:
         second = capsys.readouterr().out
         assert first == second
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_malformed_trace_exit_code(self, tmp_path, capsys):
+        # a non-numeric field used to escape as a bare ValueError (exit 1)
+        (tmp_path / "vs_ave_L2_lamna_seed0.csv").write_text(
+            CSV_HEADER + "\nvs_ave,0,1,0,2,oops,,,,,false\n")
+        assert main(["summarize", str(tmp_path)]) == 3
+        assert "non-numeric field" in capsys.readouterr().err
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path)]) == 2

@@ -103,6 +103,42 @@ class TestCsvRoundTrip:
         with pytest.raises(ContractViolation, match="malformed row"):
             RunTrace.read_csv(path)
 
+    @pytest.mark.parametrize("row", [
+        "ppawss,x,2,6,77,0.125,,,,,false",
+        "ppawss,3,2,six,77,0.125,,,,,false",
+        "ppawss,3,2,6,77,abc,,,,,false",
+    ])
+    def test_rejects_non_numeric_field(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + row + "\n")
+        with pytest.raises(ContractViolation, match="non-numeric field"):
+            RunTrace.read_csv(path)
+
+    def test_rejects_non_ascii_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((CSV_HEADER + "\nppawss,3,1,4,20,0.5,,,,,false\xe9\n")
+                         .encode("latin-1"))
+        with pytest.raises(ContractViolation, match="not ASCII"):
+            RunTrace.read_csv(path)
+
+    def test_rejects_unknown_flag(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\nppawss,3,1,4,20,0.5,,,,,maybe\n")
+        with pytest.raises(ContractViolation, match="malformed row"):
+            RunTrace.read_csv(path)
+
+    @pytest.mark.parametrize("second", [
+        "extragradient,3,2,6,77,0.125,,,,,false",
+        "ppawss,7,2,6,77,0.125,,,,,false",
+        "ppawss,3,2,6,77,0.125,,,,,true",
+    ])
+    def test_rejects_rows_of_another_run(self, tmp_path, second):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\nppawss,3,1,4,20,0.5,,,,,false\n"
+                        + second + "\n")
+        with pytest.raises(ContractViolation, match="disagrees"):
+            RunTrace.read_csv(path)
+
     def test_rejects_empty_trace(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")

@@ -17,17 +17,11 @@ from svilab import (
     run_vs_ave,
 )
 from svilab.errors import ContractViolation, ScheduleOverflow
-from svilab.oracle import batch_mean
+from svilab.maps import AffineMap
+from svilab.oracle import StochasticOracle, ZeroNoise, batch_mean
+from svilab.problems import ProblemInstance
 from svilab.sets import Box
-from svilab.vs_ave import (
-    VsAveState,
-    gamma_update,
-    rate_q,
-    sample_size,
-    schedule_cost,
-    x_step,
-    y_step,
-)
+from svilab.vs_ave import rate_q, sample_size, schedule_cost
 
 
 class TestRateQ:
@@ -82,30 +76,6 @@ class TestConfig:
     def test_kappa_property(self):
         cfg = VsAveConfig(mu=0.5, lipschitz=2.0, rho=0.5, max_iterations=5)
         assert cfg.kappa == pytest.approx(4.0)
-
-
-class TestGammaUpdate:
-    def test_worked_example(self):
-        # mu = 1, L = 3: the new weight is a quarter of the running total
-        gamma, Gamma = gamma_update(1.0, 1.0, 1.0, 3.0)
-        assert (gamma, Gamma) == (0.25, 1.25)
-        gamma, Gamma = gamma_update(gamma, Gamma, 1.0, 3.0)
-        assert (gamma, Gamma) == (0.3125, 1.5625)
-
-    def test_total_grows_geometrically(self):
-        # Gamma_K = (1 + 1/(kappa+1))^K from Gamma_0 = 1
-        mu, lip = 0.7, 3.0
-        gamma, Gamma = 1.0, 1.0
-        for _ in range(30):
-            gamma, Gamma = gamma_update(gamma, Gamma, mu, lip)
-        expected = (1.0 + mu / (mu + lip)) ** 30
-        assert Gamma == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ContractViolation):
-            gamma_update(0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(ContractViolation):
-            gamma_update(1.0, 1.0, -1.0, 2.0)
 
 
 class TestSampleSize:
@@ -171,46 +141,35 @@ class TestScheduleCost:
                 schedule_cost(2, rho)
 
 
-def _fresh_state(config, y0, dim):
-    return VsAveState(
-        config=config,
-        gamma_k=1.0,
-        Gamma_k=1.0,
-        weighted_presum=np.zeros(dim),
-        weighted_ysum=np.asarray(y0, dtype=float).copy(),
-        x_k=None,
-        y_k=np.asarray(y0, dtype=float),
-    )
-
-
-class TestSteps:
-    def test_x_step_worked_example(self):
-        cfg = VsAveConfig(mu=1.0, lipschitz=3.0, rho=0.2, max_iterations=5)
-        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        state = _fresh_state(cfg, [0.2, 0.0], 2)
-        x = x_step(state, box, np.array([1.0, -1.0]))
-        # y - estimate/mu = (0.2-1, 0+1), weight 1, already inside the box
-        np.testing.assert_allclose(x, [-0.8, 1.0], atol=1e-15)
-        np.testing.assert_allclose(state.weighted_presum, [-0.8, 1.0],
+class TestTwoIterationsByHand:
+    def test_average_matches_hand_computation(self):
+        # F(x) = 2x + (-1, 1) without noise on the box [-1, 1]^2, run
+        # with mu = 1 and L = 3, so each new weight is 1/4 of the total
+        prob = ProblemInstance(
+            oracle=StochasticOracle(AffineMap(2.0 * np.eye(2),
+                                              np.array([-1.0, 1.0])),
+                                    ZeroNoise(), rng_seed=0),
+            feasible_set=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        )
+        cfg = VsAveConfig(mu=1.0, lipschitz=3.0, rho=0.5, max_iterations=2)
+        budget = BudgetCounter(100)
+        averaged, trace = run_vs_ave(prob, np.array([0.0, 0.5]), cfg, budget)
+        # k = 0, N = 1, gamma = Gamma = 1:
+        #   presum = y0 - F(y0) = (0, 1/2) - (-1, 2) = (1, -3/2)
+        #   x0 = P(1, -3/2) = (1, -1); F(x0) = (1, -1)
+        #   y1 = P(x0 - F(x0)/3) = (2/3, -2/3)
+        #   gamma = 1/4, Gamma = 5/4, ysum = y0 + y1/4 = (1/6, 1/3)
+        # k = 1, N = 2:
+        #   F(y1) = (1/3, -1/3), so presum gains (1/12, -1/12): (13/12, -19/12)
+        #   x1 = P(presum / Gamma) = P(13/15, -19/15) = (13/15, -1)
+        #   F(x1) = (11/15, -1); y2 = P(13/15 - 11/45, -2/3) = (28/45, -2/3)
+        #   gamma = 5/16, Gamma = 25/16, ysum = (13/36, 1/8)
+        # average = ysum / Gamma = (52/225, 2/25)
+        np.testing.assert_allclose(averaged, [52 / 225, 2 / 25], rtol=0,
                                    atol=1e-15)
-        assert state.x_k is x
-
-    def test_x_step_with_running_weights(self):
-        cfg = VsAveConfig(mu=2.0, lipschitz=2.0, rho=0.5, max_iterations=5)
-        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        state = _fresh_state(cfg, [0.0, 0.0], 2)
-        state.gamma_k = 0.5
-        state.Gamma_k = 2.0
-        state.weighted_presum = np.array([0.4, 0.0])
-        x = x_step(state, box, np.array([2.0, 2.0]))
-        # presum gains 0.5 * (0 - [1,1]) giving [-0.1,-0.5]; divide by 2
-        np.testing.assert_allclose(x, [-0.05, -0.25], atol=1e-15)
-
-    def test_y_step_worked_example(self):
-        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        y = y_step(np.array([0.5, 0.5]), box, np.array([2.0, -4.0]), 2.0)
-        # x - estimate/L = (-0.5, 2.5), clipped to the box
-        np.testing.assert_allclose(y, [-0.5, 1.0], atol=1e-15)
+        assert [(r.outer_k, r.calls) for r in trace.rows] == [(1, 2), (2, 6)]
+        assert budget.consumed == 6
+        assert not trace.truncated
 
 
 class TestRunDeterministic:
@@ -343,9 +302,9 @@ class TestBudgetAndSchedule:
         assert budget.consumed == 14
         assert prob.feasible_set.contains(averaged)
 
-    def test_partial_iteration_burns_first_batch(self):
-        # the first batch of an iteration can fit while the second is
-        # refused; the trace stays on completed iterations only
+    def test_unaffordable_step_draws_nothing(self):
+        # the budget pays for the fourth iteration's first batch (8 of
+        # 11 left) but not for both, so neither is drawn
         prob = make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0,
                                              sigma=1.0, seed=2)
         cfg = VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5, max_iterations=60)
@@ -353,7 +312,7 @@ class TestBudgetAndSchedule:
         _, trace = run_vs_ave(prob, np.zeros(3), cfg, budget)
         assert trace.truncated
         assert trace.final.calls == 14
-        assert budget.consumed == 22
+        assert budget.consumed == 14
 
     def test_truncation_flush_row(self):
         # sparse tracing still records the state reached at truncation
