@@ -3,9 +3,9 @@
 Configs are flat INI-style text: ``[problem]`` and ``[run]`` sections
 plus one ``[scheme.<name>]`` section per solver. Values that vary per
 problem row (lambda, rho, stepsize) accept comma lists zipped with the
-``lipschitz`` list. Every (problem, scheme, seed) cell runs under a
-fresh budget counter and an oracle substream keyed by the seed, and
-writes one trace CSV; the summary aggregates final metrics per cell.
+``lipschitz`` list. Every (problem, scheme, seed) cell runs its solver
+with that seed, which keys its samples, under a fresh budget counter,
+and writes one trace CSV; the summary aggregates final metrics per cell.
 """
 
 from __future__ import annotations
@@ -407,7 +407,6 @@ _CELL_RE = re.compile(
 def _run_cell(job):
     """Run one (problem row, scheme, seed) cell and write its CSV."""
     config, scheme, row, problem, seed, out_path = job
-    problem = replace(problem, oracle=problem.oracle.for_trial(seed))
     budget = BudgetCounter(config.budget)
     start = problem.feasible_set.project(np.zeros(problem.dimension))
     params = config.scheme_params[scheme]

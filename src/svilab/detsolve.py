@@ -15,10 +15,13 @@ __all__ = ["solve_deterministic_vi"]
 # residuals are certified at gamma = 1/L regardless of the internal step;
 # 0.7 < 1/sqrt(2), the classical extragradient stepsize bound
 _STEP_FRACTION = 0.7
+# residual check cadence; the check reuses the map value of the current
+# iterate, so sparse checks keep the loop at two map evaluations per step
+_CHECK_EVERY = 10
 
 
 def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
-                           max_steps=10**7, check_every=10):
+                           max_steps=10**7):
     """Solve VI(X, F) for an exactly evaluated map F.
 
     Runs extragradient with step ``0.7/L`` until the natural residual at
@@ -36,10 +39,6 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
         Start point; defaults to the projection of the origin.
     max_steps : int
         Iteration cap.
-    check_every : int
-        Residual check cadence; the check reuses the map value of the
-        current iterate, so sparse checks keep the loop at two map
-        evaluations per step.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -54,7 +53,7 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
     norm = np.linalg.norm
     for it in range(max_steps):
         fz = mean_map(z)
-        if it % check_every == 0:
+        if it % _CHECK_EVERY == 0:
             r = norm(z - project(z - res_gamma * fz))
             if r <= tol:
                 return z

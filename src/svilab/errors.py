@@ -25,12 +25,12 @@ class ConfigError(SvilabError):
 
 
 class BudgetExhausted(SvilabError):
-    """An oracle batch would exceed the remaining sample budget.
+    """A charge would exceed the remaining sample budget.
 
-    The batch is refused wholesale; ``consumed`` reflects the counter state
-    before the refused request, ``requested`` the size of that request.
-    Solvers size their runs to the budget first, so inside a solver this
-    signals a broken invariant.
+    The charge is refused wholesale; ``consumed`` reflects the counter
+    state before it, ``requested`` its size. Solvers size their runs to
+    the budget and charge each step before its first draw, so inside a
+    solver this signals a broken invariant.
     """
 
     def __init__(self, consumed, requested, limit):

@@ -106,10 +106,13 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     As in the other solvers, the run length is fixed before the first
     draw, so no step is started that the budget cannot finish, and
     ``trace.truncated`` is set when fewer than ``max_iterations`` steps
-    run. ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
+    run. Each step charges ``budget`` ``2 * N_k`` before its first draw,
+    and a row's ``calls`` is what the run has charged. ``budget=None``
+    means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the two
+    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     """
     budget = ledger(budget)
-    oracle = problem.oracle.with_budget(budget)
+    oracle = problem.oracle
     feasible_set = problem.feasible_set
     lip = problem.mean_map.lipschitz
     if lip > 0 and not config.stepsize < 1.0 / (math.sqrt(6.0) * lip):
@@ -117,25 +120,27 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
             f"stepsize must be < 1/(sqrt(6)*L) = {1.0 / (math.sqrt(6.0) * lip):g};"
             f" got {config.stepsize:g}"
         )
-    streams = (oracle.stream(0), oracle.stream(1))
+    streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
     trace = RunTrace(scheme, seed)
-    calls = 0
+    consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
-        estimate, _ = batch_mean(oracle, z, n_k, streams[0])
+        budget.charge(2 * n_k)
+        estimate = batch_mean(oracle, z, n_k, streams[0])
         z_half = feasible_set.project(z - config.stepsize * estimate)
-        estimate_half, _ = batch_mean(oracle, z_half, n_k, streams[1])
+        estimate_half = batch_mean(oracle, z_half, n_k, streams[1])
         z = feasible_set.project(z - config.stepsize * estimate_half)
-        calls += 2 * n_k
         # uniform running mean of the half-step points
         average += (z_half - average) / k
         if recorder is not None and recorder.due(k):
             trace.add(evaluate_point(problem, average if config.averaged else z,
-                                     recorder, k, 0, calls))
+                                     recorder, k, 0,
+                                     budget.consumed - consumed_before))
     trace.truncated = steps < config.max_iterations
     point = average if config.averaged else z
     if recorder is not None and trace.missing(steps):
-        trace.add(evaluate_point(problem, point, recorder, steps, 0, calls))
+        trace.add(evaluate_point(problem, point, recorder, steps, 0,
+                                 budget.consumed - consumed_before))
     return point, trace

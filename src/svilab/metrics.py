@@ -26,6 +26,8 @@ __all__ = [
 
 # natural residual to which trace rows certify each Yosida resolvent
 YOSIDA_TOL = 1e-10
+_GAP_TOL = 1e-9  # first-order tolerance of the gap's inner ascent
+_GAP_MAX_STEPS = 10**6
 
 
 def _clamp(v):
@@ -45,14 +47,14 @@ def natural_residual(x, mean_map, feasible_set, gamma):
     return float(np.linalg.norm(x - feasible_set.project(x - gamma * mean_map(x))))
 
 
-def strongly_monotone_gap(x, mean_map, feasible_set, tol=1e-9, max_steps=10**6):
+def strongly_monotone_gap(x, mean_map, feasible_set):
     """Gap value ``sup_y <F(y), x-y> + (mu/2)|y-x|^2`` for affine maps.
 
     The inner objective is concave exactly when the map is affine with
     mu > 0 (its Hessian is ``mu I - (A + A^T)``, at most ``-mu I``); for
     any other map the supremum cannot be trusted and
     :class:`MetricUnavailable` is raised. The maximization runs projected
-    gradient ascent to first-order tolerance ``tol``.
+    gradient ascent to first-order tolerance ``1e-9``.
     """
     if not isinstance(mean_map, AffineMap) or mean_map.mu <= 0:
         raise MetricUnavailable(
@@ -64,10 +66,10 @@ def strongly_monotone_gap(x, mean_map, feasible_set, tol=1e-9, max_steps=10**6):
     hess = mu * np.eye(x.size) - (a + a.T)
     step = 1.0 / float(np.linalg.norm(hess, 2))
     y = x.copy()
-    for _ in range(max_steps):
+    for _ in range(_GAP_MAX_STEPS):
         grad = a.T @ (x - y) - (a @ y + b) + mu * (y - x)
         y_next = feasible_set.project(y + step * grad)
-        if np.linalg.norm(y_next - y) <= tol * step:
+        if np.linalg.norm(y_next - y) <= _GAP_TOL * step:
             y = y_next
             break
         y = y_next

@@ -1,30 +1,28 @@
-"""Stochastic first-order oracle with budget accounting.
+"""Stochastic first-order oracle and the sample-budget ledger.
 
 A :class:`StochasticOracle` pairs a mean map ``F`` with a noise model so
 that single samples ``G(x, xi)`` are unbiased (``E[G(x, xi)] = F(x)``)
-with variance bounded uniformly over the feasible set. Batches are
-averaged by :func:`batch_mean`, which also advances the oracle's
-:class:`BudgetCounter`: a batch either fits in the remaining budget or
-is refused wholesale.
+with variance bounded uniformly over the feasible set. It is problem
+data: a run charges its own :class:`BudgetCounter` for each step before
+drawing, and :func:`batch_mean` only averages.
 
-Randomness is counter-based: every stream is keyed by
-``(rng_seed, trial, stream_id)`` through a Philox generator, so parallel
-trials and the two batch kinds inside one solver iteration never share
+Randomness is counter-based: a run's streams are Philox generators keyed
+by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
+repeated trials and the two batch kinds of one iteration never share
 draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExhausted, ContractViolation
-from .maps import ShiftedMap
 
 __all__ = [
-    "SampleStream",
+    "generator",
     "BudgetCounter",
     "ZeroNoise",
     "AdditiveGaussian",
@@ -32,24 +30,16 @@ __all__ = [
     "StochasticOracle",
     "batch_mean",
     "ledger",
-    "shift",
 ]
 
-_MASK64 = (1 << 64) - 1
 
-
-class SampleStream:
-    """Counter-based random stream keyed by (seed, *key)."""
-
-    def __init__(self, seed, *key):
-        entropy = tuple(int(v) & _MASK64 for v in (seed, *key))
-        self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-    def standard_normal(self, size):
-        return self._rng.standard_normal(size)
-
-    def uniform(self, low, high, size):
-        return self._rng.uniform(low, high, size)
+def generator(*key):
+    """Philox generator keyed by ``key``, integers in ``[0, 2**64)``;
+    equal keys give equal draws. A key outside that range raises
+    :class:`ContractViolation`."""
+    if not all(0 <= v < 2**64 for v in key):
+        raise ContractViolation(f"stream keys must lie in [0, 2**64); got {key}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 class BudgetCounter:
@@ -170,27 +160,18 @@ class MatrixPerturbation:
 class StochasticOracle:
     """Sampled map ``G(x, xi)`` with mean ``mean_map`` and bounded noise.
 
-    ``trial`` partitions randomness across repeated runs of one
-    experiment cell; ``budget`` (optional) is the counter charged by
-    :func:`batch_mean`. Both are carried as plain fields so oracles stay
-    cheap to clone.
+    Problem data only: the run that samples it supplies the seed of its
+    streams and charges its own ledger.
     """
 
     mean_map: object
     noise_model: object
     rng_seed: int
-    trial: int = 0
-    budget: BudgetCounter = None
 
-    def stream(self, stream_id):
-        """Fresh sample stream keyed by (rng_seed, trial, stream_id)."""
-        return SampleStream(self.rng_seed, self.trial, stream_id)
-
-    def for_trial(self, trial):
-        return replace(self, trial=int(trial))
-
-    def with_budget(self, counter):
-        return replace(self, budget=counter)
+    def stream(self, seed, stream_id):
+        """Fresh generator of run ``seed``'s stream ``stream_id``, keyed
+        by ``(rng_seed, seed, stream_id)``."""
+        return generator(self.rng_seed, seed, stream_id)
 
     @property
     def variance_bound(self):
@@ -198,35 +179,24 @@ class StochasticOracle:
 
 
 def batch_mean(oracle, x, n, stream):
-    """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``.
+    """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``,
+    as a new array.
 
-    Returns ``(estimate, calls)`` with ``calls = n``. Charges the
-    oracle's budget (when attached) before drawing; a refused charge
-    propagates :class:`BudgetExhausted` with the counter unchanged.
+    Charges nothing: the solver pays for a step's batches before drawing
+    the first of them.
     """
     n = int(n)
     if n < 1:
         raise ContractViolation(f"batch size must be >= 1, got {n}")
-    if oracle.budget is not None:
-        oracle.budget.charge(n)
     # noise_sum returns a fresh buffer, so the average is formed in place
     estimate = oracle.noise_model.noise_sum(x, n, stream)
     if n > 1:
         estimate /= n
     estimate += oracle.mean_map(x)
-    return estimate, n
+    return estimate
 
 
 def ledger(budget):
     """The counter a solver charges: ``budget`` itself, or a fresh one
     with no cap when it is None."""
     return BudgetCounter(math.inf) if budget is None else budget
-
-
-def shift(oracle, lam, center):
-    """Oracle of the proximal subproblem ``G(x, xi) + (1/lam)(x - center)``.
-
-    The mean map gains ``1/lam`` in both mu and lipschitz; the noise
-    model and the budget counter are shared with the base oracle.
-    """
-    return replace(oracle, mean_map=ShiftedMap(oracle.mean_map, lam, center))

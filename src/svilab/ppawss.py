@@ -11,13 +11,14 @@ repeated across subproblems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
+from .maps import ShiftedMap
 from .metrics import evaluate_point
-from .oracle import ledger, shift
+from .oracle import ledger
 from .problems import ProblemInstance
 from .schedule import steps_within
 from .trace import Recorder, RunTrace
@@ -111,7 +112,7 @@ def inner_iterations(k, q, alpha, min_inner):
 def prox_subproblem(problem, u_k, lam):
     """Shifted instance whose solution is the resolvent of u_k.
 
-    The oracle keeps its noise model and budget counter; only the mean
+    The oracle keeps its noise model and ``rng_seed``; only the mean
     map gains the (1/lam)(. - u_k) term, so the subproblem is
     1/lam-strongly monotone with Lipschitz constant L + 1/lam.
     Reference data is dropped: the subproblem's solution is the
@@ -119,7 +120,8 @@ def prox_subproblem(problem, u_k, lam):
     """
     if not lam > 0:
         raise ContractViolation(f"lam must be positive; got {lam!r}")
-    shifted = shift(problem.oracle, lam, u_k)
+    oracle = problem.oracle
+    shifted = replace(oracle, mean_map=ShiftedMap(oracle.mean_map, lam, u_k))
     return ProblemInstance(oracle=shifted, feasible_set=problem.feasible_set)
 
 
@@ -138,18 +140,21 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
 
     Returns ``(u_K, trace)``; ``recorder`` picks the completed outer
     iterations that get a row (``inner_k`` records that step's inner
-    iteration count, ``calls`` the cumulative oracle consumption). A
+    iteration count, ``calls`` what the run has charged so far). A
     subproblem whose whole sampling schedule the remaining budget cannot
     pay for is not started: the run ends there with ``trace.truncated``
-    set and the last completed iterate, and draws nothing more.
-    ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
+    set and the last completed iterate, and draws nothing more. Each
+    inner step charges ``budget`` before its first draw. ``budget=None``
+    means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the stream
+    pair all subproblems continue, ``problem.oracle.stream(seed, 0)`` and
+    ``(seed, 1)``.
     """
     budget = ledger(budget)
     feasible_set = problem.feasible_set
     u = feasible_set.project(np.asarray(u0, dtype=np.float64))
     lip = problem.mean_map.lipschitz
     trace = RunTrace(scheme, seed)
-    streams = (problem.oracle.stream(0), problem.oracle.stream(1))
+    streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
     u0_proj = u.copy()
     consumed_before = budget.consumed
     last = (0, 0, 0)  # (outer_k, inner_k, calls) of the last completed step

@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detsolve import solve_deterministic_vi
-from .errors import ContractViolation
 from .maps import AffineMap, BimatrixMap
-from .oracle import AdditiveGaussian, MatrixPerturbation, StochasticOracle, ZeroNoise
+from .oracle import (AdditiveGaussian, MatrixPerturbation, StochasticOracle,
+                     ZeroNoise, generator)
 from .sets import Box, Product, Simplex
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "make_affine_strongly_monotone",
     "reference_solution",
     "z_saddle_value",
-    "write_matrix",
-    "read_matrix",
 ]
 
 # seed-derivation tags so instance data never collides with sample streams
@@ -119,9 +117,7 @@ def make_bimatrix(spec, with_reference=True, reference_tol=1e-10):
     its spectral norm equals ``spec.target_lipschitz``, which is then the
     Lipschitz constant of the (skew, merely monotone) mean map.
     """
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((spec.seed, _PAYOFF_TAG)))
-    )
+    rng = generator(spec.seed, _PAYOFF_TAG)
     raw = rng.uniform(0.0, 1.0, (spec.m, spec.n))
     raw *= spec.target_lipschitz / np.linalg.norm(raw, 2)
     return bimatrix_from_payoff(
@@ -150,9 +146,7 @@ def make_affine_strongly_monotone(n, mu, lipschitz, sigma, seed):
         raise ValueError("n=1 admits a single eigenvalue; set mu == lipschitz")
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, _AFFINE_TAG)))
-    )
+    rng = generator(seed, _AFFINE_TAG)
     spectrum = np.linspace(mu, lipschitz, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = (q * spectrum) @ q.T
@@ -188,32 +182,3 @@ def reference_solution(problem, tol=1e-10):
 def z_saddle_value(payoff, x, y):
     """Bilinear payoff value ``<A x, y>``."""
     return float(y @ (payoff @ x))
-
-
-def write_matrix(path, array):
-    """Serialize a matrix to flat text: a dimension header line, then one
-    row per line with full-precision decimal entries."""
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ContractViolation("only 1-D or 2-D arrays serialize")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_matrix(path):
-    """Read a matrix written by :func:`write_matrix` (always 2-D)."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ContractViolation(f"{path}: malformed dimension header")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if data.shape != (rows, cols):
-        raise ContractViolation(
-            f"{path}: header says {rows}x{cols}, body is {data.shape[0]}x{data.shape[1]}"
-        )
-    return data

@@ -154,20 +154,22 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     the budget cannot both pay for is not started, so a run that stops
     early draws nothing past its last completed step. When the budget
     or a schedule overflow ends the run before ``max_iterations``,
-    ``trace.truncated`` is set. ``budget=None`` means no cap
+    ``trace.truncated`` is set. Each step charges ``budget`` its cost
+    ``2 * N_k`` before its first draw, and a row's ``calls`` is what the
+    run has charged. ``budget=None`` means no cap
     (:func:`~svilab.oracle.ledger`). ``recorder`` sets the trace rows,
     evaluated at the running average; ``None`` records nothing.
 
-    ``streams`` may supply the two sample streams (step-1.1 batches,
-    step-1.2 batches) so nested callers keep one continuous stream pair
-    across repeated runs; by default fresh streams 0 and 1 are derived
-    from the problem oracle.
+    ``seed`` keys the two sample streams (step-1.1 batches, step-1.2
+    batches), ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
+    Nested callers may pass ``streams`` instead, to keep one continuous
+    stream pair across repeated runs.
     """
     budget = ledger(budget)
-    oracle = problem.oracle.with_budget(budget)
+    oracle = problem.oracle
     project = problem.feasible_set.project
     if streams is None:
-        streams = (oracle.stream(0), oracle.stream(1))
+        streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     stream_y, stream_x = streams
     mu, lip = config.mu, config.lipschitz
     weight = mu / (mu + lip)
@@ -177,30 +179,31 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     ysum = y.copy()
     gamma = Gamma = 1.0
     trace = RunTrace(scheme, seed)
-    calls = 0
+    consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
+        budget.charge(2 * n_k)
         # each estimate buffer is fresh, so it is used as scratch
-        est, _ = batch_mean(oracle, y, n_k, stream_y)
+        est = batch_mean(oracle, y, n_k, stream_y)
         est /= -mu
         est += y
         est *= gamma
         presum += est
         x = project(presum / Gamma)
-        est, _ = batch_mean(oracle, x, n_k, stream_x)
+        est = batch_mean(oracle, x, n_k, stream_x)
         est /= -lip
         est += x
         y = project(est)
-        calls += 2 * n_k
         gamma = weight * Gamma
         Gamma += gamma
         ysum += gamma * y
         if recorder is not None and recorder.due(k):
             trace.add(evaluate_point(problem, ysum / Gamma, recorder, k, 0,
-                                     calls))
+                                     budget.consumed - consumed_before))
     trace.truncated = steps < config.max_iterations
     averaged = ysum / Gamma
     if recorder is not None and trace.missing(steps):
-        trace.add(evaluate_point(problem, averaged, recorder, steps, 0, calls))
+        trace.add(evaluate_point(problem, averaged, recorder, steps, 0,
+                                 budget.consumed - consumed_before))
     return averaged, trace

@@ -113,8 +113,7 @@ def test_criterion_2_linear_rate_under_noise(capsys):
                                              sigma=1.0, seed=333)
         dists = np.zeros((20, 60))
         for s in range(20):
-            problem = replace(base, oracle=base.oracle.for_trial(s))
-            _, trace = run_vs_ave(problem, np.zeros(10), config, None)
+            _, trace = run_vs_ave(base, np.zeros(10), config, None, seed=s)
             dists[s] = [row.dist_ref_sq for row in trace.rows]
         mean_sq = dists.mean(axis=0)
         ks = np.arange(10, 61)
@@ -210,8 +209,8 @@ def test_criterion_6_oracle_statistics(capsys):
     x = problem.feasible_set.project(np.full(d, 0.3))
     truth = problem.mean_map(x)
 
-    stream = oracle.stream(11)
-    estimate, _ = batch_mean(oracle, x, 200000, stream)
+    stream = oracle.stream(0, 11)
+    estimate = batch_mean(oracle, x, 200000, stream)
     bias = float(np.linalg.norm(estimate - truth))
     bias_bound = 4.0 * sigma * math.sqrt(d / 200000.0)
 
@@ -220,9 +219,9 @@ def test_criterion_6_oracle_statistics(capsys):
     ratios = []
     for n in (1, 4, 16, 64):
         sq = 0.0
-        s = oracle.stream(100 + n)
+        s = oracle.stream(0, 100 + n)
         for _ in range(reps):
-            est, _ = batch_mean(oracle, x, n, s)
+            est = batch_mean(oracle, x, n, s)
             err = est - truth
             sq += float(err @ err)
         v = sq / reps
@@ -233,13 +232,13 @@ def test_criterion_6_oracle_statistics(capsys):
                                 seed=3, with_reference=False)
     z = game.feasible_set.project(np.array([0.3, 0.7, 0.6, 0.4]))
     g_truth = game.mean_map(z)
-    g_est, _ = batch_mean(game.oracle, z, 200000, game.oracle.stream(12))
+    g_est = batch_mean(game.oracle, z, 200000, game.oracle.stream(0, 12))
     g_bias = float(np.linalg.norm(g_est - g_truth))
     var_bound = game.oracle.variance_bound
-    s = game.oracle.stream(13)
+    s = game.oracle.stream(0, 13)
     sq = 0.0
     for _ in range(reps):
-        est, _ = batch_mean(game.oracle, z, 1, s)
+        est = batch_mean(game.oracle, z, 1, s)
         err = est - g_truth
         sq += float(err @ err)
     g_var = sq / reps

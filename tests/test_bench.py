@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from svilab import (
+    BudgetCounter,
     ConfigError,
     ExtragradientConfig,
     VsAveConfig,
+    make_affine_strongly_monotone,
     parse_config,
     run_experiment,
+    run_extragradient,
+    run_ppawss,
+    run_vs_ave,
     summarize,
 )
 from svilab.bench import _solver_config, _worker_count
@@ -353,6 +358,56 @@ class TestRunExperiment:
         a = RunTrace.read_csv(tmp_path / "res" / "ppawss_L2_lam5_seed0.csv")
         b = RunTrace.read_csv(tmp_path / "res" / "ppawss_L2_lam5_seed1.csv")
         assert a.final.saddle_gap != b.final.saddle_gap
+
+
+ALL_SCHEMES_CFG = """\
+[problem]
+kind = affine
+n = 3
+mu = 1.0
+lipschitz = 2.0
+noise = 0.5
+
+[run]
+budget = 1000000
+seeds = 3
+
+[scheme.vs_ave]
+iterations = 8
+
+[scheme.ppawss]
+lambda = 5.0
+outer_iterations = 4
+
+[scheme.extragradient]
+iterations = 8
+"""
+
+
+@pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])
+def test_seed_keys_the_run(scheme, tmp_path):
+    """A solver's ``seed`` picks its samples, and a harness cell is the
+    solver called directly with the cell's seed."""
+    run = {"vs_ave": run_vs_ave, "ppawss": run_ppawss,
+           "extragradient": run_extragradient}[scheme]
+    config = parse_config(ALL_SCHEMES_CFG.replace(
+        "seeds = 3", f"seeds = 3\nout = {tmp_path}/res"))
+    params = config.scheme_params[scheme]
+    solver = _solver_config(config, scheme, 0, params[
+        "outer_iterations" if scheme == "ppawss" else "iterations"])
+    problem = make_affine_strongly_monotone(3, 1.0, 2.0, sigma=0.5, seed=0)
+
+    def solve(seed):
+        return run(problem, np.zeros(3), solver, BudgetCounter(config.budget),
+                   scheme=scheme, seed=seed)
+
+    one, two, again = solve(1)[0], solve(2)[0], solve(1)[0]
+    assert not np.array_equal(one, two)
+    assert np.array_equal(one, again)
+    run_experiment(config)
+    solve(3)[1].write_csv(tmp_path / "direct.csv")
+    cell = tmp_path / "res" / f"{scheme}_L2_lam5_seed3.csv"
+    assert cell.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def _write_cell(path, scheme, seed, value, metric="natural_residual",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svilab import BudgetCounter, Recorder
+from svilab import Recorder
 from svilab.errors import MetricUnavailable
 from svilab.maps import AffineMap
 from svilab.metrics import (
@@ -162,15 +162,3 @@ class TestEvaluatePoint:
         assert report.gap is None
         assert report.yosida_sq is not None
         assert report.yosida_sq >= 0.0
-
-    def test_consumes_no_budget(self, pennies_problem):
-        budget = BudgetCounter(100)
-        problem = ProblemInstance(
-            oracle=pennies_problem.oracle.with_budget(budget),
-            feasible_set=pennies_problem.feasible_set,
-            reference_solution=pennies_problem.reference_solution,
-            reference_saddle_value=pennies_problem.reference_saddle_value,
-        )
-        evaluate_point(problem, np.full(4, 0.25),
-                       Recorder(gap=True, yosida_lam=5.0), 1, 0, 1)
-        assert budget.consumed == 0

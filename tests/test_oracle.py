@@ -11,11 +11,10 @@ from svilab.maps import AffineMap
 from svilab.oracle import (
     AdditiveGaussian,
     MatrixPerturbation,
-    SampleStream,
     StochasticOracle,
     ZeroNoise,
     batch_mean,
-    shift,
+    generator,
 )
 
 
@@ -26,20 +25,23 @@ def gaussian_oracle(sigma=1.0, seed=0):
 
 class TestSampleStream:
     def test_deterministic_by_key(self):
-        a = SampleStream(5, 1, 2).standard_normal(8)
-        b = SampleStream(5, 1, 2).standard_normal(8)
+        a = generator(5, 1, 2).standard_normal(8)
+        b = generator(5, 1, 2).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_decorrelate(self):
-        a = SampleStream(5, 1, 2).standard_normal(8)
-        b = SampleStream(5, 1, 3).standard_normal(8)
-        c = SampleStream(6, 1, 2).standard_normal(8)
+        a = generator(5, 1, 2).standard_normal(8)
+        b = generator(5, 1, 3).standard_normal(8)
+        c = generator(6, 1, 2).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_negative_keys_allowed(self):
-        s = SampleStream(-3, -1)
-        assert s.uniform(0.0, 1.0, 4).shape == (4,)
+    def test_keys_outside_64_bits_rejected(self):
+        # a masked key would make -1 draw what 2**64 - 1 draws
+        for key in ((-3, -1), (5, -1, 0), (5, 2**64, 0)):
+            with pytest.raises(ContractViolation):
+                generator(*key)
+        assert generator(5, 2**64 - 1, 0).uniform(0.0, 1.0, 4).shape == (4,)
 
 
 class TestBudgetCounter:
@@ -78,43 +80,24 @@ class TestBatchMean:
         oracle = StochasticOracle(f, ZeroNoise(), rng_seed=0)
         x = np.array([0.3, 0.7])
         for n in (1, 5, 100):
-            est, calls = batch_mean(oracle, x, n, oracle.stream(0))
-            assert calls == n
+            est = batch_mean(oracle, x, n, oracle.stream(0, 0))
             assert np.array_equal(est, f(x))
-
-    def test_charges_budget(self):
-        oracle = gaussian_oracle().with_budget(BudgetCounter(100))
-        batch_mean(oracle, np.zeros(4), 30, oracle.stream(0))
-        assert oracle.budget.consumed == 30
-
-    def test_refused_batch_propagates(self):
-        oracle = gaussian_oracle().with_budget(BudgetCounter(10))
-        with pytest.raises(BudgetExhausted):
-            batch_mean(oracle, np.zeros(4), 11, oracle.stream(0))
-        assert oracle.budget.consumed == 0
-
-    def test_no_budget_no_charge(self):
-        oracle = gaussian_oracle()
-        est, calls = batch_mean(oracle, np.zeros(4), 10**7, oracle.stream(0))
-        assert calls == 10**7
 
     def test_rejects_empty_batch(self):
         oracle = gaussian_oracle()
         with pytest.raises(ContractViolation):
-            batch_mean(oracle, np.zeros(4), 0, oracle.stream(0))
+            batch_mean(oracle, np.zeros(4), 0, oracle.stream(0, 0))
 
     def test_deterministic_given_stream(self):
         oracle = gaussian_oracle(seed=3)
-        a, _ = batch_mean(oracle, np.ones(4), 7, oracle.stream(0))
-        b, _ = batch_mean(oracle, np.ones(4), 7, oracle.stream(0))
+        a = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
+        b = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
         assert np.array_equal(a, b)
 
     def test_trials_partition_randomness(self):
         oracle = gaussian_oracle(seed=3)
-        a, _ = batch_mean(oracle, np.ones(4), 7, oracle.stream(0))
-        b, _ = batch_mean(
-            oracle.for_trial(1), np.ones(4), 7, oracle.for_trial(1).stream(0)
-        )
+        a = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
+        b = batch_mean(oracle, np.ones(4), 7, oracle.stream(1, 0))
         assert not np.array_equal(a, b)
 
 
@@ -122,7 +105,7 @@ class TestGaussianNoise:
     def test_unbiased(self):
         oracle = gaussian_oracle(sigma=1.0, seed=1)
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        est, _ = batch_mean(oracle, x, 10**5, oracle.stream(0))
+        est = batch_mean(oracle, x, 10**5, oracle.stream(0, 0))
         err = est - oracle.mean_map(x)
         # each coordinate is N(0, sigma^2/n); allow 4 standard errors
         assert np.all(np.abs(err) <= 4.0 / np.sqrt(10**5))
@@ -130,11 +113,11 @@ class TestGaussianNoise:
     def test_variance_scales_inverse_n(self):
         oracle = gaussian_oracle(sigma=1.0, seed=2)
         x = np.zeros(4)
-        stream = oracle.stream(0)
+        stream = oracle.stream(0, 0)
         base = None
         for n in (1, 4, 16, 64):
             draws = np.array(
-                [batch_mean(oracle, x, n, stream)[0] - oracle.mean_map(x)
+                [batch_mean(oracle, x, n, stream) - oracle.mean_map(x)
                  for _ in range(2000)]
             )
             total_var = float(draws.var(axis=0).sum())
@@ -146,10 +129,10 @@ class TestGaussianNoise:
     def test_batch_variance_matches_law(self):
         # n=4, sigma=1, d=4: total variance d sigma^2 / n = 1
         oracle = gaussian_oracle(sigma=1.0, seed=4)
-        stream = oracle.stream(0)
+        stream = oracle.stream(0, 0)
         x = np.zeros(4)
         draws = np.array(
-            [batch_mean(oracle, x, 4, stream)[0] - oracle.mean_map(x)
+            [batch_mean(oracle, x, 4, stream) - oracle.mean_map(x)
              for _ in range(10**4)]
         )
         assert float(draws.var(axis=0).sum()) == pytest.approx(1.0, rel=0.1)
@@ -170,7 +153,7 @@ class TestMatrixPerturbation:
     def test_unbiased(self):
         oracle = self.make_oracle(scale=0.5, seed=5)
         z = np.array([0.2, 0.3, 0.5, 0.6, 0.4])
-        est, _ = batch_mean(oracle, z, 10**5, oracle.stream(0))
+        est = batch_mean(oracle, z, 10**5, oracle.stream(0, 0))
         err = est - oracle.mean_map(z)
         # entries of E have sd 1/sqrt(3); generous CLT envelope
         assert np.all(np.abs(err) <= 4.0 * 0.5 / np.sqrt(3 * 10**5))
@@ -178,12 +161,12 @@ class TestMatrixPerturbation:
     def test_variance_scales_inverse_n(self):
         oracle = self.make_oracle(scale=1.0, seed=6)
         z = np.array([0.5, 0.25, 0.25, 0.5, 0.5])
-        stream = oracle.stream(0)
+        stream = oracle.stream(0, 0)
         mean = oracle.mean_map(z)
         per_n = {}
         for n in (1, 4):
             draws = np.array(
-                [batch_mean(oracle, z, n, stream)[0] - mean for _ in range(4000)]
+                [batch_mean(oracle, z, n, stream) - mean for _ in range(4000)]
             )
             per_n[n] = float(draws.var(axis=0).sum())
         assert per_n[4] == pytest.approx(per_n[1] / 4.0, rel=0.2)
@@ -191,10 +174,10 @@ class TestMatrixPerturbation:
     def test_empirical_variance_below_bound(self):
         oracle = self.make_oracle(scale=0.7, seed=7)
         z = np.array([0.5, 0.25, 0.25, 0.5, 0.5])
-        stream = oracle.stream(0)
+        stream = oracle.stream(0, 0)
         mean = oracle.mean_map(z)
         draws = np.array(
-            [batch_mean(oracle, z, 1, stream)[0] - mean for _ in range(4000)]
+            [batch_mean(oracle, z, 1, stream) - mean for _ in range(4000)]
         )
         assert float(draws.var(axis=0).sum()) <= oracle.variance_bound
 
@@ -203,7 +186,7 @@ class TestMatrixPerturbation:
         oracle = self.make_oracle(scale=1.0, seed=8)
         z = np.array([0.5, 0.25, 0.25, 0.5, 0.5])
         n = 262144 // 6 + 100
-        est, _ = batch_mean(oracle, z, n, oracle.stream(0))
+        est = batch_mean(oracle, z, n, oracle.stream(0, 0))
         err = est - oracle.mean_map(z)
         assert np.all(np.abs(err) <= 5.0 / np.sqrt(3 * n))
 
@@ -239,7 +222,7 @@ class TestMatrixPerturbationBits:
     def check(self, sizes):
         noise = MatrixPerturbation(self.ROWS, self.COLS, self.SCALE)
         z = self.point()
-        got_stream, want_stream = SampleStream(3, 0, 1), SampleStream(3, 0, 1)
+        got_stream, want_stream = generator(3, 0, 1), generator(3, 0, 1)
         for n in sizes:
             got = noise.noise_sum(z, n, got_stream)
             want = reference_noise_sum(self.ROWS, self.COLS, self.SCALE, z, n,
@@ -252,17 +235,3 @@ class TestMatrixPerturbationBits:
 
     def test_mixed_sizes_on_one_stream(self):
         self.check([1, 3, 1, self.CHUNK + 1, 1, 2, 2 * self.CHUNK + 3, 1, 4])
-
-
-class TestShift:
-    def test_shifted_oracle_shares_noise_and_budget(self):
-        oracle = gaussian_oracle(seed=9).with_budget(BudgetCounter(50))
-        center = np.ones(4)
-        sub = shift(oracle, 2.0, center)
-        assert sub.noise_model is oracle.noise_model
-        assert sub.budget is oracle.budget
-        x = np.array([0.5, 0.5, 0.5, 0.5])
-        est, _ = batch_mean(sub, x, 10, sub.stream(0))
-        assert oracle.budget.consumed == 10
-        direct, _ = batch_mean(oracle, x, 10, oracle.stream(0))
-        assert np.allclose(est, direct + (x - center) / 2.0, atol=1e-12)

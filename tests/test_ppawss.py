@@ -90,15 +90,10 @@ class TestProxSubproblem:
         assert sub.reference_saddle_value is None
 
     def test_oracle_sharing(self, pennies_problem):
-        budget = BudgetCounter(100)
-        oracle = pennies_problem.oracle.with_budget(budget)
-        problem = ProblemInstance(
-            oracle=oracle,
-            feasible_set=pennies_problem.feasible_set,
-        )
-        sub = prox_subproblem(problem, np.zeros(4), 1.0)
+        oracle = pennies_problem.oracle
+        sub = prox_subproblem(pennies_problem, np.zeros(4), 1.0)
         assert sub.oracle.noise_model is oracle.noise_model
-        assert sub.oracle.budget is budget
+        assert sub.oracle.rng_seed == oracle.rng_seed
 
     def test_lam_positive(self, pennies_problem):
         with pytest.raises(ContractViolation):

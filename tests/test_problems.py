@@ -18,13 +18,7 @@ from svilab import (
 from svilab.errors import ContractViolation
 from svilab.metrics import natural_residual
 from svilab.oracle import AdditiveGaussian, MatrixPerturbation, ZeroNoise
-from svilab.problems import (
-    bimatrix_from_payoff,
-    read_matrix,
-    reference_solution,
-    write_matrix,
-    z_saddle_value,
-)
+from svilab.problems import bimatrix_from_payoff, reference_solution, z_saddle_value
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -143,6 +137,9 @@ class TestAffine:
             make_affine_strongly_monotone(n=2, mu=0.0, lipschitz=2.0, sigma=0, seed=0)
         with pytest.raises(ValueError):
             make_affine_strongly_monotone(n=2, mu=3.0, lipschitz=2.0, sigma=0, seed=0)
+        # the seed keys a random stream, so it must lie in [0, 2**64)
+        with pytest.raises(ContractViolation):
+            make_affine_strongly_monotone(n=3, mu=1.0, lipschitz=2.0, sigma=0.1, seed=-3)
 
     def test_solvable_by_vs_ave(self):
         # deterministic run reaches the root quickly on a mild instance;
@@ -155,39 +152,16 @@ class TestAffine:
         assert np.linalg.norm(averaged - prob.reference_solution) <= 1e-6
 
 
-class TestSerialization:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 5)) * np.pi
-        path = tmp_path / "m.txt"
-        write_matrix(path, a)
-        assert np.array_equal(read_matrix(path), a)
-
-    def test_vector_becomes_row(self, tmp_path):
-        path = tmp_path / "v.txt"
-        write_matrix(path, np.array([1.0, 2.5]))
-        got = read_matrix(path)
-        assert got.shape == (1, 2)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 3\n1 2 3\n", encoding="ascii")
-        with pytest.raises(ContractViolation):
-            read_matrix(path)
-
-    def test_malformed_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("whatever\n", encoding="ascii")
-        with pytest.raises(ContractViolation):
-            read_matrix(path)
+def read_fixture(name):
+    """A frozen matrix: a dimension header line, then one row per line."""
+    return np.loadtxt(os.path.join(FIXTURES, name), skiprows=1, ndmin=2)
 
 
 class TestStoredInstance:
     """The benchmark instance is pinned; drift in the generator fails here."""
 
     def test_payoff_matches_generator(self):
-        stored = read_matrix(os.path.join(
-            FIXTURES, "bimatrix_seed777_L7.05_payoff.txt"))
+        stored = read_fixture("bimatrix_seed777_L7.05_payoff.txt")
         prob = make_bimatrix(
             BimatrixSpec(n=20, m=10, target_lipschitz=7.05, noise_scale=0.1,
                          seed=777),
@@ -196,12 +170,9 @@ class TestStoredInstance:
         assert np.array_equal(stored, prob.payoff_mean)
 
     def test_reference_certified_from_file(self):
-        payoff = read_matrix(os.path.join(
-            FIXTURES, "bimatrix_seed777_L7.05_payoff.txt"))
-        point = read_matrix(os.path.join(
-            FIXTURES, "bimatrix_seed777_L7.05_reference.txt"))[0]
-        value = read_matrix(os.path.join(
-            FIXTURES, "bimatrix_seed777_L7.05_value.txt"))[0, 0]
+        payoff = read_fixture("bimatrix_seed777_L7.05_payoff.txt")
+        point = read_fixture("bimatrix_seed777_L7.05_reference.txt")[0]
+        value = read_fixture("bimatrix_seed777_L7.05_value.txt")[0, 0]
         prob = bimatrix_from_payoff(payoff, with_reference=False)
         r = natural_residual(point, prob.mean_map, prob.feasible_set,
                              1.0 / prob.mean_map.lipschitz)

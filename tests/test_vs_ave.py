@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,17 +199,17 @@ class TestRunDeterministic:
 
         oracle = prob.oracle
         project = prob.feasible_set.project
-        s_y, s_x = oracle.stream(0), oracle.stream(1)
+        s_y, s_x = oracle.stream(0, 0), oracle.stream(0, 1)
         y = project(np.zeros(3))
         presum = np.zeros(3)
         ysum = y.copy()
         gamma, Gamma = 1.0, 1.0
         for k in range(iters):
             n_k = max(1, math.floor(rho ** (-k)))
-            est_y, _ = batch_mean(oracle, y, n_k, s_y)
+            est_y = batch_mean(oracle, y, n_k, s_y)
             presum = presum + gamma * (y - est_y / mu)
             x = project(presum / Gamma)
-            est_x, _ = batch_mean(oracle, x, n_k, s_x)
+            est_x = batch_mean(oracle, x, n_k, s_x)
             y = project(x - est_x / lip)
             gamma = (mu / (mu + lip)) * Gamma
             Gamma = Gamma + gamma
@@ -350,8 +349,7 @@ class TestStochasticRate:
                                              sigma=sigma, seed=21)
         dists = np.zeros((12, 40))
         for s in range(12):
-            prob = replace(base, oracle=base.oracle.for_trial(s))
-            _, trace = run_vs_ave(prob, np.zeros(6), cfg, None)
+            _, trace = run_vs_ave(base, np.zeros(6), cfg, None, seed=s)
             assert [r.outer_k for r in trace.rows] == list(range(1, 41))
             dists[s] = [r.dist_ref_sq for r in trace.rows]
         mean_sq = dists.mean(axis=0)
