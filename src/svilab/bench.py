@@ -3,9 +3,9 @@
 Configs are flat INI-style text: ``[problem]`` and ``[run]`` sections
 plus one ``[scheme.<name>]`` section per solver. Values that vary per
 problem row (lambda, rho, stepsize) accept comma lists zipped with the
-``lipschitz`` list. Every (problem, scheme, seed) cell runs its solver
-with that seed, which keys its samples, under a fresh budget counter,
-and writes one trace CSV; the summary aggregates final metrics per cell.
+``lipschitz`` list. Every (problem, scheme, seed) cell runs the steps a
+fresh budget counter pays for, with samples keyed by its seed, and
+writes one trace CSV; the summary aggregates final metrics per cell.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .extragradient import ExtragradientConfig, run_extragradient
+from .extragradient import (ExtragradientConfig, check_stepsize,
+                            max_stepsize, run_extragradient)
 from .oracle import BudgetCounter
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
@@ -48,29 +49,25 @@ _RUN_KEYS = {
     "seeds": ("int_list", _REQUIRED),
     "out": ("str", "results"),
 }
-# per-scheme keys; iteration counts of 0 mean "as many as the budget allows"
+# per-scheme keys; no run length: every cell runs what its budget pays for
 _SCHEME_KEYS = {
     "ppawss": {
         "lambda": ("float_list", _REQUIRED),
         "eta": ("float", 1.0),
         "alpha": ("float", 1.001),
         "beta": ("float", 1.001),
-        "outer_iterations": ("int", 0),
         "min_inner": ("int", 1),
-        "warm_start": ("bool", True),
     },
     "vs_ave": {
         "rho": ("float_list", None),
         "q_rule": ("str", "kappa_plus_2"),
         "min_batch": ("int", 1),
-        "iterations": ("int", 0),
     },
     "extragradient": {
         "stepsize": ("float_list", None),
         "theta": ("float", 1.0),
         "b": ("float", 1e-3),
         "mu_shift": ("float", 2.001),
-        "iterations": ("int", 0),
         "averaged": ("bool", False),
     },
 }
@@ -274,6 +271,15 @@ def parse_config(text):
         seeds=tuple(run["seeds"]),
         output_path=run["out"],
     )
+    labels = [_row_label(config, row) for row in range(rows)]
+    for row, label in enumerate(labels):
+        if label in labels[:row]:
+            raise ConfigError(
+                f"rows {labels.index(label)} and {row} share the cell label"
+                f" L = {label[0]}, lambda = {label[1]}; their trace files"
+                " would collide",
+                line=key_lines.get(("problem", "lipschitz")),
+            )
     validate_solver_configs(config)
     return config
 
@@ -289,62 +295,45 @@ def _check_seeds(seeds, name, line=None):
                               line=line)
 
 
-def _map_bounds(config, row):
-    """(mu, lipschitz) of the mean map for a problem row."""
-    lip = config.lipschitz[row]
-    return (0.0, lip) if config.kind == "bimatrix" else (config.mu, lip)
-
-
-def _default_rho(mu, lip, q_rule):
-    return rate_q(lip / mu, q_rule) ** 1.001
-
-
-def _solver_config(config, scheme, row, iterations):
-    """Concrete solver config for one cell; raises ConfigError early."""
+def _solver_config(config, scheme, row):
+    """Uncapped solver config of one cell; raises ConfigError early."""
     params = config.scheme_params[scheme]
-    mu, lip = _map_bounds(config, row)
+    lip = config.lipschitz[row]
     if scheme == "ppawss":
         return PpawssConfig(
             lam=params["lambda"][row],
             eta=params["eta"],
             alpha=params["alpha"],
             beta=params["beta"],
-            outer_iterations=iterations if iterations else 2**31,
+            outer_iterations=2**31,
             min_inner=params["min_inner"],
-            warm_start=params["warm_start"],
         )
     if scheme == "vs_ave":
-        if mu <= 0:
+        if not (config.kind == "affine" and config.mu > 0):
             raise ConfigError(
                 "vs_ave requires a strongly monotone problem (mu > 0);"
                 " bimatrix maps have mu = 0"
             )
         rho = (params["rho"][row] if params["rho"]
-               else _default_rho(mu, lip, params["q_rule"]))
+               else rate_q(lip / config.mu, params["q_rule"]) ** 1.001)
         return VsAveConfig(
-            mu=mu,
+            mu=config.mu,
             lipschitz=lip,
             rho=rho,
-            max_iterations=iterations if iterations else 2**31,
+            max_iterations=2**31,
             min_batch=params["min_batch"],
         )
     if scheme == "extragradient":
-        bound = 1.0 / (math.sqrt(6.0) * lip)
         if params["stepsize"]:
             stepsize = params["stepsize"][row]
-            if not stepsize < bound:
-                raise ConfigError(
-                    f"stepsize must be < 1/(sqrt(6)*L) = {bound:g};"
-                    f" got {stepsize:g}"
-                )
+            check_stepsize(stepsize, lip)
         else:
-            stepsize = 0.99 * bound
+            stepsize = 0.99 * max_stepsize(lip)
         return ExtragradientConfig(
             stepsize=stepsize,
             theta=params["theta"],
             mu_shift=params["mu_shift"],
             b=params["b"],
-            max_iterations=iterations if iterations else 2**31,
             averaged=params["averaged"],
         )
     raise AssertionError(scheme)
@@ -359,9 +348,9 @@ def validate_solver_configs(config):
     """
     for scheme in config.schemes:
         for row in range(len(config.lipschitz)):
-            first = _solver_config(config, scheme, row, iterations=1)
-            if scheme == "ppawss":
-                first = first.subproblem(0, config.lipschitz[row])
+            solver = _solver_config(config, scheme, row)
+            first = (replace(solver, max_iterations=1) if scheme != "ppawss"
+                     else solver.subproblem(0, config.lipschitz[row]))
             sizes = list(first.schedule)
             where = f"{scheme} on row {row} (L = {config.lipschitz[row]:g})"
             if len(sizes) < first.max_iterations:
@@ -409,17 +398,13 @@ def _run_cell(job):
     config, scheme, row, problem, seed, out_path = job
     budget = BudgetCounter(config.budget)
     start = problem.feasible_set.project(np.zeros(problem.dimension))
-    params = config.scheme_params[scheme]
+    solver = _solver_config(config, scheme, row)
     if scheme == "ppawss":
-        solver = _solver_config(config, scheme, row,
-                                params["outer_iterations"])
         _, trace = run_ppawss(problem, start, solver, budget,
                               scheme=scheme, seed=seed)
     else:
-        solver = _solver_config(config, scheme, row, params["iterations"])
-        if not params["iterations"]:
-            solver = replace(solver, max_iterations=steps_within(
-                solver.schedule, config.budget))
+        solver = replace(solver, max_iterations=steps_within(
+            solver.schedule, config.budget))
         run = run_vs_ave if scheme == "vs_ave" else run_extragradient
         # flat schemes trace about 200 rows, whatever their length
         every = max(1, math.ceil(solver.max_iterations / 200))
@@ -465,10 +450,14 @@ def run_experiment(config, base_dir="."):
         os.environ.get("SVILAB_THREADS"),
         len(config.lipschitz) * len(config.schemes) * len(config.seeds),
     )
+    try:
+        problems = [_build_problem(config, row)
+                    for row in range(len(config.lipschitz))]
+    except ValueError as exc:
+        # the problem constructors check the [problem] values
+        raise ConfigError(str(exc)) from exc
     out_dir = os.path.join(base_dir, config.output_path)
     os.makedirs(out_dir, exist_ok=True)
-    problems = [_build_problem(config, row)
-                for row in range(len(config.lipschitz))]
     jobs = []
     for row in range(len(config.lipschitz)):
         lip_label, lam_label = _row_label(config, row)

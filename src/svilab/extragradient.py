@@ -23,7 +23,9 @@ from .trace import Recorder, RunTrace
 
 __all__ = [
     "ExtragradientConfig",
+    "check_stepsize",
     "eg_sample_size",
+    "max_stepsize",
     "run_extragradient",
 ]
 
@@ -32,8 +34,8 @@ __all__ = [
 class ExtragradientConfig:
     """Baseline parameters.
 
-    ``stepsize`` must stay below 1/(sqrt(6) * L); the check runs at the
-    start of a run, where the problem's Lipschitz constant is known.
+    ``stepsize`` must stay below :func:`max_stepsize`; the check runs at
+    the start of a run, where the problem's Lipschitz constant is known.
     ``mu_shift`` offsets the batch schedule (it is unrelated to strong
     monotonicity) and must exceed 1 so the logarithm is positive.
     """
@@ -72,6 +74,19 @@ class ExtragradientConfig:
         theta, mu_shift, b = self.theta, self.mu_shift, self.b
         return Schedule(lambda k: eg_sample_size(k, theta, mu_shift, b),
                         self.max_iterations)
+
+
+def max_stepsize(lipschitz):
+    """Stepsize bound ``1/(sqrt(6) L)``; a stepsize must lie below it."""
+    return 1.0 / (math.sqrt(6.0) * lipschitz)
+
+
+def check_stepsize(stepsize, lipschitz):
+    """Raise :class:`ConfigError` unless ``stepsize < max_stepsize(L)``."""
+    bound = max_stepsize(lipschitz)
+    if not stepsize < bound:
+        raise ConfigError(f"stepsize must be < 1/(sqrt(6)*L) = {bound:g};"
+                          f" got {stepsize:g}")
 
 
 def eg_sample_size(k, theta, mu_shift, b):
@@ -115,11 +130,8 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     oracle = problem.oracle
     feasible_set = problem.feasible_set
     lip = problem.mean_map.lipschitz
-    if lip > 0 and not config.stepsize < 1.0 / (math.sqrt(6.0) * lip):
-        raise ConfigError(
-            f"stepsize must be < 1/(sqrt(6)*L) = {1.0 / (math.sqrt(6.0) * lip):g};"
-            f" got {config.stepsize:g}"
-        )
+    if lip > 0:
+        check_stepsize(config.stepsize, lip)
     streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()

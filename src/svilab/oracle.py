@@ -15,6 +15,7 @@ draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,20 @@ __all__ = [
 ]
 
 
+def _check_key(key):
+    """Raise :class:`ContractViolation` unless every entry of ``key`` is
+    an integer in ``[0, 2**64)``."""
+    if not all(isinstance(v, numbers.Integral) and 0 <= v < 2**64
+               for v in key):
+        raise ContractViolation(
+            f"stream keys must be integers in [0, 2**64); got {key}")
+
+
 def generator(*key):
     """Philox generator keyed by ``key``, integers in ``[0, 2**64)``;
-    equal keys give equal draws. A key outside that range raises
+    equal keys give equal draws. Any other key raises
     :class:`ContractViolation`."""
-    if not all(0 <= v < 2**64 for v in key):
-        raise ContractViolation(f"stream keys must lie in [0, 2**64); got {key}")
+    _check_key(key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
@@ -161,12 +170,16 @@ class StochasticOracle:
     """Sampled map ``G(x, xi)`` with mean ``mean_map`` and bounded noise.
 
     Problem data only: the run that samples it supplies the seed of its
-    streams and charges its own ledger.
+    streams and charges its own ledger. An ``rng_seed`` that is not a
+    stream key (:func:`generator`) raises :class:`ContractViolation`.
     """
 
     mean_map: object
     noise_model: object
     rng_seed: int
+
+    def __post_init__(self):
+        _check_key((self.rng_seed,))
 
     def stream(self, seed, stream_id):
         """Fresh generator of run ``seed``'s stream ``stream_id``, keyed

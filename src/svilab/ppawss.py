@@ -2,10 +2,10 @@
 
 Each outer step k regularizes the map with a quadratic centered at the
 current iterate, solves the resulting 1/lambda-strongly monotone
-subproblem inexactly (a logarithmically growing number of averaging
-iterations), and relaxes toward the returned point. The inner solves
-reuse one continuous pair of sample streams, so no randomness is
-repeated across subproblems.
+subproblem inexactly from that iterate (a logarithmically growing
+number of averaging iterations), and relaxes toward the returned point.
+The inner solves reuse one continuous pair of sample streams, so no
+randomness is repeated across subproblems.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .oracle import ledger
 from .problems import ProblemInstance
 from .schedule import steps_within
 from .trace import Recorder, RunTrace
-from .vs_ave import VsAveConfig, run_vs_ave
+from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
 __all__ = [
     "PpawssConfig",
@@ -50,7 +50,6 @@ class PpawssConfig:
     beta: float
     outer_iterations: int
     min_inner: int = 1
-    warm_start: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -75,9 +74,9 @@ class PpawssConfig:
         object.__setattr__(self, "min_inner", int(self.min_inner))
 
     def inner_q(self, lipschitz):
-        """Inner linear rate 1 - 1/(kappa_in + 2) for the given outer L."""
-        kappa_in = self.lam * lipschitz + 1.0
-        return 1.0 - 1.0 / (kappa_in + 2.0)
+        """Inner linear rate :func:`~svilab.vs_ave.rate_q` of
+        ``kappa_in`` for the given outer L."""
+        return rate_q(self.lam * lipschitz + 1.0)
 
     def subproblem(self, k, lipschitz):
         """VS-Ave config of outer step ``k``'s subproblem for a map with
@@ -155,7 +154,6 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     lip = problem.mean_map.lipschitz
     trace = RunTrace(scheme, seed)
     streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
-    u0_proj = u.copy()
     consumed_before = budget.consumed
     last = (0, 0, 0)  # (outer_k, inner_k, calls) of the last completed step
     for k in range(config.outer_iterations):
@@ -165,8 +163,7 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
         if steps_within(inner_config.schedule, budget.remaining) < ell_k:
             break
         sub = prox_subproblem(problem, u, config.lam)
-        y_start = u if config.warm_start else u0_proj
-        z, _ = run_vs_ave(sub, y_start, inner_config, budget,
+        z, _ = run_vs_ave(sub, u, inner_config, budget,
                           streams=streams, recorder=None)
         u = relaxation_step(u, z, config.eta)
         last = (k + 1, ell_k, budget.consumed - consumed_before)

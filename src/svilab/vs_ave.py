@@ -76,8 +76,7 @@ class VsAveConfig:
             )
         if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must lie in (0, 1); got {self.rho!r}")
-        kappa = self.lipschitz / self.mu
-        bound = 1.0 - 1.0 / (kappa + 2.0)
+        bound = rate_q(self.lipschitz / self.mu)
         if not self.rho < bound:
             raise ConfigError(
                 f"rho must be < 1 - 1/(kappa+2) = {bound:g}; got {self.rho:g}"

@@ -158,7 +158,7 @@ def test_criterion_4_yosida_decay_slope(capsys):
     problem = make_bimatrix(BimatrixSpec(n=5, m=5, target_lipschitz=11.8,
                                          noise_scale=0.0, seed=0))
     config = PpawssConfig(lam=10.0, eta=1.0, alpha=1.001, beta=1.001,
-                          outer_iterations=200, warm_start=True)
+                          outer_iterations=200)
     _, trace = run_ppawss(problem, np.zeros(10), config, None,
                           recorder=Recorder(yosida_lam=10.0))
     ks = np.array([row.outer_k for row in trace.rows])

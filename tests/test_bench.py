@@ -1,6 +1,8 @@
 """Tests for config parsing, experiment runs, and summaries."""
 
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from svilab import (
 from svilab.bench import _solver_config, _worker_count
 from svilab.extragradient import eg_sample_size
 from svilab.schedule import steps_within
-from svilab.trace import RunTrace, TraceRow
+from svilab.trace import Recorder, RunTrace, TraceRow
 from svilab.vs_ave import sample_size
 
 AFFINE_CFG = """\
@@ -84,6 +86,19 @@ class TestParsing:
         bad = AFFINE_CFG.replace("noise = 0.5", "noize = 0.5")
         with pytest.raises(ConfigError, match="line 6: unknown key 'noize'"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("section, key", [
+        ("vs_ave", "iterations"), ("extragradient", "iterations"),
+        ("ppawss", "outer_iterations"), ("ppawss", "warm_start")])
+    def test_run_length_keys_are_unknown(self, section, key):
+        # every cell runs what its budget pays for, from a warm start
+        header = f"[scheme.{section}]\n"
+        text = ALL_SCHEMES_CFG.replace(header, f"{header}{key} = 1\n")
+        line = text.splitlines().index(f"{key} = 1") + 1
+        with pytest.raises(ConfigError, match=(
+                rf"^line {line}: unknown key '{key}'"
+                rf" in \[scheme\.{section}\]$")):
+            parse_config(text)
 
     def test_duplicate_key(self):
         bad = AFFINE_CFG.replace("noise = 0.5", "noise = 0.5\nnoise = 0.6")
@@ -180,10 +195,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match="needs 1 or 3 values"):
             parse_config(text)
 
+    def test_rows_sharing_a_cell_label_rejected(self):
+        # both rows would write extragradient_L2_lamna_seed{s}.csv, and
+        # the summary would merge them into one row
+        text = BIMATRIX_CFG.replace("[scheme.ppawss]\nlambda = 5.0\n\n", "")
+        text = text.replace("lipschitz = 2.0",
+                            "lipschitz = 2.0000001, 2.0000002")
+        with pytest.raises(ConfigError, match=(
+                r"^line 5: rows 0 and 1 share the cell label L = 2,"
+                r" lambda = na; their trace files would collide$")):
+            parse_config(text)
+        # one L under two lambdas keeps two labels
+        text = BIMATRIX_CFG.replace("lipschitz = 2.0", "lipschitz = 2.0, 2.0")
+        text = text.replace("lambda = 5.0", "lambda = 5.0, 6.0")
+        assert parse_config(text).lipschitz == (2.0, 2.0)
+
     def test_vs_ave_rejected_on_bimatrix(self):
         text = BIMATRIX_CFG + "\n[scheme.vs_ave]\n"
         with pytest.raises(ConfigError, match="strongly monotone"):
             parse_config(text)
+        with pytest.raises(ConfigError, match="strongly monotone"):
+            parse_config(AFFINE_CFG.replace("mu = 1.0", "mu = 0"))
 
     def test_rho_bound_surfaced_with_values(self):
         # kappa = L/mu = 3 turns into the 0.8 bound at parse time
@@ -217,11 +249,11 @@ class TestParsing:
 class TestSolverDerivation:
     def test_default_rho_follows_q_rule(self):
         config = parse_config(AFFINE_CFG)
-        solver = _solver_config(config, "vs_ave", 0, 10)
+        solver = _solver_config(config, "vs_ave", 0)
         # kappa = 2: default rho is (1 - 1/4)^1.001
         assert solver.rho == pytest.approx(0.75**1.001, rel=1e-12)
         alt = parse_config(AFFINE_CFG + "q_rule = kappa_plus_1\n")
-        solver_alt = _solver_config(alt, "vs_ave", 0, 10)
+        solver_alt = _solver_config(alt, "vs_ave", 0)
         assert solver_alt.rho == pytest.approx((2.0 / 3.0) ** 1.001, rel=1e-12)
 
     def test_iterations_within_budget(self):
@@ -245,7 +277,7 @@ class TestSolverDerivation:
             + "\n[scheme.extragradient]\n")
         run_experiment(config)
         for scheme in ("vs_ave", "extragradient"):
-            steps = steps_within(_solver_config(config, scheme, 0, 0).schedule,
+            steps = steps_within(_solver_config(config, scheme, 0).schedule,
                                  config.budget)
             for seed in (0, 1):
                 trace = RunTrace.read_csv(
@@ -369,37 +401,38 @@ lipschitz = 2.0
 noise = 0.5
 
 [run]
-budget = 1000000
+budget = 20000
 seeds = 3
 
 [scheme.vs_ave]
-iterations = 8
 
 [scheme.ppawss]
 lambda = 5.0
-outer_iterations = 4
 
 [scheme.extragradient]
-iterations = 8
 """
 
 
 @pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])
 def test_seed_keys_the_run(scheme, tmp_path):
     """A solver's ``seed`` picks its samples, and a harness cell is the
-    solver called directly with the cell's seed."""
+    solver called directly with the cell's seed: the cell's config, sized
+    to its budget, and the cell's trace cadence."""
     run = {"vs_ave": run_vs_ave, "ppawss": run_ppawss,
            "extragradient": run_extragradient}[scheme]
     config = parse_config(ALL_SCHEMES_CFG.replace(
         "seeds = 3", f"seeds = 3\nout = {tmp_path}/res"))
-    params = config.scheme_params[scheme]
-    solver = _solver_config(config, scheme, 0, params[
-        "outer_iterations" if scheme == "ppawss" else "iterations"])
+    solver = _solver_config(config, scheme, 0)
+    recorder = Recorder()
+    if scheme != "ppawss":
+        solver = replace(solver, max_iterations=steps_within(
+            solver.schedule, config.budget))
+        recorder = Recorder(every=math.ceil(solver.max_iterations / 200))
     problem = make_affine_strongly_monotone(3, 1.0, 2.0, sigma=0.5, seed=0)
 
     def solve(seed):
         return run(problem, np.zeros(3), solver, BudgetCounter(config.budget),
-                   scheme=scheme, seed=seed)
+                   scheme=scheme, seed=seed, recorder=recorder)
 
     one, two, again = solve(1)[0], solve(2)[0], solve(1)[0]
     assert not np.array_equal(one, two)

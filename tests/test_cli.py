@@ -26,6 +26,21 @@ seeds = 0,1
 [scheme.vs_ave]
 """
 
+BIMATRIX_CFG = """\
+[problem]
+kind = bimatrix
+n = 2
+m = 2
+lipschitz = 2.0
+noise = 0.1
+
+[run]
+budget = 4000
+seeds = 0
+
+[scheme.extragradient]
+"""
+
 BAD_RHO_CFG = GOOD_CFG.replace("lipschitz = 2.0", "lipschitz = 3.0") + "rho = 0.9\n"
 
 
@@ -115,6 +130,30 @@ class TestRunCommand:
         out = tmp_path / "res"
         assert main(["run", cfg, "--budget", budget, "--out", str(out)]) == 2
         assert "cannot pay for the first step" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_CFG.replace("noise = 0.5", "noise = -1"),
+         "sigma must be nonnegative"),
+        (BIMATRIX_CFG.replace("noise = 0.1", "noise = -1"),
+         "noise_scale must be nonnegative"),
+        (GOOD_CFG.replace("n = 3", "n = 0"), "n must be at least 1"),
+        (BIMATRIX_CFG.replace("m = 2", "m = 0"), "n and m must be at least 1"),
+        (GOOD_CFG.replace("mu = 1.0", "mu = 3.0").replace(
+            "[scheme.vs_ave]", "[scheme.extragradient]"),
+         "need 0 < mu <= lipschitz"),
+        (BIMATRIX_CFG.replace("noise = 0.1", "noise = 0.1\nreference_tol = 0"),
+         "tol must be positive"),
+    ], ids=["affine-noise", "bimatrix-noise", "n", "m", "mu-above-L",
+            "reference-tol"])
+    def test_invalid_problem_value_exit_code(self, text, message, tmp_path,
+                                             capsys):
+        # the problem constructors' own checks, reported before any output
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "res"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_infinite_budget_exit_code(self, good_cfg, capsys):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from svilab import BudgetCounter
+from svilab import (BudgetCounter, ExtragradientConfig, PpawssConfig,
+                    VsAveConfig, make_affine_strongly_monotone,
+                    run_extragradient, run_ppawss, run_vs_ave)
 from svilab.errors import BudgetExhausted, ContractViolation
 from svilab.maps import AffineMap
 from svilab.oracle import (
@@ -16,6 +18,7 @@ from svilab.oracle import (
     batch_mean,
     generator,
 )
+from svilab.problems import bimatrix_from_payoff
 
 
 def gaussian_oracle(sigma=1.0, seed=0):
@@ -42,6 +45,36 @@ class TestSampleStream:
             with pytest.raises(ContractViolation):
                 generator(*key)
         assert generator(5, 2**64 - 1, 0).uniform(0.0, 1.0, 4).shape == (4,)
+
+    def test_non_integer_keys_rejected(self):
+        for key in ((5, 1.5, 0), (5.0, 1, 0), (5, "1", 0)):
+            with pytest.raises(ContractViolation, match="must be integers"):
+                generator(*key)
+        a = generator(np.uint64(5), np.int64(1), 0).standard_normal(4)
+        assert np.array_equal(a, generator(5, 1, 0).standard_normal(4))
+
+    def test_oracle_checks_its_seed_when_built(self):
+        f = AffineMap(np.eye(2), np.zeros(2))
+        for bad in (-1, 2**64, 1.5):
+            with pytest.raises(ContractViolation, match="stream keys"):
+                StochasticOracle(f, ZeroNoise(), rng_seed=bad)
+        with pytest.raises(ContractViolation, match="stream keys"):
+            bimatrix_from_payoff(np.eye(2), noise_scale=0.1, seed=-1)
+
+
+@pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])
+def test_non_integer_run_seed_is_a_contract_violation(scheme):
+    problem = make_affine_strongly_monotone(3, 1.0, 2.0, sigma=0.5, seed=0)
+    run, config = {
+        "vs_ave": (run_vs_ave, VsAveConfig(mu=1.0, lipschitz=2.0, rho=0.5,
+                                           max_iterations=3)),
+        "ppawss": (run_ppawss, PpawssConfig(lam=1.0, eta=1.0, alpha=1.001,
+                                            beta=1.001, outer_iterations=2)),
+        "extragradient": (run_extragradient,
+                          ExtragradientConfig(stepsize=0.1, max_iterations=3)),
+    }[scheme]
+    with pytest.raises(ContractViolation, match="must be integers"):
+        run(problem, np.zeros(3), config, None, seed=1.5)
 
 
 class TestBudgetCounter:

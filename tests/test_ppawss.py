@@ -135,12 +135,6 @@ class TestRunOnBimatrix:
         assert len(trace.rows) == 30
         assert np.linalg.norm(u - pennies_problem.reference_solution) <= 1e-3
 
-    def test_cold_start_converges_too(self, pennies_problem):
-        cfg = _config(lam=10.0, outer_iterations=30, warm_start=False)
-        u0 = np.array([1.0, 0.0, 0.0, 1.0])
-        u, trace = run_ppawss(pennies_problem, u0, cfg, None)
-        assert np.linalg.norm(u - pennies_problem.reference_solution) <= 1e-3
-
     def test_solution_is_fixed_point(self, pennies_problem):
         # at the saddle the mean map vanishes, so every inner iterate
         # stays put and the outer loop never moves
