@@ -126,14 +126,20 @@ def _parse_value(raw, kind, lineno):
     raise AssertionError(kind)
 
 
-def parse_config(text):
+def parse_config(text, overrides=None):
     """Parse and validate experiment config text.
 
     Rejects unknown sections and keys, duplicate keys, and malformed
     values, always naming the offending line. Cross-field constraints
     (per-row list lengths, scheme applicability) are checked once the
     whole file is read.
+
+    ``overrides`` maps ``[run]`` keys (``seeds``, ``budget``, ``out``)
+    to raw strings, as given to the CLI flag ``--<key>``. Each replaces
+    the file's value before any check, and is parsed and checked like
+    it; an error names the flag instead of a line.
     """
+    overrides = overrides or {}
     sections = {}
     key_lines = {}
     current = None
@@ -190,6 +196,12 @@ def parse_config(text):
         raise ConfigError("missing [problem] section")
     if "run" not in sections:
         raise ConfigError("missing [run] section")
+    for key, raw in overrides.items():
+        try:
+            sections["run"][key] = _parse_value(raw, _RUN_KEYS[key][0], None)
+        except ConfigError:
+            raise ConfigError(f"cannot parse --{key} {raw!r}") from None
+        key_lines[("run", key)] = None
     problem = resolved("problem", _PROBLEM_KEYS)
     run = resolved("run", _RUN_KEYS)
     schemes = tuple(
@@ -235,7 +247,8 @@ def parse_config(text):
             f"budget must be positive; got {run['budget']}",
             line=key_lines.get(("run", "budget")),
         )
-    _check_seeds(run["seeds"], "seeds", key_lines.get(("run", "seeds")))
+    _check_seeds(run["seeds"], "--seeds" if "seeds" in overrides else "seeds",
+                 key_lines.get(("run", "seeds")))
     _check_seeds((problem["seed"],), "seed", key_lines.get(("problem", "seed")))
 
     # normalize per-row lists: length 1 broadcasts, otherwise must match

@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from glob import glob
 
-from .bench import (_check_seeds, _parse_value, parse_config, run_experiment,
-                    summarize)
+from .bench import parse_config, run_experiment, summarize
 from .errors import ConfigError, SvilabError
 
 
@@ -37,28 +35,6 @@ def _build_parser():
     return parser
 
 
-def _apply_overrides(config, args):
-    if args.seeds is not None:
-        try:
-            seeds = tuple(int(part) for part in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse --seeds {args.seeds!r}") from None
-        _check_seeds(seeds, "--seeds")
-        config = replace(config, seeds=seeds)
-    if args.budget is not None:
-        try:
-            # the config file's own parse: a fractional value is refused
-            budget = _parse_value(args.budget, "int", None)
-        except ConfigError:
-            raise ConfigError(f"cannot parse --budget {args.budget!r}") from None
-        if budget <= 0:
-            raise ConfigError(f"budget must be positive; got {budget}")
-        config = replace(config, budget=budget)
-    if args.out is not None:
-        config = replace(config, output_path=args.out)
-    return config
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -68,8 +44,10 @@ def main(argv=None):
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
-            config = _apply_overrides(parse_config(text), args)
-            print(run_experiment(config))
+            overrides = {key: getattr(args, key)
+                         for key in ("seeds", "budget", "out")
+                         if getattr(args, key) is not None}
+            print(run_experiment(parse_config(text, overrides)))
             return 0
         paths = sorted(
             path for path in glob(os.path.join(args.dir, "*.csv"))

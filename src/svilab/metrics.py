@@ -2,7 +2,9 @@
 
 All metrics evaluate the mean map directly and consume no stochastic
 budget: they are instrumentation, not part of a scheme's oracle
-complexity.
+complexity. The gap and the Yosida residual each solve an auxiliary
+deterministic VI with :func:`~svilab.detsolve.solve_deterministic_vi`,
+certified by natural residual.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .detsolve import solve_deterministic_vi
-from .errors import MetricUnavailable
+from .errors import MetricUnavailable, NoConvergence
 from .maps import AffineMap, ShiftedMap
 from .problems import z_saddle_value
 from .trace import TraceRow
@@ -24,10 +26,8 @@ __all__ = [
     "evaluate_point",
 ]
 
-# natural residual to which trace rows certify each Yosida resolvent
+# natural residual to which trace rows certify each auxiliary solve
 YOSIDA_TOL = 1e-10
-_GAP_TOL = 1e-9  # first-order tolerance of the gap's inner ascent
-_GAP_MAX_STEPS = 10**6
 
 
 def _clamp(v):
@@ -50,11 +50,13 @@ def natural_residual(x, mean_map, feasible_set, gamma):
 def strongly_monotone_gap(x, mean_map, feasible_set):
     """Gap value ``sup_y <F(y), x-y> + (mu/2)|y-x|^2`` for affine maps.
 
-    The inner objective is concave exactly when the map is affine with
-    mu > 0 (its Hessian is ``mu I - (A + A^T)``, at most ``-mu I``); for
-    any other map the supremum cannot be trusted and
-    :class:`MetricUnavailable` is raised. The maximization runs projected
-    gradient ascent to first-order tolerance ``1e-9``.
+    The inner objective ``h`` is concave exactly when the map is affine
+    with mu > 0 (its Hessian is ``mu I - (A + A^T)``, at most ``-mu I``);
+    for any other map the supremum cannot be trusted and
+    :class:`MetricUnavailable` is raised. The maximizer solves the VI of
+    ``-grad h``, the affine map ``(A + A^T - mu I) y + b + mu x - A^T x``
+    (strongly monotone with modulus at least mu), certified to natural
+    residual ``YOSIDA_TOL`` like the Yosida resolvent.
     """
     if not isinstance(mean_map, AffineMap) or mean_map.mu <= 0:
         raise MetricUnavailable(
@@ -62,19 +64,11 @@ def strongly_monotone_gap(x, mean_map, feasible_set):
         )
     x = np.asarray(x, dtype=np.float64)
     a, b, mu = mean_map.matrix, mean_map.offset, mean_map.mu
-    # ascent on h(y) = <Ay+b, x-y> + (mu/2)|y-x|^2
-    hess = mu * np.eye(x.size) - (a + a.T)
-    step = 1.0 / float(np.linalg.norm(hess, 2))
-    y = x.copy()
-    for _ in range(_GAP_MAX_STEPS):
-        grad = a.T @ (x - y) - (a @ y + b) + mu * (y - x)
-        y_next = feasible_set.project(y + step * grad)
-        if np.linalg.norm(y_next - y) <= _GAP_TOL * step:
-            y = y_next
-            break
-        y = y_next
-    else:
-        raise MetricUnavailable("gap ascent did not converge")
+    neg_grad = AffineMap(a + a.T - mu * np.eye(x.size), b + mu * x - a.T @ x)
+    try:
+        y = solve_deterministic_vi(neg_grad, feasible_set, YOSIDA_TOL, z0=x)
+    except NoConvergence as exc:
+        raise MetricUnavailable(f"gap solve failed: {exc}") from exc
     fy = a @ y + b
     val = float(fy @ (x - y) + 0.5 * mu * np.dot(y - x, y - x))
     return _clamp(val)
@@ -114,9 +108,9 @@ def evaluate_point(problem, point, recorder, outer_k, inner_k, calls):
     Always computed: the natural residual at step 1/L of the mean map
     (1 when L = 0) and, given reference data, the squared distance to
     it and the bimatrix saddle gap. ``recorder.gap`` and
-    ``recorder.yosida_lam`` each add an auxiliary solve (the gap's
-    ascent; a resolvent solve to ``YOSIDA_TOL``); either stays empty
-    where it is unavailable.
+    ``recorder.yosida_lam`` each add an auxiliary solve to
+    ``YOSIDA_TOL`` (the gap's maximizer; the resolvent); either stays
+    empty where it is unavailable.
     """
     point = np.asarray(point, dtype=np.float64)
     lip = problem.mean_map.lipschitz

@@ -7,6 +7,7 @@ externally reported values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .detsolve import solve_deterministic_vi
 from .maps import AffineMap, BimatrixMap
 from .oracle import (AdditiveGaussian, MatrixPerturbation, StochasticOracle,
-                     ZeroNoise, generator)
+                     ZeroNoise, _check_key, generator)
 from .sets import Box, Product, Simplex
 
 __all__ = [
@@ -62,7 +63,12 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class BimatrixSpec:
-    """Generator parameters for a stochastic bimatrix game."""
+    """Generator parameters for a stochastic bimatrix game.
+
+    ``n``, ``m`` and ``seed`` must be integers (numpy integers included);
+    a fractional value is refused, never truncated. The seed obeys the
+    oracle's stream-key rule, integers in ``[0, 2**64)``.
+    """
 
     n: int
     m: int
@@ -71,8 +77,12 @@ class BimatrixSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n) < 1 or int(self.m) < 1:
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.m)):
+            raise ValueError(f"n and m must be integers; got {self.n!r},"
+                             f" {self.m!r}")
+        if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
+        _check_key((self.seed,))
         if not (np.isfinite(self.target_lipschitz) and self.target_lipschitz > 0):
             raise ValueError("target_lipschitz must be positive")
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):

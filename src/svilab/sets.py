@@ -1,9 +1,11 @@
 """Feasible sets and Euclidean projections.
 
 Every set exposes ``dimension``, ``project``, ``contains`` and
-``random_point``. Projections are exact (closed-form or sort-based), and
-``project`` validates its input: a non-finite entry or a length mismatch
-raises :class:`~svilab.errors.ContractViolation`.
+``random_point``; ``project`` is the one public projection entry, so
+``Simplex(v.size).project(v)`` projects onto the simplex. Projections
+are exact (closed-form or sort-based), and ``project`` validates its
+input: a non-finite entry or a length mismatch raises
+:class:`~svilab.errors.ContractViolation`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation
 
-__all__ = ["Box", "Ball", "Simplex", "Product", "project_simplex"]
+__all__ = ["Box", "Ball", "Simplex", "Product"]
 
 
 def _vector(v, dim=None):
@@ -55,7 +57,7 @@ def _projection(target, v):
 
 def _threshold(u):
     # running sum and threshold of the sort-based projection over the
-    # descending values u (see project_simplex); the float counter k is
+    # descending values u (see Simplex); the float counter k is
     # exact, so x * k and t / k round as they would with an integer k
     s = 0.0
     tau = 0.0
@@ -67,40 +69,6 @@ def _threshold(u):
         if x * k > t:
             tau = t / k
     return s, tau
-
-
-def project_simplex(v):
-    """Project ``v`` onto the probability simplex.
-
-    Sort-based algorithm of Duchi et al. (ICML 2008), O(n log n): sort
-    descending, find the largest prefix whose running threshold keeps
-    its last entry positive, then shift and clip.
-
-    The cost is one C-level sort of the entries as Python floats, one
-    interpreted pass over them, and one in-place shift and clip of the
-    output. That is fast for the blocks of at most 20 coordinates that
-    every shipped config, test and example uses (3.0 us at 20, against
-    6.4 us for a fully vectorised sort/cumsum form on the same machine).
-    The interpreted pass grows with the dimension: it is slower than
-    that form from between 50 and 100 coordinates and about 7x slower at
-    1000. Entries of magnitude 2**53 or more, where ``s - 1.0`` rounds,
-    cost a second pass over the vector shifted by its maximum; the
-    projection does not change under a common shift.
-
-    Parameters
-    ----------
-    v : array_like
-        Point to project, any real vector.
-
-    Returns
-    -------
-    numpy.ndarray
-        The unique closest point with nonnegative entries summing to one.
-    """
-    v = _vector(v)
-    if v.size == 0:
-        raise ContractViolation("cannot project an empty vector")
-    return _projection(Simplex(v.size), v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +160,23 @@ class Ball:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Probability simplex ``{x >= 0 : sum(x) = 1}`` in ``dim`` coordinates."""
+    """Probability simplex ``{x >= 0 : sum(x) = 1}`` in ``dim`` coordinates.
+
+    ``project`` is the sort-based algorithm of Duchi et al. (ICML 2008),
+    O(n log n): sort descending, find the largest prefix whose running
+    threshold keeps its last entry positive, then shift and clip.
+
+    The cost is one C-level sort of the entries as Python floats, one
+    interpreted pass over them, and one in-place shift and clip of the
+    output. That is fast for the blocks of at most 20 coordinates that
+    every shipped config, test and example uses (3.0 us at 20, against
+    6.4 us for a fully vectorised sort/cumsum form on the same machine).
+    The interpreted pass grows with the dimension: it is slower than
+    that form from between 50 and 100 coordinates and about 7x slower at
+    1000. Entries of magnitude 2**53 or more, where ``s - 1.0`` rounds,
+    cost a second pass over the vector shifted by its maximum; the
+    projection does not change under a common shift.
+    """
 
     dim: int
 

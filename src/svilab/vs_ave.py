@@ -38,10 +38,11 @@ def rate_q(kappa, rule="kappa_plus_2"):
     Two conventions are in circulation: the rate-analysis value
     ``1 - 1/(kappa+2)`` (the default) and the ``1 - 1/(kappa+1)``
     variant used in experiment write-ups. Both are exposed so configs
-    can choose; all internal defaults use ``kappa_plus_2``.
+    can choose; all internal defaults use ``kappa_plus_2``. A ``kappa``
+    below 1 or an unknown rule raises :class:`ConfigError`.
     """
     if not kappa >= 1:
-        raise ContractViolation(f"kappa must be >= 1; got {kappa!r}")
+        raise ConfigError(f"kappa must be >= 1; got {kappa!r}")
     if rule == "kappa_plus_2":
         return 1.0 - 1.0 / (kappa + 2.0)
     if rule == "kappa_plus_1":

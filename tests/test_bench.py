@@ -120,6 +120,22 @@ class TestParsing:
             with pytest.raises(ConfigError, match="cannot parse 'inf' as int"):
                 parse_config(bad)
 
+    def test_bool_values(self, tmp_path):
+        eg_cfg = AFFINE_CFG.replace("[scheme.vs_ave]", "[scheme.extragradient]")
+        traces = {}
+        for raw, want in (("true", True), ("False", False)):
+            text = eg_cfg.replace("seeds = 0,1", f"seeds = 0\nout = {raw}")
+            config = parse_config(text + f"averaged = {raw}\n")
+            assert config.scheme_params["extragradient"]["averaged"] is want
+            run_experiment(config, base_dir=str(tmp_path))
+            traces[want] = (tmp_path / raw / "extragradient_L2_lamna_seed0.csv"
+                            ).read_bytes()
+        # the averaged iterate is recorded, not the last one
+        assert traces[True] != traces[False]
+        with pytest.raises(ConfigError,
+                           match="line 13: cannot parse 'yes' as bool"):
+            parse_config(eg_cfg + "averaged = yes\n")
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="key outside any section"):
             parse_config("budget = 5\n" + AFFINE_CFG)

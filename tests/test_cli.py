@@ -1,6 +1,5 @@
 """Tests for the command-line entry point."""
 
-import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +7,8 @@ import sys
 import pytest
 
 from svilab.bench import parse_config
-from svilab.cli import _apply_overrides, main
+from svilab.cli import main
+from svilab.errors import ConfigError
 from svilab.trace import CSV_HEADER
 
 GOOD_CFG = """\
@@ -42,6 +42,13 @@ seeds = 0
 """
 
 BAD_RHO_CFG = GOOD_CFG.replace("lipschitz = 2.0", "lipschitz = 3.0") + "rho = 0.9\n"
+
+GOLDEN_AFFINE = os.path.join(os.path.dirname(__file__), "fixtures", "golden",
+                             "affine.cfg")
+
+
+def read_tree(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
 
 
 @pytest.fixture
@@ -85,29 +92,60 @@ class TestRunCommand:
         assert main(["run", good_cfg, "--budget", "1e3", "--out", out]) == 0
         capsys.readouterr()
 
-    def test_budget_override_parses_like_the_config(self, good_cfg, tmp_path,
-                                                    capsys):
-        # a fractional budget is refused, as in the config file; it used
-        # to be floored
-        assert main(["run", good_cfg, "--budget", "2000.7"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: cannot parse --budget '2000.7'\n"
-        )
-        args = argparse.Namespace(seeds=None, budget="2e6", out=None)
-        assert _apply_overrides(parse_config(GOOD_CFG), args).budget == 2_000_000
-        out = str(tmp_path / "res")
-        assert main(["run", good_cfg, "--budget", "2e6", "--out", out]) == 0
-        capsys.readouterr()
+    def test_budget_override_parses_like_the_config(self):
+        # the flag's value goes through the file value's own parse: 2e6
+        # is accepted and a fractional budget refused, not floored; only
+        # the message differs, naming the flag
+        in_file = GOOD_CFG.replace("budget = 2000", "budget = {}")
+        assert parse_config(GOOD_CFG, {"budget": "2e6"}) == \
+            parse_config(in_file.format("2e6"))
+        assert parse_config(GOOD_CFG, {"budget": "2e6"}).budget == 2_000_000
+        with pytest.raises(ConfigError,
+                           match=r"^line 9: cannot parse '2000\.7' as int$"):
+            parse_config(in_file.format("2000.7"))
+        with pytest.raises(ConfigError,
+                           match=r"^cannot parse --budget '2000\.7'$"):
+            parse_config(GOOD_CFG, {"budget": "2000.7"})
 
-    def test_bad_overrides(self, good_cfg, capsys):
-        assert main(["run", good_cfg, "--seeds", "a,b"]) == 2
-        assert "cannot parse --seeds" in capsys.readouterr().err
-        assert main(["run", good_cfg, "--seeds", "1,1"]) == 2
-        assert "distinct" in capsys.readouterr().err
-        assert main(["run", good_cfg, "--budget", "x"]) == 2
-        assert "cannot parse --budget" in capsys.readouterr().err
-        assert main(["run", good_cfg, "--budget", "-5"]) == 2
-        assert "must be positive" in capsys.readouterr().err
+    def test_bad_overrides(self, tmp_path, capsys):
+        # a flag value is parsed and checked like the [run] value it
+        # replaces, and the message names the flag, not a file line
+        out = tmp_path / "res"
+        for flag, message in [
+            ("--seeds=a,b", "cannot parse --seeds 'a,b'"),
+            ("--seeds=1,1", "--seeds must be distinct"),
+            ("--seeds=-1,0", "--seeds must lie in [0, 2**64); got -1"),
+            ("--budget=x", "cannot parse --budget 'x'"),
+            ("--budget=2000.7", "cannot parse --budget '2000.7'"),
+            ("--budget=inf", "cannot parse --budget 'inf'"),
+            ("--budget=-5", "budget must be positive; got -5"),
+            ("--budget=1", "budget 1 cannot pay for the first step of vs_ave"
+                           " on row 0 (L = 10): it costs 2 oracle calls"),
+        ]:
+            assert main(["run", GOLDEN_AFFINE, flag, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("budget = 200000", "budget = 1"),
+        ("budget = 200000", ""),
+        ("seeds = 0,1", "seeds = 0,0"),
+    ], ids=["budget-too-small", "budget-missing", "seeds-repeated"])
+    def test_overrides_replace_file_values_before_checks(self, old, new,
+                                                         tmp_path, capsys):
+        # the flags carry the golden file's own values, so the run must
+        # equal the plain file's byte for byte, whatever the file held
+        with open(GOLDEN_AFFINE, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        path = tmp_path / "edited.cfg"
+        path.write_text(text.replace(old, new))
+        assert main(["run", GOLDEN_AFFINE, "--out",
+                     str(tmp_path / "plain")]) == 0
+        assert main(["run", str(path), "--budget", "200000", "--seeds", "0,1",
+                     "--out", str(tmp_path / "flags")]) == 0
+        capsys.readouterr()
+        assert read_tree(tmp_path / "flags") == read_tree(tmp_path / "plain")
 
     @pytest.mark.parametrize("seeds", ["-1,0", "0,18446744073709551616"])
     def test_seed_override_outside_64_bits(self, seeds, good_cfg, tmp_path,
@@ -125,10 +163,9 @@ class TestRunCommand:
     def test_budget_below_first_step_exit_code(self, budget, tmp_path, capsys):
         # on the golden affine config a budget of 1 cannot pay for a
         # VS-Ave step (2 calls), 3 not for an extragradient step (4 calls)
-        cfg = os.path.join(os.path.dirname(__file__), "fixtures", "golden",
-                           "affine.cfg")
         out = tmp_path / "res"
-        assert main(["run", cfg, "--budget", budget, "--out", str(out)]) == 2
+        assert main(["run", GOLDEN_AFFINE, "--budget", budget, "--out",
+                     str(out)]) == 2
         assert "cannot pay for the first step" in capsys.readouterr().err
         assert not out.exists()
 
@@ -142,10 +179,13 @@ class TestRunCommand:
         (GOOD_CFG.replace("mu = 1.0", "mu = 3.0").replace(
             "[scheme.vs_ave]", "[scheme.extragradient]"),
          "need 0 < mu <= lipschitz"),
+        # VS-Ave's default rho is derived from kappa = L / mu = 2/3
+        (GOOD_CFG.replace("mu = 1.0", "mu = 3.0"),
+         "kappa must be >= 1; got 0.6666666666666666"),
         (BIMATRIX_CFG.replace("noise = 0.1", "noise = 0.1\nreference_tol = 0"),
          "tol must be positive"),
     ], ids=["affine-noise", "bimatrix-noise", "n", "m", "mu-above-L",
-            "reference-tol"])
+            "mu-above-L-default-rho", "reference-tol"])
     def test_invalid_problem_value_exit_code(self, text, message, tmp_path,
                                              capsys):
         # the problem constructors' own checks, reported before any output
@@ -230,7 +270,5 @@ class TestSubprocessInvocation:
                 capture_output=True, text=True, timeout=300, env=env,
             )
             assert result.returncode == 0
-            outputs[label] = {
-                name: (out / name).read_bytes() for name in os.listdir(out)
-            }
+            outputs[label] = read_tree(out)
         assert outputs["serial"] == outputs["parallel"]

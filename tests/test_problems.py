@@ -71,6 +71,24 @@ class TestBimatrix:
         assert isinstance(noisy.oracle.noise_model, MatrixPerturbation)
         assert isinstance(clean.oracle.noise_model, ZeroNoise)
 
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_fractional_size_rejected(self, field):
+        # refused, not truncated to 2
+        kwargs = {"n": 2, "m": 3, "target_lipschitz": 1.0, field: 2.5}
+        with pytest.raises(ValueError, match="n and m must be integers"):
+            BimatrixSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, 2**64])
+    def test_seed_follows_the_stream_key_rule(self, seed):
+        with pytest.raises(ContractViolation, match="stream keys"):
+            BimatrixSpec(n=2, m=3, target_lipschitz=1.0, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = BimatrixSpec(n=np.int64(2), m=np.int32(3),
+                            target_lipschitz=1.0, seed=np.uint64(2**63))
+        assert (spec.n, spec.m, spec.seed) == (2, 3, 2**63)
+        assert all(type(v) is int for v in (spec.n, spec.m, spec.seed))
+
     def test_singleton_game(self):
         prob = make_bimatrix(BimatrixSpec(n=1, m=1, target_lipschitz=1.0))
         assert np.allclose(prob.reference_solution, [1.0, 1.0])

@@ -13,7 +13,7 @@ from qp_oracle import (
     project_simplex_bruteforce,
 )
 from svilab.errors import ContractViolation
-from svilab.sets import Ball, Box, Product, Simplex, project_simplex
+from svilab.sets import Ball, Box, Product, Simplex
 
 
 def finite_vec(dim, lo=-10.0, hi=10.0):
@@ -49,10 +49,6 @@ class TestSimplex:
 
     def test_dimension_one(self):
         assert Simplex(1).project(np.array([-3.0])) == pytest.approx(1.0)
-
-    def test_function_form_matches_class(self):
-        v = np.array([1.2, -0.3, 0.4, 0.05])
-        assert np.array_equal(project_simplex(v), Simplex(4).project(v))
 
     def test_contains(self):
         s = Simplex(3)
@@ -129,7 +125,6 @@ class TestSimplexMatchesReference:
     @given(simplex_inputs())
     def test_every_entry_point(self, v):
         want = reference_simplex(v)
-        assert_bit_identical(project_simplex(v), want)
         assert_bit_identical(Simplex(v.size).project(v), want)
         product = Product(Simplex(v.size), Simplex(v.size))
         got = product.project(np.concatenate([v, v[::-1]]))
@@ -140,8 +135,6 @@ class TestSimplexMatchesReference:
     def test_non_finite_rejected(self, bad):
         v = np.array([0.3, bad, 0.1])
         with pytest.raises(ContractViolation, match="non-finite"):
-            project_simplex(v)
-        with pytest.raises(ContractViolation, match="non-finite"):
             Simplex(3).project(v)
         with pytest.raises(ContractViolation, match="non-finite"):
             Product(Simplex(1), Simplex(2)).project(v)
@@ -151,10 +144,8 @@ class TestSimplexMatchesReference:
             Simplex(3).project(np.ones(4))
         with pytest.raises(ContractViolation, match="expected length 3"):
             Product(Simplex(1), Simplex(2)).project(np.ones(2))
-        with pytest.raises(ContractViolation, match="empty"):
-            project_simplex(np.ones(0))
         with pytest.raises(ContractViolation, match="1-D"):
-            project_simplex(np.ones((2, 2)))
+            Simplex(4).project(np.ones((2, 2)))
 
 
 @st.composite
@@ -182,11 +173,10 @@ class TestSimplexLargeEntries:
     def test_lands_on_simplex(self, v):
         # the projection commutes with a common shift, and the entries
         # within 1 of the max lose nothing when it is subtracted
-        got = project_simplex(v)
+        got = Simplex(v.size).project(v)
         assert np.all(got >= 0.0)
         assert abs(got.sum() - 1.0) <= 1e-12
         assert np.allclose(got, reference_simplex(v - v.max()), rtol=0, atol=1e-12)
-        assert_bit_identical(Simplex(v.size).project(v), got)
 
     @pytest.mark.parametrize("v, want", [
         ([1e16, 0.0], [1.0, 0.0]),
@@ -196,7 +186,7 @@ class TestSimplexLargeEntries:
         ([2.0**53 + 2.0, 0.0], [1.0, 0.0]),
     ])
     def test_pinned_values(self, v, want):
-        assert np.array_equal(project_simplex(v), want)
+        assert np.array_equal(Simplex(len(v)).project(v), want)
 
 
 class TestProductValidation:

@@ -36,7 +36,7 @@ class TestRateQ:
             rate_q(2.0, "geometric")
 
     def test_kappa_below_one(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError, match="kappa must be >= 1"):
             rate_q(0.5)
 
 
