@@ -1,7 +1,18 @@
-"""Deterministic extragradient on a mean map.
+"""Deterministic extragradient on a mean map, with an exact affine finish.
 
-Shared backend for reference solutions and resolvent evaluations. Not a
-benchmark scheme: no oracle, no budget, the map is evaluated exactly.
+Shared backend for reference solutions, resolvent evaluations and the
+gap maximiser. Not a benchmark scheme: no oracle, no budget, the map is
+evaluated exactly.
+
+Every such VI here is affine on a product of boxes and simplices. Once
+extragradient is close, its iterate lies on the solution's active face:
+the simplex coordinates that are zero and the box coordinates at a
+bound. On that face the VI is a square linear system, the KKT
+(indifference) equations of the free coordinates plus one multiplier
+per simplex (von Stengel, *Algorithmic Game Theory*, ch. 3), and one
+``np.linalg.solve`` finishes it. The finish changes no certificate: its
+point is returned only if its natural residual at ``gamma = 1/L`` is at
+most ``tol``, as for an extragradient iterate.
 """
 
 from __future__ import annotations
@@ -9,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergence
+from .sets import Box, Product, Simplex
 
 __all__ = ["solve_deterministic_vi"]
 
@@ -18,6 +30,79 @@ _STEP_FRACTION = 0.7
 # residual check cadence; the check reuses the map value of the current
 # iterate, so sparse checks keep the loop at two map evaluations per step
 _CHECK_EVERY = 10
+# natural residual from which the iterate's active face is trusted
+# enough to try the exact finish on it
+_FINISH_BELOW = 1e-3
+
+
+class _FaceFinish:
+    """Exact solve of an affine VI on the active face of an iterate.
+
+    Holds the map's ``matrix`` and ``offset`` and the set's blocks. A
+    face is tried again only after the iterate has left it: the face
+    of the last attempt gives None.
+    """
+
+    def __init__(self, matrix, offset, blocks):
+        self._matrix = matrix
+        self._offset = offset
+        self._blocks = blocks
+        self._simplices = [sl for sl, block in blocks
+                           if isinstance(block, Simplex)]
+        self._tried = None
+
+    @classmethod
+    def of(cls, mean_map, feasible_set):
+        """The finish, or None unless the map is affine and every block of
+        the set is a ``Box`` or a ``Simplex``."""
+        if isinstance(feasible_set, Product):
+            parts = list(zip(feasible_set._slices, feasible_set.blocks))
+        else:
+            parts = [(slice(0, feasible_set.dimension), feasible_set)]
+        if not all(isinstance(block, (Box, Simplex)) for _, block in parts):
+            return None
+        try:
+            return cls(mean_map.matrix, mean_map.offset, parts)
+        except AttributeError:
+            return None
+
+    def candidate(self, z):
+        """KKT point of the map on the face of ``z``, or None when that
+        face was tried last, the system is singular or its solution is not
+        finite."""
+        fixed = np.zeros(z.size, dtype=bool)
+        for sl, block in self._blocks:
+            zs = z[sl]
+            if isinstance(block, Simplex):
+                fixed[sl] = zs == 0.0
+            else:
+                fixed[sl] = (zs == block.lo) | (zs == block.hi)
+        if self._tried is not None and np.array_equal(fixed, self._tried):
+            return None
+        self._tried = fixed
+        free = np.flatnonzero(~fixed)
+        k = free.size
+        size = k + len(self._simplices)
+        # unknowns: the free coordinates, then one multiplier t per
+        # simplex; rows: F_i(z) = t (free simplex i), F_i(z) = 0 (free box
+        # i), then each simplex sums to 1 (its fixed coordinates are 0)
+        system = np.zeros((size, size))
+        system[:k, :k] = self._matrix[np.ix_(free, free)]
+        rhs = np.ones(size)
+        rhs[:k] = -(self._offset
+                    + self._matrix @ np.where(fixed, z, 0.0))[free]
+        for row, sl in enumerate(self._simplices, start=k):
+            system[row, :k] = (free >= sl.start) & (free < sl.stop)
+            system[:k, row] = -system[row, :k]
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(solution)):
+            return None
+        out = z.copy()
+        out[free] = solution[:k]
+        return out
 
 
 def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
@@ -28,6 +113,15 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
     ``gamma = 1/L`` drops to ``tol``. Raises
     :class:`~svilab.errors.NoConvergence` when ``max_steps`` iterations
     do not reach the tolerance.
+
+    For an affine map (one with ``matrix`` and ``offset``) on a
+    ``Box``, ``Simplex`` or ``Product`` of them, each residual check at
+    or below ``_FINISH_BELOW`` whose iterate lies on a face not tried
+    yet also solves the VI's linear system on that face (see the module
+    docstring). The projected solution is returned when its natural
+    residual at ``gamma = 1/L`` is at most ``tol``; otherwise the
+    iterations go on unchanged. Any other map or set runs extragradient
+    alone, so every returned point carries the same certificate.
 
     Parameters
     ----------
@@ -51,12 +145,19 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
         z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     project = feasible_set.project
     norm = np.linalg.norm
+    finish = _FaceFinish.of(mean_map, feasible_set)
     for it in range(max_steps):
         fz = mean_map(z)
         if it % _CHECK_EVERY == 0:
             r = norm(z - project(z - res_gamma * fz))
             if r <= tol:
                 return z
+            if r <= _FINISH_BELOW and finish is not None:
+                c = finish.candidate(z)
+                if c is not None:
+                    c = project(c)
+                    if norm(c - project(c - res_gamma * mean_map(c))) <= tol:
+                        return c
         half = project(z - step * fz)
         z = project(z - step * mean_map(half))
     fz = mean_map(z)

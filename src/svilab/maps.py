@@ -4,6 +4,11 @@ Each map carries its monotonicity modulus ``mu`` (0 for merely monotone
 maps) and Lipschitz constant ``lipschitz`` as verified metadata: affine
 maps check the declared values against the matrix spectrum at
 construction time, the bimatrix map derives them from the payoff matrix.
+
+Every map here is affine, ``F(x) = matrix @ x + offset``, and exposes
+``matrix`` and ``offset``: the exact finish of
+:func:`~svilab.detsolve.solve_deterministic_vi` reads them. A
+``ShiftedMap`` has them only when its base has them.
 """
 
 from __future__ import annotations
@@ -131,6 +136,19 @@ class BimatrixMap:
     def lipschitz(self):
         return self._lip
 
+    @property
+    def matrix(self):
+        """Matrix ``[[0, A^T], [-A, 0]]`` of the map, built on each access."""
+        n = self.n
+        out = np.zeros((self.dimension, self.dimension))
+        out[:n, n:] = self._at
+        out[n:, :n] = self._neg
+        return out
+
+    @property
+    def offset(self):
+        return np.zeros(self.dimension)
+
     def __call__(self, z):
         m, n = self.payoff.shape
         out = np.empty(n + m)
@@ -178,6 +196,15 @@ class ShiftedMap:
     @property
     def lipschitz(self):
         return self.base.lipschitz + 1.0 / self.lam
+
+    @property
+    def matrix(self):
+        """The base's matrix plus ``I / lam``; AttributeError without one."""
+        return self.base.matrix + np.eye(self.dimension) / self.lam
+
+    @property
+    def offset(self):
+        return self.base.offset - self.center / self.lam
 
     def __call__(self, x):
         out = self.base(x)

@@ -4,7 +4,10 @@ All metrics evaluate the mean map directly and consume no stochastic
 budget: they are instrumentation, not part of a scheme's oracle
 complexity. The gap and the Yosida residual each solve an auxiliary
 deterministic VI with :func:`~svilab.detsolve.solve_deterministic_vi`,
-certified by natural residual.
+certified by natural residual. Both auxiliary maps are affine when the
+mean map is (the gap's maximiser map, and the resolvent's ``ShiftedMap``
+of an affine or bimatrix map), so on boxes and simplices those solves
+end with the exact face solve, under the same certificate.
 """
 
 from __future__ import annotations

@@ -174,9 +174,13 @@ def make_affine_strongly_monotone(n, mu, lipschitz, sigma, seed):
 def reference_solution(problem, tol=1e-10):
     """High-accuracy deterministic solution of the mean-map VI.
 
-    Runs deterministic extragradient until the natural residual at
-    ``gamma = 1/L`` is at most ``tol`` (cap 1e7 steps, then
-    :class:`~svilab.errors.NoConvergence`). Returns the point and, for
+    Solves with :func:`~svilab.detsolve.solve_deterministic_vi`:
+    extragradient until the natural residual at ``gamma = 1/L`` is at
+    most ``tol`` (cap 1e7 steps, then
+    :class:`~svilab.errors.NoConvergence`). Both shipped problems are
+    affine on boxes and simplices, so the solve also tries that
+    function's exact finish on the iterate's active face, and keeps its
+    point only under the same certificate. Returns the point and, for
     bimatrix problems, the mean saddle value ``<A x*, y*>``. Consumes no
     stochastic budget.
     """

@@ -26,10 +26,10 @@ class Recorder:
 
     Rows always carry the cheap metrics (natural residual, distance to
     the reference, bimatrix saddle gap). Each optional one costs an
-    auxiliary deterministic solve per row: ``gap=True`` the strongly
-    monotone gap's ascent, a ``yosida_lam`` the resolvent solve of the
-    squared Yosida residual at that weight. Solvers take
-    ``recorder=None`` to record nothing.
+    auxiliary deterministic solve per row: ``gap=True`` the solve of
+    the strongly monotone gap's maximiser, a ``yosida_lam`` the
+    resolvent solve of the squared Yosida residual at that weight.
+    Solvers take ``recorder=None`` to record nothing.
     """
 
     every: int = 1

@@ -121,6 +121,50 @@ class TestShiftedMap:
             assert np.allclose(f(x), want, atol=1e-14, rtol=0)
 
 
+class TestAffineParts:
+    """``matrix @ z + offset`` reproduces every map, up to rounding."""
+
+    def test_bimatrix(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((3, 5))
+        f = BimatrixMap(a)
+        assert f.matrix.shape == (8, 8)
+        np.testing.assert_array_equal(f.matrix[:5, 5:], a.T)
+        np.testing.assert_array_equal(f.matrix[5:, :5], -a)
+        assert not f.matrix[:5, :5].any() and not f.matrix[5:, 5:].any()
+        np.testing.assert_array_equal(f.offset, np.zeros(8))
+        z = rng.standard_normal(8)
+        np.testing.assert_allclose(f.matrix @ z + f.offset, f(z),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("base", [
+        BimatrixMap(np.array([[1.0, -2.0], [0.5, 3.0]])),
+        AffineMap(np.array([[2.0, 1.0], [-1.0, 2.0]]), np.array([0.3, -0.7])),
+    ], ids=["bimatrix", "affine"])
+    def test_shifted(self, base):
+        rng = np.random.default_rng(22)
+        center = rng.standard_normal(base.dimension)
+        f = ShiftedMap(base, 4.0, center)
+        np.testing.assert_array_equal(
+            f.matrix, base.matrix + np.eye(base.dimension) / 4.0)
+        np.testing.assert_array_equal(f.offset, base.offset - center / 4.0)
+        for _ in range(10):
+            z = rng.standard_normal(base.dimension)
+            np.testing.assert_allclose(f.matrix @ z + f.offset, f(z),
+                                       rtol=0, atol=1e-14)
+
+    def test_shifted_non_affine_base_has_none(self):
+        class Cubic:
+            dimension, mu, lipschitz = 1, 0.0, 3.0
+
+            def __call__(self, x):
+                return x ** 3
+
+        f = ShiftedMap(Cubic(), 1.0, np.zeros(1))
+        with pytest.raises(AttributeError):
+            _ = f.matrix
+
+
 def plain_saddle(a, z):
     n = a.shape[1]
     return np.concatenate([a.T @ z[n:], -(a @ z[:n])])

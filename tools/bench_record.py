@@ -1,0 +1,153 @@
+"""Record one checkout's end-to-end benchmark numbers in a BENCH file.
+
+Usage, from the root of a checkout::
+
+    python3 tools/bench_record.py after
+    python3 tools/bench_record.py before --root ../parent-checkout
+
+For each workload that ``BENCHMARK.json`` lists, the script runs
+``python3 perfbench/run.py --workload <w> --seed <s> --seconds 7
+--trace 0`` once per seed ``1 .. RUNS``, each in its own process, and
+keeps the median and the quartiles of every end-to-end metric, with the
+plain wall time of the solve next to its reference seconds. It then
+times one run of the non-slow test suite (``python3 -m pytest -q -m
+"not slow"``) in plain wall seconds. Everything goes to
+``bench/BENCH_<name>.json`` next to this script's checkout, with the
+core count, the numpy version, the OpenBLAS core that numpy selects, the
+git revision of the measured checkout and whether its tracked files
+differ from that revision. The script refuses to
+overwrite an existing file: each change adds one, none rewrites an old
+one.
+
+``--root`` measures another checkout, say the parent commit's, with the
+benchmark code that checkout holds. The runs are serial; on a 2-core
+machine the whole recording takes about 3 minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+OWN_ROOT = os.path.dirname(HERE)
+SECONDS = 7
+RUNS = 3
+# "plain pass: solve <wall> wall s = <reference> reference s"
+_SOLVE_LINE = re.compile(r"^plain pass: solve (\S+) wall s = (\S+) reference s$",
+                         re.MULTILINE)
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("name", help="file name suffix: bench/BENCH_<name>.json")
+    parser.add_argument("--root", default=OWN_ROOT,
+                        help="checkout to measure (default: this one)")
+    return parser.parse_args(argv)
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return {"median": values[0], "q25": values[0], "q75": values[0]}
+    q25, median, q75 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q25": q25, "q75": q75}
+
+
+def _environment(root):
+    """Core count, numpy version, OpenBLAS core and git revision."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, OPENBLAS_VERBOSE="2"))
+    # OPENBLAS_VERBOSE=2 makes OpenBLAS print "Core: <name>" when it loads
+    core = re.search(r"^Core: (\S+)", probe.stdout + probe.stderr, re.MULTILINE)
+    rev = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    # tracked files that differ from that revision: the numbers are then
+    # of the working tree on top of it
+    dirty = subprocess.run(["git", "-C", root, "status", "--porcelain",
+                            "--untracked-files=no"],
+                           capture_output=True, text=True)
+    return {
+        "cores": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": probe.stdout.split()[-1],
+        "openblas_core": core.group(1) if core else None,
+        "git_rev": rev.stdout.strip() if rev.returncode == 0 else None,
+        "git_dirty": bool(dirty.stdout.strip()) if dirty.returncode == 0
+                     else None,
+    }
+
+
+def _workload(root, name):
+    """Medians and quartiles of one workload's end-to-end metrics."""
+    values, wall, units, failures = {}, [], {}, []
+    for seed in range(1, RUNS + 1):
+        cmd = [sys.executable, "perfbench/run.py", "--workload", name,
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+        if done.returncode != 0:
+            failures.append({"seed": seed, "exit_code": done.returncode,
+                             "stderr": done.stderr[-2000:]})
+            continue
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        for metric, entry in result["metrics"].items():
+            values.setdefault(metric, []).append(entry["value"])
+            units[metric] = entry["unit"]
+        solve = _SOLVE_LINE.search(done.stdout)
+        if solve:
+            wall.append(float(solve.group(1)))
+    record = {metric: dict(_quartiles(v), unit=units[metric])
+              for metric, v in values.items()}
+    if wall:
+        record["wall_solve_s"] = dict(_quartiles(wall), unit="s")
+    return {"runs": RUNS, "failed_runs": failures, "metrics": record}
+
+
+def _suite(root):
+    """Plain wall time and outcome line of one non-slow suite run."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-m", "not slow",
+         "-p", "no:cacheprovider"],
+        cwd=root, capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": done.returncode,
+            "outcome": lines[-1] if lines else ""}
+
+
+def main(argv=None):
+    args = _parse(argv)
+    root = os.path.abspath(args.root)
+    out = os.path.join(OWN_ROOT, "bench", f"BENCH_{args.name}.json")
+    if os.path.exists(out):
+        print(f"error: {out} exists; record under a new name", file=sys.stderr)
+        return 2
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    record = {"name": args.name, "seconds": SECONDS, **_environment(root),
+              "workloads": {}}
+    for name in workloads:
+        print(f"{name}: {RUNS} runs", file=sys.stderr)
+        record["workloads"][name] = _workload(root, name)
+    print("non-slow test suite", file=sys.stderr)
+    record["suite"] = _suite(root)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(out)
+    failed = any(w["failed_runs"] for w in record["workloads"].values())
+    return 1 if failed or record["suite"]["exit_code"] != 0 else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
