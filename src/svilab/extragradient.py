@@ -71,8 +71,7 @@ class ExtragradientConfig:
         """The run's batch sizes ``N_k`` (:func:`eg_sample_size`), as a
         :class:`Schedule` of at most ``max_iterations`` steps that is
         built only as far as it is walked."""
-        theta, mu_shift, b = self.theta, self.mu_shift, self.b
-        return Schedule(lambda k: eg_sample_size(k, theta, mu_shift, b),
+        return Schedule(eg_sample_size, (self.theta, self.mu_shift, self.b),
                         self.max_iterations)
 
 

@@ -6,10 +6,19 @@ with variance bounded uniformly over the feasible set. It is problem
 data: a run charges its own :class:`BudgetCounter` for each step before
 drawing, and :func:`batch_mean` only averages.
 
-Randomness is counter-based: a run's streams are Philox generators keyed
-by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
+Randomness is counter-based: a run's streams draw from Philox generators
+keyed by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
 repeated trials and the two batch kinds of one iteration never share
 draws.
+
+A :class:`SampleStream` draws in blocks: it asks Philox for ``BLOCK``
+values of its noise model's distribution at a time and serves each
+batch as a slice of the current block, so a batch of a few samples
+costs a slice, not a call into numpy's generator. This does not change
+a single value. Philox makes one 64-bit word per double and keeps its
+unused words between calls, and ``uniform`` and ``standard_normal``
+fill their output one element after the other, so drawing ``a`` values
+and then ``b`` values gives the numbers one draw of ``a + b`` gives.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +34,7 @@ from .errors import BudgetExhausted, ContractViolation
 
 __all__ = [
     "generator",
+    "SampleStream",
     "BudgetCounter",
     "ZeroNoise",
     "AdditiveGaussian",
@@ -49,6 +60,61 @@ def generator(*key):
     :class:`ContractViolation`."""
     _check_key(key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+# values per Philox block: 128 KB of doubles
+BLOCK = 2**14
+_EMPTY = np.empty(0)
+
+
+class SampleStream:
+    """The values of one stream in the order a run draws them.
+
+    ``draw(size)`` returns the next ``size`` values of a generator; a
+    noise model's ``sampler(gen)`` gives it for ``gen``. The stream
+    calls it for one ``BLOCK`` at a time and serves :meth:`take` from
+    the current block. A request at least one block long is drawn
+    directly, after the block's leftover values, and is not kept.
+    """
+
+    __slots__ = ("_draw", "_block", "_next")
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._block = _EMPTY
+        self._next = 0
+
+    def take(self, count):
+        """The next ``count`` values. The result may be a view of the
+        block; the stream never serves those values again, so the caller
+        may overwrite them."""
+        start = self._next
+        end = start + count
+        block = self._block
+        if end <= block.size:
+            self._next = end
+            return block[start:end]
+        left = block[start:]
+        if count < BLOCK:
+            self._block = block = self._draw(BLOCK)
+            self._next = count - left.size
+            fresh = block[:self._next]
+            return np.concatenate((left, fresh)) if left.size else fresh
+        self._block, self._next = _EMPTY, 0
+        if not left.size:
+            return self._draw(count)
+        # the leftover values, then fresh ones a block at a time: a whole
+        # direct draw would sit next to its copy, two buffers of the
+        # request's size that the allocator frees to the system and
+        # faults back in on each such request
+        out = np.empty(count)
+        filled = left.size
+        out[:filled] = left
+        while filled < count:
+            piece = min(BLOCK, count - filled)
+            out[filled:filled + piece] = self._draw(piece)
+            filled += piece
+        return out
 
 
 class BudgetCounter:
@@ -90,6 +156,10 @@ class ZeroNoise:
     def variance_bound(self, dim):
         return 0.0
 
+    def sampler(self, gen):
+        # its noise_sum draws nothing, so its streams are never read
+        return None
+
     def noise_sum(self, x, n, stream):
         return np.zeros_like(x)
 
@@ -108,10 +178,13 @@ class AdditiveGaussian:
     def variance_bound(self, dim):
         return self.sigma**2 * dim
 
+    def sampler(self, gen):
+        return gen.standard_normal
+
     def noise_sum(self, x, n, stream):
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
         # so a single scaled draw has exactly the right law
-        return (self.sigma * np.sqrt(n)) * stream.standard_normal(x.size)
+        return (self.sigma * math.sqrt(n)) * stream.take(x.size)
 
 
 @dataclass(frozen=True)
@@ -135,7 +208,7 @@ class MatrixPerturbation:
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "scale", float(self.scale))
-        # matrices per uniform draw: about 2 MB of doubles at a time
+        # matrices per take: about 2 MB of doubles at a time
         object.__setattr__(self, "_chunk",
                            max(1, 262144 // (self.rows * self.cols)))
 
@@ -143,17 +216,21 @@ class MatrixPerturbation:
         # E|E_ij|^2 = 1/3; on the product of simplices |x|, |y| <= 1
         return self.scale**2 * (self.rows + self.cols) / 3.0
 
+    def sampler(self, gen):
+        return partial(gen.uniform, -1.0, 1.0)
+
     def noise_sum(self, z, n, stream):
         rows, cols = self.rows, self.cols
+        size = rows * cols
         if n == 1:
-            e_sum = stream.uniform(-1.0, 1.0, (rows, cols))
+            e_sum = stream.take(size).reshape(rows, cols)
         else:
             c = min(n, self._chunk)
-            e_sum = stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
+            e_sum = stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
             left = n - c
             while left > 0:
                 c = min(left, self._chunk)
-                e_sum += stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
+                e_sum += stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
                 left -= c
         e_sum *= self.scale
         out = np.empty(z.size)
@@ -182,9 +259,11 @@ class StochasticOracle:
         _check_key((self.rng_seed,))
 
     def stream(self, seed, stream_id):
-        """Fresh generator of run ``seed``'s stream ``stream_id``, keyed
-        by ``(rng_seed, seed, stream_id)``."""
-        return generator(self.rng_seed, seed, stream_id)
+        """Fresh :class:`SampleStream` of run ``seed``'s stream
+        ``stream_id`` in the noise model's distribution, keyed by
+        ``(rng_seed, seed, stream_id)``."""
+        gen = generator(self.rng_seed, seed, stream_id)
+        return SampleStream(self.noise_model.sampler(gen))
 
     @property
     def variance_bound(self):

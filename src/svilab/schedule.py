@@ -9,35 +9,44 @@ that fit; the harness and the PPAWSS outer loop price it the same way.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ScheduleOverflow
 
 __all__ = ["Schedule", "steps_within"]
 
 
+@lru_cache(maxsize=16)
+def _sizes(size_of, params):
+    """The sizes ``size_of(k, *params)`` computed so far: one list per
+    size rule and parameters, shared by every :class:`Schedule` of it."""
+    return []
+
+
 class Schedule:
     """Batch sizes of one run, computed as they are walked and kept.
 
-    ``size_of(k)`` gives ``N_k``. The schedule ends after ``length``
-    sizes, or before the first size that raises
-    :class:`ScheduleOverflow`. Walking it again, or a second walker
-    reaching sizes the first already computed, reuses them, so a budget
-    test and the run that follows it share one computation.
+    ``size_of(k, *params)`` gives ``N_k``. The schedule ends after
+    ``length`` sizes, or before the first size that raises
+    :class:`ScheduleOverflow`. Schedules of the same rule and parameters
+    share the sizes computed so far, whatever their lengths, so a budget
+    test and the run that follows it, or a run and the shorter run that
+    the budget pays for, share one computation.
     """
 
-    def __init__(self, size_of, length):
+    def __init__(self, size_of, params, length):
         self._size_of = size_of
+        self._params = params
         self._length = length
-        self._sizes = []
+        self._sizes = _sizes(size_of, params)
 
     def __iter__(self):
         sizes = self._sizes
         k = 0
-        while True:
+        while k < self._length:
             if k == len(sizes):
-                if k >= self._length:
-                    return
                 try:
-                    sizes.append(self._size_of(k))
+                    sizes.append(self._size_of(k, *self._params))
                 except ScheduleOverflow:
                     self._length = k
                     return

@@ -101,8 +101,7 @@ class VsAveConfig:
         """The run's batch sizes ``N_k`` (:func:`sample_size`), as a
         :class:`Schedule` of at most ``max_iterations`` steps that is
         built only as far as it is walked."""
-        rho, min_batch = self.rho, self.min_batch
-        return Schedule(lambda k: sample_size(k, rho, min_batch),
+        return Schedule(sample_size, (self.rho, self.min_batch),
                         self.max_iterations)
 
 

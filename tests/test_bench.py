@@ -301,6 +301,23 @@ class TestSolverDerivation:
                 assert trace.final.outer_k == steps
                 assert not trace.truncated
 
+    def test_flat_cell_computes_each_batch_size_once(self, tmp_path,
+                                                      monkeypatch):
+        # the budget walk and the run it sizes share one list of sizes
+        computed = []
+
+        def counted(k, rho, min_batch=1):
+            computed.append(k)
+            return sample_size(k, rho, min_batch)
+
+        monkeypatch.setattr("svilab.vs_ave.sample_size", counted)
+        config = parse_config(AFFINE_CFG.replace(
+            "seeds = 0,1", f"seeds = 0\nout = {tmp_path}/res"))
+        run_experiment(config)
+        trace = RunTrace.read_csv(tmp_path / "res" / "vs_ave_L2_lamna_seed0.csv")
+        # the walk also computes the first size the budget cannot pay for
+        assert sorted(computed) == list(range(trace.final.outer_k + 1))
+
     def test_budget_below_first_step_rejected(self):
         # a first step costs 2 * min_batch (VS-Ave), 2 * eg_sample_size(0)
         # = 4 here (extragradient), or the whole first subproblem of

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svilab import (BudgetCounter, ExtragradientConfig, PpawssConfig,
                     VsAveConfig, make_affine_strongly_monotone,
@@ -11,6 +15,7 @@ from svilab import (BudgetCounter, ExtragradientConfig, PpawssConfig,
 from svilab.errors import BudgetExhausted, ContractViolation
 from svilab.maps import AffineMap
 from svilab.oracle import (
+    BLOCK,
     AdditiveGaussian,
     MatrixPerturbation,
     StochasticOracle,
@@ -60,6 +65,29 @@ class TestSampleStream:
                 StochasticOracle(f, ZeroNoise(), rng_seed=bad)
         with pytest.raises(ContractViolation, match="stream keys"):
             bimatrix_from_payoff(np.eye(2), noise_scale=0.1, seed=-1)
+
+
+# one direct draw of each noise model's distribution from a generator
+DIRECT_DRAWS = [
+    (AdditiveGaussian(1.0), lambda gen, size: gen.standard_normal(size)),
+    (MatrixPerturbation(2, 3, 1.0),
+     lambda gen, size: gen.uniform(-1.0, 1.0, size)),
+]
+# small batches, requests around one block, and requests past it
+REQUEST = st.one_of(st.integers(0, 40), st.integers(BLOCK - 40, BLOCK + 40),
+                    st.integers(BLOCK + 41, 3 * BLOCK))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(DIRECT_DRAWS), sizes=st.lists(REQUEST, max_size=12))
+def test_any_split_of_a_stream_draws_the_same_values(case, sizes):
+    noise, direct = case
+    stream = StochasticOracle(None, noise, rng_seed=4).stream(0, 1)
+    # served values are kept, not copied: a later take must not move them
+    served = [stream.take(size) for size in sizes]
+    assert [part.size for part in served] == sizes
+    want = direct(generator(4, 0, 1), sum(sizes))
+    assert np.array_equal(np.concatenate([np.empty(0)] + served), want)
 
 
 @pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])
@@ -255,7 +283,8 @@ class TestMatrixPerturbationBits:
     def check(self, sizes):
         noise = MatrixPerturbation(self.ROWS, self.COLS, self.SCALE)
         z = self.point()
-        got_stream, want_stream = generator(3, 0, 1), generator(3, 0, 1)
+        got_stream = StochasticOracle(None, noise, rng_seed=3).stream(0, 1)
+        want_stream = generator(3, 0, 1)
         for n in sizes:
             got = noise.noise_sum(z, n, got_stream)
             want = reference_noise_sum(self.ROWS, self.COLS, self.SCALE, z, n,
@@ -268,3 +297,25 @@ class TestMatrixPerturbationBits:
 
     def test_mixed_sizes_on_one_stream(self):
         self.check([1, 3, 1, self.CHUNK + 1, 1, 2, 2 * self.CHUNK + 3, 1, 4])
+
+
+class TestAdditiveGaussianBits:
+    SIGMA = 0.7
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])
+    def test_scale_is_numpy_sqrt(self, n):
+        # both round n to a double, then round its square root correctly
+        assert math.sqrt(n) == np.sqrt(n)
+
+    @pytest.mark.parametrize("dim", [50, BLOCK + 3])
+    def test_mixed_sizes_on_one_stream(self, dim):
+        # small vectors share blocks; longer ones are drawn directly
+        noise = AdditiveGaussian(self.SIGMA)
+        stream = StochasticOracle(None, noise, rng_seed=3).stream(0, 1)
+        gen = generator(3, 0, 1)
+        x = np.zeros(dim)
+        sizes = [1, 4, 1, 2**31 + 1, 7, 2**53 + 1]
+        for i in range(2 * BLOCK // dim + 3):
+            n = sizes[i % len(sizes)]
+            want = (self.SIGMA * np.sqrt(n)) * gen.standard_normal(dim)
+            assert np.array_equal(noise.noise_sum(x, n, stream), want), i
