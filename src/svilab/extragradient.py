@@ -131,17 +131,22 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     lip = problem.mean_map.lipschitz
     if lip > 0:
         check_stepsize(config.stepsize, lip)
-    streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
+    feed, feed_half = (oracle.feed(oracle.stream(seed, i),
+                                   islice(config.schedule, steps))
+                       for i in (0, 1))
+    # the batch size as a 0-d array: see batch_mean
+    n_0d = np.zeros((), dtype=np.int64)
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
         budget.charge(2 * n_k)
-        estimate = batch_mean(oracle, z, n_k, streams[0])
+        n_0d[()] = n_k
+        estimate = batch_mean(oracle, z, n_0d, feed)
         z_half = feasible_set.project(z - config.stepsize * estimate)
-        estimate_half = batch_mean(oracle, z_half, n_k, streams[1])
+        estimate_half = batch_mean(oracle, z_half, n_0d, feed_half)
         z = feasible_set.project(z - config.stepsize * estimate_half)
         # uniform running mean of the half-step points
         average += (z_half - average) / k

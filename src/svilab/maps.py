@@ -88,7 +88,8 @@ class AffineMap:
         return self.offset.size
 
     def __call__(self, x):
-        out = self.matrix @ x
+        # ndarray.dot is the same product as matmul, with less dispatch
+        out = self.matrix.dot(x)
         out += self.offset
         return out
 
@@ -184,6 +185,8 @@ class ShiftedMap:
             raise ContractViolation("center must be finite")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "center", c)
+        # a 0-d divisor: numpy converts a Python float operand on each call
+        object.__setattr__(self, "_lam", np.array(self.lam))
 
     @property
     def dimension(self):
@@ -209,6 +212,6 @@ class ShiftedMap:
     def __call__(self, x):
         out = self.base(x)
         tmp = x - self.center
-        tmp /= self.lam
+        tmp /= self._lam
         out += tmp
         return out

@@ -19,14 +19,28 @@ a single value. Philox makes one 64-bit word per double and keeps its
 unused words between calls, and ``uniform`` and ``standard_normal``
 fill their output one element after the other, so drawing ``a`` values
 and then ``b`` values gives the numbers one draw of ``a + b`` gives.
+
+A solver knows its batch sizes before its first draw, so it reads each
+stream through a :class:`Feed` of those sizes. The feed prepares the
+part of the coming batches that does not depend on the iterate, a chunk
+of steps (at most ``BLOCK`` drawn values) in one numpy pass: the scaled
+Gaussian vectors ``sigma * sqrt(n) * z``, or the scaled sums of a run of
+equal-size batches of payoff perturbations. ``noise_sum`` then finishes
+one batch at the iterate. The bits do not move either: the chunk takes
+the values that step-by-step draws would take, in the same order, and
+forms each step's part with the same floating-point operations in the
+same order; a bare stream passed to ``noise_sum`` is read as a feed of
+one step.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +49,7 @@ from .errors import BudgetExhausted, ContractViolation
 __all__ = [
     "generator",
     "SampleStream",
+    "Feed",
     "BudgetCounter",
     "ZeroNoise",
     "AdditiveGaussian",
@@ -117,6 +132,62 @@ class SampleStream:
         return out
 
 
+class Feed:
+    """The batches of one stream for a run whose batch sizes are known.
+
+    ``sizes`` gives the run's batch sizes in order; the feed reads it
+    once, as far as it has prepared. ``noise.prepare(stream, first,
+    sizes, dim)`` forms the iterate-independent parts of a chunk of
+    steps, the first of size ``first`` and the rest read from ``sizes``,
+    and returns their sizes, their parts and the size it read past the
+    chunk, or None. :meth:`next` serves the parts one step after the
+    other, so the stream is read only for the steps of ``sizes`` and in
+    their order.
+    """
+
+    __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk")
+
+    def __init__(self, noise, stream, sizes, dim):
+        self._noise = noise
+        self._stream = stream
+        self._sizes = iter(sizes)
+        self._dim = dim
+        self._ahead = None
+        self._chunk = iter(())
+
+    def next(self, n):
+        """The prepared part of the next step's batch, which must hold
+        ``n`` samples. The caller may overwrite it."""
+        for size, part in self._chunk:
+            break
+        else:
+            size, part = self._refill()
+        if n != size:
+            raise ContractViolation(
+                f"the feed's next batch holds {size} samples, not {n}")
+        return part
+
+    def _refill(self):
+        # let the used chunk, and the stream block it may view, go first
+        self._chunk = iter(())
+        first = self._ahead
+        if first is None:
+            first = next(self._sizes, None)
+            if first is None:
+                raise ContractViolation("the feed has no step left")
+        sizes, parts, self._ahead = self._noise.prepare(
+            self._stream, first, self._sizes, self._dim)
+        self._chunk = zip(sizes, parts)
+        return next(self._chunk)
+
+
+def _prepared(noise, x, n, source):
+    # a bare stream is a feed of the one batch asked for
+    if type(source) is SampleStream:
+        source = Feed(noise, source, (n,), x.size)
+    return source.next(n)
+
+
 class BudgetCounter:
     """Mutable ledger of single-sample oracle evaluations.
 
@@ -157,7 +228,8 @@ class ZeroNoise:
         return 0.0
 
     def sampler(self, gen):
-        # its noise_sum draws nothing, so its streams are never read
+        # its noise_sum reads no stream or feed, so it prepares nothing
+        # and its streams are never read
         return None
 
     def noise_sum(self, x, n, stream):
@@ -181,10 +253,18 @@ class AdditiveGaussian:
     def sampler(self, gen):
         return gen.standard_normal
 
-    def noise_sum(self, x, n, stream):
+    def prepare(self, stream, first, sizes, dim):
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
-        # so a single scaled draw has exactly the right law
-        return (self.sigma * math.sqrt(n)) * stream.take(x.size)
+        # so a single scaled draw has exactly the right law; one multiply
+        # scales a chunk of steps, each row by its own sigma * sqrt(n)
+        steps = [first, *islice(sizes, max(1, BLOCK // dim) - 1)]
+        scales = np.array([self.sigma * math.sqrt(n) for n in steps])
+        parts = stream.take(len(steps) * dim).reshape(len(steps), dim)
+        parts *= scales[:, None]
+        return steps, parts, None
+
+    def noise_sum(self, x, n, source):
+        return _prepared(self, x, n, source)
 
 
 @dataclass(frozen=True)
@@ -208,9 +288,11 @@ class MatrixPerturbation:
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "scale", float(self.scale))
-        # matrices per take: about 2 MB of doubles at a time
+        # matrices per take on the path of a batch past one block: about
+        # 2 MB of doubles at a time
         object.__setattr__(self, "_chunk",
                            max(1, 262144 // (self.rows * self.cols)))
+        object.__setattr__(self, "_scale", np.array(self.scale))
 
     def variance_bound(self, dim):
         # E|E_ij|^2 = 1/3; on the product of simplices |x|, |y| <= 1
@@ -219,20 +301,49 @@ class MatrixPerturbation:
     def sampler(self, gen):
         return partial(gen.uniform, -1.0, 1.0)
 
-    def noise_sum(self, z, n, stream):
+    def prepare(self, stream, first, sizes, dim):
+        # the scaled sums E_1 + ... + E_n of the coming batches
         rows, cols = self.rows, self.cols
         size = rows * cols
-        if n == 1:
-            e_sum = stream.take(size).reshape(rows, cols)
+        n = first
+        room = BLOCK // (n * size)
+        count, ahead = 1, None
+        if not room:
+            parts = self._sum(stream, n)[None]
         else:
-            c = min(n, self._chunk)
-            e_sum = stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
-            left = n - c
-            while left > 0:
-                c = min(left, self._chunk)
-                e_sum += stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
-                left -= c
-        e_sum *= self.scale
+            # the run of equal sizes from first, as much of it as one
+            # chunk holds; summing the middle axis adds each step's
+            # matrices in the order a (n, rows, cols) sum over its first
+            # axis adds them
+            for m in sizes:
+                if m != n or count == room:
+                    ahead = m
+                    break
+                count += 1
+            drawn = stream.take(count * n * size)
+            if n == 1:
+                parts = drawn.reshape(count, rows, cols)
+            else:
+                parts = drawn.reshape(count, n, rows, cols).sum(axis=1)
+        parts *= self._scale
+        return [n] * count, parts, ahead
+
+    def _sum(self, stream, n):
+        # one batch past a block, summed _chunk matrices at a time
+        rows, cols = self.rows, self.cols
+        size = rows * cols
+        c = min(n, self._chunk)
+        e_sum = stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
+        left = n - c
+        while left > 0:
+            c = min(left, self._chunk)
+            e_sum += stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
+            left -= c
+        return e_sum
+
+    def noise_sum(self, z, n, source):
+        e_sum = _prepared(self, z, n, source)
+        cols = self.cols
         out = np.empty(z.size)
         tail = out[cols:]
         # ndarray.dot is np.dot without its dispatch wrapper
@@ -265,24 +376,34 @@ class StochasticOracle:
         gen = generator(self.rng_seed, seed, stream_id)
         return SampleStream(self.noise_model.sampler(gen))
 
+    def feed(self, stream, sizes):
+        """:class:`Feed` of ``stream`` for batches of ``sizes``, the
+        batch sizes of one stream's draws in the order a run makes them."""
+        return Feed(self.noise_model, stream, sizes, self.mean_map.dimension)
+
     @property
     def variance_bound(self):
         return self.noise_model.variance_bound(self.mean_map.dimension)
 
 
 def batch_mean(oracle, x, n, stream):
-    """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``,
-    as a new array.
+    """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``, a
+    :class:`SampleStream` or a :class:`Feed`, as an array the caller may
+    overwrite.
 
-    Charges nothing: the solver pays for a step's batches before drawing
-    the first of them.
+    ``n`` is an integer or a 0-d integer array; anything else raises
+    TypeError. Either way the sum is divided by the double nearest
+    ``n``; the solvers pass a 0-d array, which numpy does not convert
+    anew on every call as it does a Python int. Charges nothing: the
+    solver pays for a step's batches before drawing the first of them.
     """
-    n = int(n)
-    if n < 1:
-        raise ContractViolation(f"batch size must be >= 1, got {n}")
-    # noise_sum returns a fresh buffer, so the average is formed in place
-    estimate = oracle.noise_model.noise_sum(x, n, stream)
-    if n > 1:
+    count = operator.index(n)
+    if count < 1:
+        raise ContractViolation(f"batch size must be >= 1, got {count}")
+    # noise_sum returns a buffer it never reads again, so the average is
+    # formed in place
+    estimate = oracle.noise_model.noise_sum(x, count, stream)
+    if count > 1:
         estimate /= n
     estimate += oracle.mean_map(x)
     return estimate

@@ -10,6 +10,7 @@ that fit; the harness and the PPAWSS outer loop price it the same way.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from .errors import ScheduleOverflow
 
@@ -44,13 +45,21 @@ class Schedule:
         sizes = self._sizes
         k = 0
         while k < self._length:
-            if k == len(sizes):
-                try:
-                    sizes.append(self._size_of(k, *self._params))
-                except ScheduleOverflow:
-                    self._length = k
-                    return
-            yield sizes[k]
+            if k < len(sizes):
+                # every size computed so far in one pass: a run walks its
+                # schedule for its length, its loop and each stream's
+                # feed, mostly over known sizes
+                stop = min(len(sizes), self._length)
+                yield from islice(sizes, k, stop)
+                k = stop
+                continue
+            try:
+                size = self._size_of(k, *self._params)
+            except ScheduleOverflow:
+                self._length = k
+                return
+            sizes.append(size)
+            yield size
             k += 1
 
 

@@ -19,6 +19,10 @@ from .errors import ContractViolation
 
 __all__ = ["Box", "Ball", "Simplex", "Product"]
 
+# the simplex clip's bound as a 0-d array: numpy converts a Python float
+# operand on every call
+_ZERO = np.array(0.0)
+
 
 def _vector(v, dim=None):
     """Return ``v`` as a 1-D float64 array of length ``dim``."""
@@ -218,7 +222,7 @@ class Simplex:
             v = out
             tau = _threshold(sorted(out.tolist(), reverse=True))[1]
         np.subtract(v, tau, out=out)
-        np.maximum(out, 0.0, out=out)
+        np.maximum(out, _ZERO, out=out)
 
     def contains(self, v, tol=1e-12):
         v = _checked(v, self.dim)

@@ -162,14 +162,15 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     ``seed`` keys the two sample streams (step-1.1 batches, step-1.2
     batches), ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     Nested callers may pass ``streams`` instead, to keep one continuous
-    stream pair across repeated runs.
+    stream pair across repeated runs. The run reads each stream through
+    a feed of its own steps' sizes (:meth:`StochasticOracle.feed`), so
+    it takes from them exactly the values of those steps.
     """
     budget = ledger(budget)
     oracle = problem.oracle
     project = problem.feasible_set.project
     if streams is None:
         streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
-    stream_y, stream_x = streams
     mu, lip = config.mu, config.lipschitz
     weight = mu / (mu + lip)
     y = project(np.asarray(y0, dtype=np.float64))
@@ -177,28 +178,41 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     presum = np.zeros_like(y)
     ysum = y.copy()
     gamma = Gamma = 1.0
+    # the scalar operands as 0-d arrays: numpy converts a Python scalar
+    # operand on every call, a 0-d array not, and both give the same
+    # bits. gamma, Gamma and the batch size are computed as Python
+    # numbers and stored in theirs each step; the batch size's is int64,
+    # which holds every size exactly
+    neg_mu, neg_lip = np.array(-mu), np.array(-lip)
+    gamma_0d, Gamma_0d = np.array(gamma), np.array(Gamma)
+    n_0d = np.zeros((), dtype=np.int64)
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
+    feed_y, feed_x = (oracle.feed(stream, islice(config.schedule, steps))
+                      for stream in streams)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
         budget.charge(2 * n_k)
-        # each estimate buffer is fresh, so it is used as scratch
-        est = batch_mean(oracle, y, n_k, stream_y)
-        est /= -mu
+        n_0d[()] = n_k
+        # batch_mean's buffer is the caller's, so it is used as scratch
+        est = batch_mean(oracle, y, n_0d, feed_y)
+        est /= neg_mu
         est += y
-        est *= gamma
+        est *= gamma_0d
         presum += est
-        x = project(presum / Gamma)
-        est = batch_mean(oracle, x, n_k, stream_x)
-        est /= -lip
+        x = project(presum / Gamma_0d)
+        est = batch_mean(oracle, x, n_0d, feed_x)
+        est /= neg_lip
         est += x
         y = project(est)
         gamma = weight * Gamma
         Gamma += gamma
-        ysum += gamma * y
+        gamma_0d[()] = gamma
+        Gamma_0d[()] = Gamma
+        ysum += gamma_0d * y
         if recorder is not None and recorder.due(k):
-            trace.add(evaluate_point(problem, ysum / Gamma, recorder, k, 0,
+            trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder, k, 0,
                                      budget.consumed - consumed_before))
     trace.truncated = steps < config.max_iterations
     averaged = ysum / Gamma

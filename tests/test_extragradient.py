@@ -15,7 +15,10 @@ from svilab import (
 )
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
+from svilab.oracle import BLOCK
 from svilab.problems import bimatrix_from_payoff
+
+from plain_loops import extragradient_loop
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -178,3 +181,21 @@ class TestTraceCadence:
         _, trace = run_extragradient(pennies_problem, np.zeros(4), cfg, None)
         assert [r.outer_k for r in trace.rows] == list(range(1, 11))
 
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+def test_fed_run_equals_bare_stream_loop(averaged):
+    # a 10 x 20 game: batches of up to 81 samples are prepared in chunks,
+    # larger ones summed per step
+    payoff = np.random.default_rng(5).normal(size=(10, 20))
+    game = bimatrix_from_payoff(payoff, noise_scale=0.1, seed=5,
+                                with_reference=False)
+    cfg = ExtragradientConfig(
+        stepsize=0.2 / (math.sqrt(6.0) * game.mean_map.lipschitz),
+        max_iterations=40, averaged=averaged)
+    sizes = [eg_sample_size(k, cfg.theta, cfg.mu_shift, cfg.b)
+             for k in range(40)]
+    assert min(sizes) * 200 <= BLOCK < max(sizes) * 200
+    point, _ = run_extragradient(game, np.zeros(30), cfg, None, seed=9)
+    z, average = extragradient_loop(game, np.zeros(30), cfg, seed=9)
+    assert np.array_equal(point, average if averaged else z)

@@ -17,6 +17,7 @@ from svilab.maps import AffineMap
 from svilab.oracle import (
     BLOCK,
     AdditiveGaussian,
+    Feed,
     MatrixPerturbation,
     StochasticOracle,
     ZeroNoise,
@@ -148,6 +149,13 @@ class TestBatchMean:
         oracle = gaussian_oracle()
         with pytest.raises(ContractViolation):
             batch_mean(oracle, np.zeros(4), 0, oracle.stream(0, 0))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.array(2.0)])
+    def test_rejects_a_batch_size_that_is_not_an_integer(self, n):
+        # the count drawn and the divisor must be the same number
+        oracle = gaussian_oracle()
+        with pytest.raises(TypeError):
+            batch_mean(oracle, np.zeros(4), n, oracle.stream(0, 0))
 
     def test_deterministic_given_stream(self):
         oracle = gaussian_oracle(seed=3)
@@ -319,3 +327,119 @@ class TestAdditiveGaussianBits:
             n = sizes[i % len(sizes)]
             want = (self.SIGMA * np.sqrt(n)) * gen.standard_normal(dim)
             assert np.array_equal(noise.noise_sum(x, n, stream), want), i
+
+
+# (noise model, point dimension): matrices of 1, 6 and 200 entries, and
+# Gaussian vectors of 5 or 3000 entries (3276 or 5 steps per chunk) and
+# past one block (drawn directly)
+FED_MODELS = [
+    (MatrixPerturbation(1, 1, 0.3), 2),
+    (MatrixPerturbation(2, 3, 1.0), 5),
+    (MatrixPerturbation(10, 20, 0.1), 30),
+    (AdditiveGaussian(0.7), 5),
+    (AdditiveGaussian(0.7), 3000),
+    (AdditiveGaussian(0.7), BLOCK + 3),
+]
+
+
+@st.composite
+def fed_case(draw):
+    noise, dim = draw(st.sampled_from(FED_MODELS))
+    # batch sizes from 1 to past the largest batch a chunk holds
+    if isinstance(noise, MatrixPerturbation):
+        limit = BLOCK // (noise.rows * noise.cols)
+    else:
+        limit = 40
+    size = st.one_of(st.integers(1, 4), st.integers(1, limit + 8))
+    # runs of equal sizes, long enough to fill a chunk of small batches,
+    # broken where the next run starts
+    runs = draw(st.lists(st.tuples(size, st.integers(1, 90)),
+                         min_size=1, max_size=5))
+    sizes = [n for n, repeat in runs for _ in range(repeat)]
+    cut = draw(st.integers(0, len(sizes)))
+    return noise, dim, sizes, cut
+
+
+def _point(dim):
+    z = np.random.default_rng(dim).uniform(0.0, 1.0, dim)
+    return z / 4.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fed_case())
+def test_fed_batches_equal_per_step_noise_sums(case):
+    noise, dim, sizes, cut = case
+    z = _point(dim)
+    oracle = StochasticOracle(None, noise, rng_seed=6)
+    fed_stream, plain_stream = oracle.stream(2, 1), oracle.stream(2, 1)
+    # two feeds in turn on one stream, as consecutive PPAWSS subproblems
+    feeds = [Feed(noise, fed_stream, sizes[:cut], dim),
+             Feed(noise, fed_stream, sizes[cut:], dim)]
+    for step, n in enumerate(sizes):
+        got = noise.noise_sum(z, n, feeds[step >= cut])
+        want = noise.noise_sum(z, n, plain_stream)
+        assert np.array_equal(got, want), (step, n)
+    assert np.array_equal(fed_stream.take(3), plain_stream.take(3))
+
+
+class TestFeed:
+    def test_reads_only_its_own_steps(self):
+        noise = MatrixPerturbation(2, 3, 1.0)
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
+        feed = Feed(noise, stream, [2, 2, 5], 5)
+        for n in (2, 2, 5):
+            feed.next(n)
+        with pytest.raises(ContractViolation, match="no step left"):
+            feed.next(1)
+        # 2 + 2 + 5 matrices of 6 entries were taken, nothing more
+        assert np.array_equal(stream.take(1),
+                              generator(1, 0, 0).uniform(-1.0, 1.0, 55)[54:])
+
+    @pytest.mark.parametrize("noise, dim",
+                             [(MatrixPerturbation(10, 20, 0.1), 30),
+                              (AdditiveGaussian(0.7), 3000)])
+    def test_a_chunk_takes_at_most_one_block(self, noise, dim):
+        class Recording:
+            def __init__(self, stream):
+                self.stream, self.counts = stream, []
+
+            def take(self, count):
+                self.counts.append(count)
+                return self.stream.take(count)
+
+        stream = Recording(
+            StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
+        sizes = [1] * 200 + [2] * 100 + [81] * 3
+        feed = Feed(noise, stream, sizes, dim)
+        for n in sizes:
+            noise.noise_sum(_point(dim), n, feed)
+        assert max(stream.counts) <= BLOCK
+        assert len(stream.counts) < len(sizes) / 4
+
+    def test_rejects_a_batch_of_another_size(self):
+        noise = AdditiveGaussian(1.0)
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
+        feed = Feed(noise, stream, [1, 3], 4)
+        feed.next(1)
+        with pytest.raises(ContractViolation, match="holds 3 samples, not 2"):
+            feed.next(2)
+
+    def test_zero_noise_prepares_nothing(self):
+        f = AffineMap(np.eye(2), np.array([1.0, -1.0]))
+        oracle = StochasticOracle(f, ZeroNoise(), rng_seed=0)
+        feed = oracle.feed(oracle.stream(0, 0), [1, 4])
+        x = np.array([0.3, 0.7])
+        for n in (1, 4):
+            assert np.array_equal(batch_mean(oracle, x, n, feed), f(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])
+def test_zero_d_batch_size_divides_as_an_int(n):
+    # the solvers pass n as a 0-d int64 array; the division must round
+    # it to the double a Python int rounds to
+    oracle = gaussian_oracle(sigma=0.9, seed=8)
+    x = np.array([0.1, -0.2, 0.3, 0.4])
+    want = batch_mean(oracle, x, n, oracle.stream(0, 0))
+    got = batch_mean(oracle, x, np.array(n, dtype=np.int64),
+                     oracle.stream(0, 0))
+    assert np.array_equal(got, want)

@@ -14,11 +14,13 @@ from svilab import (
 )
 from svilab.errors import ContractViolation
 from svilab.maps import AffineMap
-from svilab.oracle import StochasticOracle, ZeroNoise
+from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise
 from svilab.ppawss import inner_iterations, prox_subproblem, relaxation_step
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.sets import Box
-from svilab.vs_ave import schedule_cost
+from svilab.vs_ave import sample_size, schedule_cost
+
+from plain_loops import ppawss_loop
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -257,3 +259,19 @@ class TestYosidaTracking:
         assert all(v is not None for v in values)
         assert values[-1] < values[0]
         assert values[-1] >= 0.0
+
+
+def test_fed_subproblems_equal_bare_stream_loop():
+    # a 10 x 20 game (81 single-sample batches per chunk) with lam * L =
+    # 200: inner batches stay at one sample for 140 steps, so a
+    # subproblem crosses chunks, changes sizes, and leaves values of its
+    # stream blocks to the next subproblem
+    payoff = np.random.default_rng(7).normal(size=(10, 20))
+    game = bimatrix_from_payoff(payoff, noise_scale=0.1, seed=7,
+                                with_reference=False)
+    cfg = _config(lam=200.0 / game.mean_map.lipschitz, outer_iterations=3)
+    inner = cfg.subproblem(2, game.mean_map.lipschitz)
+    sizes = [sample_size(k, inner.rho) for k in range(inner.max_iterations)]
+    assert sizes.count(1) > BLOCK // 200 and len(set(sizes)) > 1
+    u, _ = run_ppawss(game, np.zeros(30), cfg, None, seed=4)
+    assert np.array_equal(u, ppawss_loop(game, np.zeros(30), cfg, seed=4))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from svilab import (
 )
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.maps import AffineMap
-from svilab.oracle import StochasticOracle, ZeroNoise, batch_mean
-from svilab.problems import ProblemInstance
+from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise, batch_mean
+from svilab.ppawss import prox_subproblem
+from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.sets import Box
 from svilab.vs_ave import rate_q, sample_size, schedule_cost
+
+from plain_loops import vs_ave_loop
 
 
 class TestRateQ:
@@ -356,3 +360,42 @@ class TestStochasticRate:
         ks = np.arange(10, 41)
         slope = np.polyfit(ks, np.log(mean_sq[ks - 1]), 1)[0]
         assert math.exp(slope) <= q + 0.1
+
+
+class TestFedRunBits:
+    """A run reads its streams through feeds and passes 0-d operands;
+    a loop that draws every batch from bare streams gets the same bits."""
+
+    def test_matrix_noise_across_chunks(self):
+        # a 10 x 20 game has 200 noise entries: one chunk holds 81 single
+        # batches, 40 of two samples, 27 of three
+        payoff = np.random.default_rng(3).normal(size=(10, 20))
+        game = bimatrix_from_payoff(payoff, noise_scale=0.1, seed=3,
+                                    with_reference=False)
+        lip = game.mean_map.lipschitz
+        lam = 120.0 / lip
+        u = game.feasible_set.project(np.zeros(30))
+        sub = prox_subproblem(game, u, lam)
+        cfg = VsAveConfig(mu=1.0 / lam, lipschitz=lip + 1.0 / lam, rho=0.99,
+                          max_iterations=150)
+        runs = [(n, len(list(steps))) for n, steps in
+                groupby(sample_size(k, cfg.rho) for k in range(150))]
+        # the size changes, and some run of one size fills a chunk
+        assert len(runs) >= 3
+        assert any(length > BLOCK // (n * 200) for n, length in runs)
+        averaged, _ = run_vs_ave(sub, u, cfg, None, seed=5)
+        want = vs_ave_loop(sub, u, cfg, (sub.oracle.stream(5, 0),
+                                         sub.oracle.stream(5, 1)))
+        assert np.array_equal(averaged, want)
+
+    def test_gaussian_noise_across_chunks(self):
+        # 400 coordinates: a chunk holds 40 steps, whatever their sizes
+        prob = make_affine_strongly_monotone(n=400, mu=1.0, lipschitz=50.0,
+                                             sigma=0.5, seed=4)
+        cfg = VsAveConfig(mu=1.0, lipschitz=50.0, rho=0.9, max_iterations=90)
+        assert cfg.max_iterations > 2 * (BLOCK // 400)
+        y0 = np.full(400, 0.5)
+        averaged, _ = run_vs_ave(prob, y0, cfg, None, seed=2)
+        want = vs_ave_loop(prob, y0, cfg, (prob.oracle.stream(2, 0),
+                                           prob.oracle.stream(2, 1)))
+        assert np.array_equal(averaged, want)
