@@ -4,15 +4,15 @@ Shared backend for reference solutions, resolvent evaluations and the
 gap maximiser. Not a benchmark scheme: no oracle, no budget, the map is
 evaluated exactly.
 
-Every such VI here is affine on a product of boxes and simplices. Once
-extragradient is close, its iterate lies on the solution's active face:
-the simplex coordinates that are zero and the box coordinates at a
-bound. On that face the VI is a square linear system, the KKT
-(indifference) equations of the free coordinates plus one multiplier
-per simplex (von Stengel, *Algorithmic Game Theory*, ch. 3), and one
-``np.linalg.solve`` finishes it. The finish changes no certificate: its
-point is returned only if its natural residual at ``gamma = 1/L`` is at
-most ``tol``, as for an extragradient iterate.
+Every such VI here is affine on a product of boxes and simplices. Each
+residual check solves it on the iterate's active face (simplex zeros,
+box coordinates at a bound): a square linear system, the KKT equations
+of the free coordinates plus one multiplier per simplex (von Stengel,
+*Algorithmic Game Theory*, ch. 3). It reads the iterate only where it
+is fixed, at exactly 0 or a bound, so its point depends on the face
+alone and an early try moves no returned bit. That point is returned
+only if its natural residual at ``gamma = 1/L`` is at most ``tol``, the
+certificate of an extragradient iterate.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ _STEP_FRACTION = 0.7
 # residual check cadence; the check reuses the map value of the current
 # iterate, so sparse checks keep the loop at two map evaluations per step
 _CHECK_EVERY = 10
-# natural residual from which the iterate's active face is trusted
-# enough to try the exact finish on it
-_FINISH_BELOW = 1e-3
 
 
 class _FaceFinish:
@@ -49,7 +46,7 @@ class _FaceFinish:
         self._blocks = blocks
         self._simplices = [sl for sl, block in blocks
                            if isinstance(block, Simplex)]
-        self._tried = None
+        self._tried = np.empty(0)
 
     @classmethod
     def of(cls, mean_map, feasible_set):
@@ -77,9 +74,11 @@ class _FaceFinish:
                 fixed[sl] = zs == 0.0
             else:
                 fixed[sl] = (zs == block.lo) | (zs == block.hi)
-        if self._tried is not None and np.array_equal(fixed, self._tried):
+        # a face is its fixed coordinates and the bound each one sits at
+        pinned = np.where(fixed, z, np.nan)
+        if np.array_equal(pinned, self._tried, equal_nan=True):
             return None
-        self._tried = fixed
+        self._tried = pinned
         free = np.flatnonzero(~fixed)
         k = free.size
         size = k + len(self._simplices)
@@ -115,13 +114,12 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
     do not reach the tolerance.
 
     For an affine map (one with ``matrix`` and ``offset``) on a
-    ``Box``, ``Simplex`` or ``Product`` of them, each residual check at
-    or below ``_FINISH_BELOW`` whose iterate lies on a face not tried
-    yet also solves the VI's linear system on that face (see the module
-    docstring). The projected solution is returned when its natural
-    residual at ``gamma = 1/L`` is at most ``tol``; otherwise the
-    iterations go on unchanged. Any other map or set runs extragradient
-    alone, so every returned point carries the same certificate.
+    ``Box``, ``Simplex`` or ``Product`` of them, each residual check
+    also solves the VI on the iterate's face unless that face was tried
+    last (see the module docstring), and returns the projected solution
+    if its natural residual at ``gamma = 1/L`` is at most ``tol``. Any
+    other map or set runs extragradient alone; every returned point
+    carries the same certificate.
 
     Parameters
     ----------
@@ -152,7 +150,7 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
             r = norm(z - project(z - res_gamma * fz))
             if r <= tol:
                 return z
-            if r <= _FINISH_BELOW and finish is not None:
+            if finish is not None:
                 c = finish.candidate(z)
                 if c is not None:
                     c = project(c)

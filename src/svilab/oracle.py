@@ -22,15 +22,16 @@ and then ``b`` values gives the numbers one draw of ``a + b`` gives.
 
 A solver knows its batch sizes before its first draw, so it reads each
 stream through a :class:`Feed` of those sizes. The feed prepares the
-part of the coming batches that does not depend on the iterate, a chunk
-of steps (at most ``BLOCK`` drawn values) in one numpy pass: the scaled
-Gaussian vectors ``sigma * sqrt(n) * z``, or the scaled sums of a run of
-equal-size batches of payoff perturbations. ``noise_sum`` then finishes
-one batch at the iterate. The bits do not move either: the chunk takes
-the values that step-by-step draws would take, in the same order, and
-forms each step's part with the same floating-point operations in the
-same order; a bare stream passed to ``noise_sum`` is read as a feed of
-one step.
+part of the coming batches that does not depend on the iterate, for the
+steps that fit in what is left of the stream's block, in one numpy pass
+(a step across the block's end is a chunk of its own, and the only one
+copied): the scaled Gaussian vectors ``sigma * sqrt(n) * z``, or the
+scaled sums of a run of equal-size batches of payoff perturbations.
+``noise_sum`` then finishes one batch at the iterate. The bits do not
+move either: the chunk takes the values that step-by-step draws would
+take, in the same order, and forms each step's part with the same
+floating-point operations in the same order; a bare stream passed to
+``noise_sum`` is read as a feed of one step.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class SampleStream:
         self._draw = draw
         self._block = _EMPTY
         self._next = 0
+
+    @property
+    def room(self):
+        """How many values :meth:`take` can serve next without a copy."""
+        return self._block.size - self._next or BLOCK
 
     def take(self, count):
         """The next ``count`` values. The result may be a view of the
@@ -257,7 +263,7 @@ class AdditiveGaussian:
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
         # so a single scaled draw has exactly the right law; one multiply
         # scales a chunk of steps, each row by its own sigma * sqrt(n)
-        steps = [first, *islice(sizes, max(1, BLOCK // dim) - 1)]
+        steps = [first, *islice(sizes, max(1, stream.room // dim) - 1)]
         scales = np.array([self.sigma * math.sqrt(n) for n in steps])
         parts = stream.take(len(steps) * dim).reshape(len(steps), dim)
         parts *= scales[:, None]
@@ -306,17 +312,16 @@ class MatrixPerturbation:
         rows, cols = self.rows, self.cols
         size = rows * cols
         n = first
-        room = BLOCK // (n * size)
         count, ahead = 1, None
-        if not room:
+        if n * size > BLOCK:
             parts = self._sum(stream, n)[None]
         else:
-            # the run of equal sizes from first, as much of it as one
-            # chunk holds; summing the middle axis adds each step's
-            # matrices in the order a (n, rows, cols) sum over its first
-            # axis adds them
+            # the run of equal sizes from first that the stream's block
+            # holds; summing the middle axis adds each step's matrices in
+            # the order a (n, rows, cols) sum over its first axis adds them
+            room = stream.room // (n * size)
             for m in sizes:
-                if m != n or count == room:
+                if m != n or count >= room:
                     ahead = m
                     break
                 count += 1

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svilab import detsolve
 from svilab.detsolve import solve_deterministic_vi
@@ -25,6 +27,26 @@ def certified(z, fmap, feasible, tol):
     lip = fmap.lipschitz
     gamma = 1.0 / lip if lip > 0 else 1.0
     return natural_residual(z, fmap, feasible, gamma) <= tol
+
+
+def active_face(z, feasible):
+    """Coordinates of ``z`` at a bound: box bounds, or simplex zeros."""
+    if isinstance(feasible, Box):
+        return (z == feasible.lo) | (z == feasible.hi)
+    return z == 0.0
+
+
+# the table-1 game, and a monotone affine VI on [-1, 1]^3 whose solution
+# (1, 4/15, -1/15) has its first coordinate at the upper bound
+TABLE1 = bimatrix_from_payoff(read_fixture("bimatrix_seed777_L7.05_payoff.txt"),
+                              with_reference=False)
+FACE_PROBLEMS = {
+    "table1": (TABLE1.mean_map, TABLE1.feasible_set),
+    "box": (AffineMap(np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.5],
+                                [0.0, -0.5, 1.0]]),
+                      np.array([-3.0, 0.5, 0.2])),
+            Box(-np.ones(3), np.ones(3))),
+}
 
 
 @pytest.fixture
@@ -109,9 +131,28 @@ class TestExactFinish:
         z = solve_deterministic_vi(problem.mean_map, problem.feasible_set,
                                    1e-10)
         # extragradient alone needs 312,381 evaluations to reach 1e-10
-        assert calls[0] <= 3_000
+        assert calls[0] <= 300
         assert certified(z, problem.mean_map, problem.feasible_set, 1e-10)
         np.testing.assert_allclose(z, frozen, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(FACE_PROBLEMS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_returned_point_depends_only_on_its_face(self, name, data):
+        # the face solve reads z only at fixed coordinates, which are
+        # exactly 0 or a bound, so solves from any start that end on one
+        # face return the same bytes, however early the finish is tried
+        fmap, feasible = FACE_PROBLEMS[name]
+        coordinate = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                               st.floats(-2.0, 2.0))
+        start = st.lists(coordinate, min_size=fmap.dimension,
+                         max_size=fmap.dimension)
+        by_face = {}
+        for z0 in data.draw(st.lists(start, min_size=2, max_size=5)):
+            z = solve_deterministic_vi(fmap, feasible, 1e-10, z0=z0)
+            assert certified(z, fmap, feasible, 1e-10)
+            face = active_face(z, feasible).tobytes()
+            assert by_face.setdefault(face, z.tobytes()) == z.tobytes()
 
     def test_wrong_face_is_refused_then_left(self, candidates):
         # F(x) = x - 0.9999 on [-1, 1]: the start sits at the bound, within

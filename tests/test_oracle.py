@@ -382,6 +382,24 @@ def test_fed_batches_equal_per_step_noise_sums(case):
     assert np.array_equal(fed_stream.take(3), plain_stream.take(3))
 
 
+class Recording:
+    """A stream that records each take: its size and whether it was
+    served as a view of the block rather than copied."""
+
+    def __init__(self, stream):
+        self.stream, self.counts, self.views = stream, [], []
+
+    @property
+    def room(self):
+        return self.stream.room
+
+    def take(self, count):
+        out = self.stream.take(count)
+        self.counts.append(count)
+        self.views.append(np.shares_memory(out, self.stream._block))
+        return out
+
+
 class TestFeed:
     def test_reads_only_its_own_steps(self):
         noise = MatrixPerturbation(2, 3, 1.0)
@@ -399,14 +417,6 @@ class TestFeed:
                              [(MatrixPerturbation(10, 20, 0.1), 30),
                               (AdditiveGaussian(0.7), 3000)])
     def test_a_chunk_takes_at_most_one_block(self, noise, dim):
-        class Recording:
-            def __init__(self, stream):
-                self.stream, self.counts = stream, []
-
-            def take(self, count):
-                self.counts.append(count)
-                return self.stream.take(count)
-
         stream = Recording(
             StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
         sizes = [1] * 200 + [2] * 100 + [81] * 3
@@ -414,7 +424,28 @@ class TestFeed:
         for n in sizes:
             noise.noise_sum(_point(dim), n, feed)
         assert max(stream.counts) <= BLOCK
-        assert len(stream.counts) < len(sizes) / 4
+        # a block is read by the chunk that starts in it and by one step
+        # across its end; each of the two changes of size ends a chunk
+        blocks = math.ceil(sum(stream.counts) / BLOCK)
+        assert len(stream.counts) <= 2 * blocks + 2
+
+    @pytest.mark.parametrize("noise, dim",
+                             [(MatrixPerturbation(10, 20, 0.1), 30),
+                              (AdditiveGaussian(0.7), 50)])
+    def test_only_a_step_across_a_block_end_is_copied(self, noise, dim):
+        # chunks end where the stream's block ends, so every other chunk
+        # is served as a view of its block
+        stream = Recording(
+            StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
+        sizes = iter([1] * 700 + [2] * 300 + [3] * 300)
+        first, copied = next(sizes), 0
+        while first is not None:
+            steps, _, ahead = noise.prepare(stream, first, sizes, dim)
+            if not stream.views[-1]:
+                assert len(steps) == 1
+                copied += 1
+            first = next(sizes, None) if ahead is None else ahead
+        assert copied and len(stream.counts) < 100
 
     def test_rejects_a_batch_of_another_size(self):
         noise = AdditiveGaussian(1.0)
