@@ -139,14 +139,11 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     feed, feed_half = (oracle.feed(oracle.stream(seed, i),
                                    islice(config.schedule, steps))
                        for i in (0, 1))
-    # the batch size as a 0-d array: see batch_mean
-    n_0d = np.zeros((), dtype=np.int64)
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
         budget.charge(2 * n_k)
-        n_0d[()] = n_k
-        estimate = batch_mean(oracle, z, n_0d, feed)
+        estimate = batch_mean(oracle, z, n_k, feed)
         z_half = feasible_set.project(z - config.stepsize * estimate)
-        estimate_half = batch_mean(oracle, z_half, n_0d, feed_half)
+        estimate_half = batch_mean(oracle, z_half, n_k, feed_half)
         z = feasible_set.project(z - config.stepsize * estimate_half)
         # uniform running mean of the half-step points
         average += (z_half - average) / k

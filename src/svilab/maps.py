@@ -9,6 +9,14 @@ Every map here is affine, ``F(x) = matrix @ x + offset``, and exposes
 ``matrix`` and ``offset``: the exact finish of
 :func:`~svilab.detsolve.solve_deterministic_vi` reads them. A
 ``ShiftedMap`` has them only when its base has them.
+
+A map is called as ``F(x)``, which returns a fresh array, or as
+``F(x, out=buf)``, which writes ``F(x)`` into ``buf``, a float64 vector
+of the map's dimension that does not overlap ``x``, and returns it. Both
+give the same bits. The maps here all take ``out``, and so must any
+other map that is the base of a ``ShiftedMap`` or the mean map of a
+:class:`~svilab.oracle.StochasticOracle`: those pass it ``out=``,
+``None`` included.
 """
 
 from __future__ import annotations
@@ -87,9 +95,9 @@ class AffineMap:
     def dimension(self):
         return self.offset.size
 
-    def __call__(self, x):
+    def __call__(self, x, *, out=None):
         # ndarray.dot is the same product as matmul, with less dispatch
-        out = self.matrix.dot(x)
+        out = self.matrix.dot(x, out)
         out += self.offset
         return out
 
@@ -150,9 +158,10 @@ class BimatrixMap:
     def offset(self):
         return np.zeros(self.dimension)
 
-    def __call__(self, z):
+    def __call__(self, z, *, out=None):
         m, n = self.payoff.shape
-        out = np.empty(n + m)
+        if out is None:
+            out = np.empty(n + m)
         # ndarray.dot is np.dot without its dispatch wrapper
         self._at.dot(z[n:], out[:n])
         self._neg.dot(z[:n], out[n:])
@@ -165,7 +174,8 @@ class ShiftedMap:
 
     The shift raises the monotonicity modulus by ``1/lam`` and the
     Lipschitz constant by the same amount. Used to form proximal
-    subproblems.
+    subproblems. The base is called as ``base(x, out=out)``, so it must
+    take ``out`` (see the module docstring).
     """
 
     base: object
@@ -209,8 +219,9 @@ class ShiftedMap:
     def offset(self):
         return self.base.offset - self.center / self.lam
 
-    def __call__(self, x):
-        out = self.base(x)
+    def __call__(self, x, *, out=None):
+        # through __call__ itself, as batch_mean calls a map
+        out = self.base.__call__(x, out=out)
         tmp = x - self.center
         tmp /= self._lam
         out += tmp

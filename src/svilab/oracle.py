@@ -25,13 +25,16 @@ stream through a :class:`Feed` of those sizes. The feed prepares the
 part of the coming batches that does not depend on the iterate, for the
 steps that fit in what is left of the stream's block, in one numpy pass
 (a step across the block's end is a chunk of its own, and the only one
-copied): the scaled Gaussian vectors ``sigma * sqrt(n) * z``, or the
-scaled sums of a run of equal-size batches of payoff perturbations.
-``noise_sum`` then finishes one batch at the iterate. The bits do not
-move either: the chunk takes the values that step-by-step draws would
-take, in the same order, and forms each step's part with the same
-floating-point operations in the same order; a bare stream passed to
-``noise_sum`` is read as a feed of one step.
+copied): the Gaussian noise parts of the batch means,
+``(sigma * sqrt(n) * z) / n``, or the scaled sums of a run of
+equal-size batches of payoff perturbations. ``noise_sum`` then returns
+the noise part of one batch mean, the mean minus ``F(x)``: a Gaussian
+step's is its prepared row, and a payoff step's is formed at the
+iterate and divided by ``n``. :func:`batch_mean` adds ``F(x)`` to it.
+The bits do not move either: the chunk takes the values that
+step-by-step draws would take, in the same order, and forms each step's
+part with the same floating-point operations in the same order; a bare
+stream passed to ``noise_sum`` is read as a feed of one step.
 """
 
 from __future__ import annotations
@@ -239,6 +242,7 @@ class ZeroNoise:
         return None
 
     def noise_sum(self, x, n, stream):
+        """Zeros: the noise part of every batch mean."""
         return np.zeros_like(x)
 
 
@@ -261,15 +265,24 @@ class AdditiveGaussian:
 
     def prepare(self, stream, first, sizes, dim):
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
-        # so a single scaled draw has exactly the right law; one multiply
-        # scales a chunk of steps, each row by its own sigma * sqrt(n)
+        # so a single scaled draw has exactly the right law. One multiply
+        # scales a chunk of steps, each row by its own sigma * sqrt(n),
+        # and one division turns each sum into its mean. Each n is
+        # rounded to the nearest double, as math.sqrt and a division by
+        # n round it, and np.sqrt is correctly rounded like math.sqrt;
+        # dividing by 1.0 is exact
         steps = [first, *islice(sizes, max(1, stream.room // dim) - 1)]
-        scales = np.array([self.sigma * math.sqrt(n) for n in steps])
+        counts = np.array(steps, dtype=np.float64)[:, None]
         parts = stream.take(len(steps) * dim).reshape(len(steps), dim)
-        parts *= scales[:, None]
+        parts *= self.sigma * np.sqrt(counts)
+        parts /= counts
         return steps, parts, None
 
     def noise_sum(self, x, n, source):
+        """The noise part of the mean of ``n`` samples at ``x``,
+        ``(sigma * sqrt(n) * z) / n``: the batch mean minus ``F(x)``.
+        It is the step's prepared row, which the caller may overwrite.
+        """
         return _prepared(self, x, n, source)
 
 
@@ -347,6 +360,10 @@ class MatrixPerturbation:
         return e_sum
 
     def noise_sum(self, z, n, source):
+        """The noise part of the mean of ``n`` samples at ``z``,
+        ``scale * (E^T y, -E x) / n`` for the batch's sum ``E``: the
+        batch mean minus ``F(z)``, as a fresh array.
+        """
         e_sum = _prepared(self, z, n, source)
         cols = self.cols
         out = np.empty(z.size)
@@ -355,6 +372,8 @@ class MatrixPerturbation:
         e_sum.T.dot(z[cols:], out[:cols])
         e_sum.dot(z[:cols], tail)
         np.negative(tail, out=tail)
+        if n > 1:
+            out /= n
         return out
 
 
@@ -365,6 +384,8 @@ class StochasticOracle:
     Problem data only: the run that samples it supplies the seed of its
     streams and charges its own ledger. An ``rng_seed`` that is not a
     stream key (:func:`generator`) raises :class:`ContractViolation`.
+    ``mean_map`` must take ``out`` as the maps of :mod:`svilab.maps` do:
+    :func:`batch_mean` calls it as ``mean_map(x, out=...)``.
     """
 
     mean_map: object
@@ -391,26 +412,25 @@ class StochasticOracle:
         return self.noise_model.variance_bound(self.mean_map.dimension)
 
 
-def batch_mean(oracle, x, n, stream):
+def batch_mean(oracle, x, n, stream, *, out=None):
     """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``, a
-    :class:`SampleStream` or a :class:`Feed`, as an array the caller may
-    overwrite.
+    :class:`SampleStream` or a :class:`Feed`: ``F(x)`` plus the noise
+    model's ``noise_sum``, the noise part of the mean.
 
-    ``n`` is an integer or a 0-d integer array; anything else raises
-    TypeError. Either way the sum is divided by the double nearest
-    ``n``; the solvers pass a 0-d array, which numpy does not convert
-    anew on every call as it does a Python int. Charges nothing: the
-    solver pays for a step's batches before drawing the first of them.
+    The mean is written into ``out``, a float64 vector of ``x``'s size
+    that does not overlap ``x``, and returned; without ``out`` it is a
+    fresh array. Either way the caller may overwrite it. ``n`` is an
+    integer or a 0-d integer array; anything else raises TypeError.
+    Charges nothing: the solver pays for a step's batches before drawing
+    the first of them.
     """
     count = operator.index(n)
     if count < 1:
         raise ContractViolation(f"batch size must be >= 1, got {count}")
-    # noise_sum returns a buffer it never reads again, so the average is
-    # formed in place
-    estimate = oracle.noise_model.noise_sum(x, count, stream)
-    if count > 1:
-        estimate /= n
-    estimate += oracle.mean_map(x)
+    # a call through __call__ itself: calling the instance with a keyword
+    # goes through the type's call slot, which costs about 0.35 us more
+    estimate = oracle.mean_map.__call__(x, out=out)
+    estimate += oracle.noise_model.noise_sum(x, count, stream)
     return estimate
 
 

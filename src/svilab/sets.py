@@ -5,7 +5,9 @@ Every set exposes ``dimension``, ``project``, ``contains`` and
 ``Simplex(v.size).project(v)`` projects onto the simplex. Projections
 are exact (closed-form or sort-based), and ``project`` validates its
 input: a non-finite entry or a length mismatch raises
-:class:`~svilab.errors.ContractViolation`.
+:class:`~svilab.errors.ContractViolation`. ``project(v, out=buf)``
+writes the projection into ``buf``, a float64 vector of the set's
+dimension, and returns it; without ``out`` it returns a fresh array.
 """
 
 from __future__ import annotations
@@ -35,9 +37,14 @@ def _vector(v, dim=None):
 
 
 def _require_finite(v):
-    # Callers that hold the entries summed as Python floats call this
-    # only when that sum is not finite: any nan or inf entry makes the
-    # sum nan or inf, so a finite sum already proves v finite.
+    # Callers that hold a sum over the entries call this only when that
+    # sum is not finite: any nan or inf entry makes the simplex pass's
+    # running sum, or a box's or ball's squared norm, nan or inf, so a
+    # finite sum already proves v finite. Finite entries that overflow
+    # the sum reach the exact test here and pass. The squared norm is
+    # np.vdot(v, v): ndarray.dot is a little faster, but numpy 2 warns
+    # from it on overflow (finite entries above about 1.3e154) and on
+    # inf - inf, and vdot does neither.
     if not np.isfinite(v).all():
         raise ContractViolation("vector contains non-finite entries")
 
@@ -49,13 +56,14 @@ def _checked(v, dim=None):
     return arr
 
 
-def _projection(target, v):
-    # every public project: validate, then one pass into a fresh array.
-    # A set's _project(v, values, out) writes the projection of v into
-    # out; values is v.tolist(), and the set checks finiteness itself.
-    v = _vector(v, target.dimension)
-    out = np.empty(v.size)
-    target._project(v, v.tolist(), out)
+def _projection(self, v, *, out=None):
+    # every set's public project: validate, then one pass into out, or
+    # into a fresh array. A set's _project(v, out) writes the projection
+    # of v into out and checks finiteness itself.
+    v = _vector(v, self.dimension)
+    if out is None:
+        out = np.empty(v.size)
+    self._project(v, out)
     return out
 
 
@@ -98,11 +106,10 @@ class Box:
     def dimension(self):
         return self.lo.size
 
-    def project(self, v):
-        return _projection(self, v)
+    project = _projection
 
-    def _project(self, v, values, out):
-        if not math.isfinite(sum(values)):
+    def _project(self, v, out):
+        if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         np.maximum(v, self.lo, out=out)
         np.minimum(out, self.hi, out=out)
@@ -135,11 +142,10 @@ class Ball:
     def dimension(self):
         return self.center.size
 
-    def project(self, v):
-        return _projection(self, v)
+    project = _projection
 
-    def _project(self, v, values, out):
-        if not math.isfinite(sum(values)):
+    def _project(self, v, out):
+        if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         d = v - self.center
         dist = float(np.linalg.norm(d))
@@ -193,18 +199,17 @@ class Simplex:
     def dimension(self):
         return self.dim
 
-    def project(self, v):
-        return _projection(self, v)
+    project = _projection
 
     @staticmethod
-    def _project(v, values, out):
+    def _project(v, out):
         # The threshold search runs over Python floats: for the short
         # blocks used throughout (<= 20 coordinates) one interpreted pass
         # costs less than the dozen numpy dispatches of a sort/cumsum/
         # nonzero form. It does the same IEEE operations in the same order
         # as that form (running sum, then the test and the threshold at
         # the last passing index), so results are bit-identical.
-        u = sorted(values, reverse=True)
+        u = sorted(v.tolist(), reverse=True)
         s, tau = _threshold(u)
         if not math.isfinite(s):
             _require_finite(v)
@@ -255,7 +260,7 @@ class Product:
             start = stop
         object.__setattr__(self, "_slices", tuple(slices))
         # each block's _project, bound once: a block writes its slice of
-        # the output from its slice of one shared tolist()
+        # the output from its slice of the input
         object.__setattr__(self, "_parts", tuple(
             (sl, b._project) for sl, b in zip(slices, self.blocks)))
 
@@ -263,12 +268,11 @@ class Product:
     def dimension(self):
         return self._slices[-1].stop
 
-    def project(self, v):
-        return _projection(self, v)
+    project = _projection
 
-    def _project(self, v, values, out):
+    def _project(self, v, out):
         for sl, block in self._parts:
-            block(v[sl], values[sl], out[sl])
+            block(v[sl], out[sl])
 
     def contains(self, v, tol=1e-12):
         v = _checked(v, self.dimension)

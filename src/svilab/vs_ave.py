@@ -165,6 +165,13 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     stream pair across repeated runs. The run reads each stream through
     a feed of its own steps' sizes (:meth:`StochasticOracle.feed`), so
     it takes from them exactly the values of those steps.
+
+    The run allocates its vectors once: the running sums, the point
+    (``x_k``, then ``y_{k+1}``) and the batch mean, which is also the
+    scratch between the batches. Each step writes into them through the
+    ``out=`` of :func:`~svilab.oracle.batch_mean`, the map and the
+    projection, with the operations of the allocating form in the same
+    order, so the bits are those of that form.
     """
     budget = ledger(budget)
     oracle = problem.oracle
@@ -173,19 +180,18 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
         streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     mu, lip = config.mu, config.lipschitz
     weight = mu / (mu + lip)
-    y = project(np.asarray(y0, dtype=np.float64))
+    point = project(np.asarray(y0, dtype=np.float64))
     # running sums of gamma_i (y_i - estimate_i / mu) and gamma_i y_i
-    presum = np.zeros_like(y)
-    ysum = y.copy()
+    presum = np.zeros_like(point)
+    ysum = point.copy()
+    est = np.empty_like(point)
     gamma = Gamma = 1.0
     # the scalar operands as 0-d arrays: numpy converts a Python scalar
     # operand on every call, a 0-d array not, and both give the same
-    # bits. gamma, Gamma and the batch size are computed as Python
-    # numbers and stored in theirs each step; the batch size's is int64,
-    # which holds every size exactly
+    # bits. gamma and Gamma are computed as Python floats and stored in
+    # theirs each step
     neg_mu, neg_lip = np.array(-mu), np.array(-lip)
     gamma_0d, Gamma_0d = np.array(gamma), np.array(Gamma)
-    n_0d = np.zeros((), dtype=np.int64)
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
@@ -194,23 +200,23 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
     for k, n_k in enumerate(islice(config.schedule, steps), 1):
         budget.charge(2 * n_k)
-        n_0d[()] = n_k
-        # batch_mean's buffer is the caller's, so it is used as scratch
-        est = batch_mean(oracle, y, n_0d, feed_y)
+        batch_mean(oracle, point, n_k, feed_y, out=est)
         est /= neg_mu
-        est += y
+        est += point
         est *= gamma_0d
         presum += est
-        x = project(presum / Gamma_0d)
-        est = batch_mean(oracle, x, n_0d, feed_x)
+        np.divide(presum, Gamma_0d, est)
+        project(est, out=point)
+        batch_mean(oracle, point, n_k, feed_x, out=est)
         est /= neg_lip
-        est += x
-        y = project(est)
+        est += point
+        project(est, out=point)
         gamma = weight * Gamma
         Gamma += gamma
         gamma_0d[()] = gamma
         Gamma_0d[()] = Gamma
-        ysum += gamma_0d * y
+        np.multiply(gamma_0d, point, est)
+        ysum += est
         if recorder is not None and recorder.due(k):
             trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder, k, 0,
                                      budget.consumed - consumed_before))

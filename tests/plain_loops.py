@@ -1,22 +1,72 @@
-"""The solvers' loops written out with bare sample streams.
+"""The solvers' loops written out with bare sample streams and plain numpy.
 
-Each loop draws every batch with ``batch_mean(oracle, x, n, stream)``
-from a bare ``oracle.stream(...)``, with Python floats and ints as the
-scalar operands, and repeats its solver's arithmetic operation for
-operation. A solver that reads its streams through feeds and passes 0-d
-operands must therefore return the same bits. Batch sizes come from the
-size rules, not from the configs' schedules, and every loop runs its
-full iteration count, so a caller passes no budget to the solver.
+Each loop forms every batch mean by hand from the values a bare
+``oracle.stream(...)`` serves through ``SampleStream.take``, with the
+arithmetic of the plain allocating form: scale the drawn values (for
+payoff noise, sum the matrices first), take the products with the point,
+divide by ``n``, then add ``F(x)`` written as plain products. Python
+floats and ints are the scalar operands, and each loop repeats its
+solver's arithmetic operation for operation. A solver that reads its
+streams through feeds, writes into buffers and passes 0-d operands must
+therefore return the same bits. Batch sizes come from the size rules,
+not from the configs' schedules, and every loop runs its full iteration
+count, so a caller passes no budget to the solver.
+
+``projection_loop`` is the comparator of the condition-number claim: the
+plain projection method on the mean map, with no sampling.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from svilab.extragradient import eg_sample_size
-from svilab.oracle import batch_mean
+from svilab.maps import BimatrixMap, ShiftedMap
+from svilab.oracle import AdditiveGaussian, MatrixPerturbation
 from svilab.ppawss import prox_subproblem, relaxation_step
 from svilab.vs_ave import sample_size
+
+# a batch of payoff matrices is summed in chunks of about this many
+# entries (2 MB of doubles); its sum adds the chunks' sums in order, from
+# the first chunk's sum
+ENTRIES_PER_SUM = 262144
+
+
+def mean_map(f, x):
+    """``F(x)`` as plain products: ``A @ x + b``, ``(A^T y, -(A x))``, or
+    a shifted base plus ``(x - center) / lam``."""
+    if isinstance(f, ShiftedMap):
+        return mean_map(f.base, x) + (x - f.center) / f.lam
+    if isinstance(f, BimatrixMap):
+        a, n = f.payoff, f.n
+        return np.concatenate([a.T @ x[n:], -(a @ x[:n])])
+    return f.matrix @ x + f.offset
+
+
+def batch_mean(oracle, x, n, stream):
+    """Mean of ``n`` samples at ``x`` from the bare ``stream``."""
+    noise = oracle.noise_model
+    if isinstance(noise, AdditiveGaussian):
+        # one N(0, n sigma^2 I) draw is the sum of the batch's noise
+        total = stream.take(x.size) * (noise.sigma * math.sqrt(n))
+    elif isinstance(noise, MatrixPerturbation):
+        rows, cols = noise.rows, noise.cols
+        chunk = max(1, ENTRIES_PER_SUM // (rows * cols))
+        e_sum = None
+        for start in range(0, n, chunk):
+            c = min(chunk, n - start)
+            drawn = stream.take(c * rows * cols).reshape(c, rows, cols)
+            part = drawn.sum(axis=0)
+            e_sum = part if e_sum is None else e_sum + part
+        e_sum = e_sum * noise.scale
+        total = np.concatenate([e_sum.T @ x[cols:], -(e_sum @ x[:cols])])
+    else:
+        total = np.zeros(x.size)
+    if n > 1:
+        total = total / n
+    return total + mean_map(oracle.mean_map, x)
 
 
 def vs_ave_loop(problem, y0, config, streams):
@@ -32,18 +82,13 @@ def vs_ave_loop(problem, y0, config, streams):
     for k in range(config.max_iterations):
         n = sample_size(k, config.rho, config.min_batch)
         est = batch_mean(oracle, y, n, streams[0])
-        est /= -mu
-        est += y
-        est *= gamma
-        presum += est
+        presum = presum + (est / -mu + y) * gamma
         x = project(presum / Gamma)
         est = batch_mean(oracle, x, n, streams[1])
-        est /= -lip
-        est += x
-        y = project(est)
+        y = project(est / -lip + x)
         gamma = weight * Gamma
         Gamma += gamma
-        ysum += gamma * y
+        ysum = ysum + gamma * y
     return ysum / Gamma
 
 
@@ -76,3 +121,17 @@ def extragradient_loop(problem, z0, config, seed):
         z = project(z - config.stepsize * estimate_half)
         average += (z_half - average) / k
     return z, average
+
+
+def projection_loop(problem, x0, mu, lipschitz):
+    """The iterates ``x <- P(x - (mu / L^2) F(x))`` of the plain projection
+    method on the mean map, from the projection of ``x0``, without end.
+    Its squared distance to the solution contracts by ``1 - mu^2 / L^2``
+    per step, so its iteration count to a fixed accuracy grows like
+    ``kappa^2``."""
+    project = problem.feasible_set.project
+    step = mu / lipschitz**2
+    x = project(np.asarray(x0, dtype=np.float64))
+    while True:
+        x = project(x - step * mean_map(problem.mean_map, x))
+        yield x

@@ -157,12 +157,18 @@ class TestAffineParts:
         class Cubic:
             dimension, mu, lipschitz = 1, 0.0, 3.0
 
-            def __call__(self, x):
-                return x ** 3
+            def __call__(self, x, *, out=None):
+                return np.power(x, 3, out=out)
 
         f = ShiftedMap(Cubic(), 1.0, np.zeros(1))
         with pytest.raises(AttributeError):
             _ = f.matrix
+        # the shift calls its base with out=, None included
+        x = np.array([0.5])
+        assert np.array_equal(f(x), x ** 3 + x)
+        out = np.empty(1)
+        assert f(x, out=out) is out
+        assert np.array_equal(out, x ** 3 + x)
 
 
 def plain_saddle(a, z):
@@ -196,3 +202,40 @@ class TestBitForBit:
         for _ in range(50):
             z = rng.standard_normal(n + m)
             assert np.array_equal(f(z), plain_saddle(a, z) + (z - center) / 3500.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_affine_is_the_plain_product(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + np.eye(n)
+        b = rng.standard_normal(n)
+        f = AffineMap(a, b)
+        for _ in range(50):
+            x = rng.standard_normal(n)
+            assert np.array_equal(f(x), a @ x + b)
+
+
+def _maps():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 4))
+    affine = AffineMap(a @ a.T, rng.standard_normal(4))
+    saddle = BimatrixMap(rng.standard_normal((3, 5)))
+    return [affine, saddle,
+            ShiftedMap(affine, 0.7, rng.standard_normal(4)),
+            ShiftedMap(saddle, 3500.0, rng.standard_normal(8))]
+
+
+@pytest.mark.parametrize("f", _maps(), ids=lambda f: type(f).__name__)
+def test_out_matches_fresh(f):
+    """F(x, out=buf) writes the bits F(x) returns into buf, whether buf
+    and x are the same arrays as on the call before or new ones."""
+    rng = np.random.default_rng(f.dimension)
+    kept_x, kept_out = np.empty(f.dimension), np.empty(f.dimension)
+    for i in range(40):
+        x = kept_x if i % 2 else np.empty(f.dimension)
+        out = kept_out if i % 3 else np.empty(f.dimension)
+        x[:] = rng.standard_normal(f.dimension)
+        want = f(x)
+        got = f(x, out=out)
+        assert got is out
+        assert np.array_equal(got, want)

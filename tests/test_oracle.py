@@ -261,9 +261,10 @@ class TestMatrixPerturbation:
 
 
 def reference_noise_sum(rows, cols, scale, z, n, stream):
-    """The accumulation noise_sum must reproduce bit for bit: per-chunk
-    sums of at most 262144 // (rows * cols) matrices added to zeros, then
-    (E^T y, -(E x)) from plain products."""
+    """The noise part of the batch mean that noise_sum must reproduce bit
+    for bit: per-chunk sums of at most 262144 // (rows * cols) matrices
+    added to zeros, then (E^T y, -(E x)) from plain products, divided by
+    n (exact for n = 1)."""
     if n == 1:
         e_sum = stream.uniform(-1.0, 1.0, (rows, cols))
     else:
@@ -275,7 +276,7 @@ def reference_noise_sum(rows, cols, scale, z, n, stream):
             e_sum += stream.uniform(-1.0, 1.0, (c, rows, cols)).sum(axis=0)
             left -= c
     e_sum *= scale
-    return np.concatenate([e_sum.T @ z[cols:], -(e_sum @ z[:cols])])
+    return np.concatenate([e_sum.T @ z[cols:], -(e_sum @ z[:cols])]) / n
 
 
 class TestMatrixPerturbationBits:
@@ -325,8 +326,23 @@ class TestAdditiveGaussianBits:
         sizes = [1, 4, 1, 2**31 + 1, 7, 2**53 + 1]
         for i in range(2 * BLOCK // dim + 3):
             n = sizes[i % len(sizes)]
-            want = (self.SIGMA * np.sqrt(n)) * gen.standard_normal(dim)
+            want = (self.SIGMA * np.sqrt(n)) * gen.standard_normal(dim) / n
             assert np.array_equal(noise.noise_sum(x, n, stream), want), i
+
+    @pytest.mark.parametrize("dim", [50, BLOCK + 3])
+    def test_chunk_rows_are_the_means(self, dim):
+        # a feed prepares a chunk of steps in one pass; each row must be
+        # the mean's noise part, (sigma * sqrt(n) * z) / n, for every n
+        # from 1 to the largest size a schedule allows
+        noise = AdditiveGaussian(self.SIGMA)
+        stream = StochasticOracle(None, noise, rng_seed=3).stream(0, 1)
+        gen = generator(3, 0, 1)
+        sizes = [1, 2, 3, 7, 2**31 + 1, 2**53 + 1, 2**62 - 1, 1] * 5
+        feed = Feed(noise, stream, sizes, dim)
+        for i, n in enumerate(sizes):
+            z = gen.standard_normal(dim)
+            want = (self.SIGMA * math.sqrt(n) * z) / n
+            assert np.array_equal(feed.next(n), want), i
 
 
 # (noise model, point dimension): matrices of 1, 6 and 200 entries, and
@@ -380,6 +396,23 @@ def test_fed_batches_equal_per_step_noise_sums(case):
         want = noise.noise_sum(z, n, plain_stream)
         assert np.array_equal(got, want), (step, n)
     assert np.array_equal(fed_stream.take(3), plain_stream.take(3))
+
+
+@pytest.mark.parametrize("noise, dim", [(ZeroNoise(), 6),
+                                        (AdditiveGaussian(0.7), 6),
+                                        (MatrixPerturbation(2, 4, 0.5), 6)],
+                         ids=["zero", "gaussian", "matrix"])
+def test_batch_mean_out_matches_fresh(noise, dim):
+    f = AffineMap(2.0 * np.eye(dim), np.linspace(-1.0, 1.0, dim))
+    oracle = StochasticOracle(f, noise, rng_seed=2)
+    sizes = [1, 1, 2, 5, 5, 40]
+    fed = oracle.feed(oracle.stream(0, 0), sizes)
+    plain = oracle.stream(0, 0)
+    x, out = _point(dim), np.empty(dim)
+    for n in sizes:
+        got = batch_mean(oracle, x, n, fed, out=out)
+        assert got is out
+        assert np.array_equal(got, batch_mean(oracle, x, n, plain))
 
 
 class Recording:
@@ -466,8 +499,8 @@ class TestFeed:
 
 @pytest.mark.parametrize("n", [2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])
 def test_zero_d_batch_size_divides_as_an_int(n):
-    # the solvers pass n as a 0-d int64 array; the division must round
-    # it to the double a Python int rounds to
+    # batch_mean takes n as a 0-d int64 array too, and its mean must
+    # divide by the double a Python int rounds to
     oracle = gaussian_oracle(sigma=0.9, seed=8)
     x = np.array([0.1, -0.2, 0.3, 0.4])
     want = batch_mean(oracle, x, n, oracle.stream(0, 0))

@@ -236,6 +236,47 @@ class TestBox:
         want = project_box_bruteforce(v, lo, hi)
         assert np.linalg.norm(got - want) <= 1e-8
 
+    @pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.inf],
+                                   [-np.inf, 0.0, 0.0], [np.inf, 0.0, -np.inf],
+                                   [np.nan, 1e300, np.inf]])
+    def test_non_finite_rejected(self, v):
+        # with nothing but a ContractViolation: the suite runs with
+        # warnings as errors, and numpy warns about overflow or inf - inf
+        # in some reductions of such vectors
+        v = np.array(v)
+        box = Box(-np.ones(3), np.ones(3))
+        with pytest.raises(ContractViolation, match="non-finite"):
+            box.project(v)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            box.project(v, out=np.empty(3))
+
+    @pytest.mark.parametrize("big", [1e200, -1e200, 1.7e308])
+    def test_finite_entries_whose_squares_overflow_project(self, big):
+        box = Box(-np.ones(3), np.ones(3))
+        got = box.project(np.array([big, 0.5, -big]))
+        assert np.array_equal(got, [np.sign(big), 0.5, -np.sign(big)])
+
+
+class TestOut:
+    """project(v, out=buf) writes the bits project(v) returns into buf."""
+
+    SETS = [Box(np.array([-1.0, 0.0, 0.5]), np.array([1.0, 2.0, 0.75])),
+            Ball(np.array([0.1, -0.2, 0.3]), 0.8),
+            Simplex(3),
+            Product(Simplex(2), Box(-np.ones(2), np.ones(2)), Simplex(3)),
+            Product(Product(Simplex(2), Simplex(1)), Ball(np.zeros(2), 1.0))]
+
+    @pytest.mark.parametrize("target", SETS, ids=lambda s: type(s).__name__)
+    def test_out_matches_fresh(self, target):
+        rng = np.random.default_rng(target.dimension)
+        out = np.empty(target.dimension)
+        for _ in range(50):
+            v = rng.normal(scale=3.0, size=target.dimension)
+            want = target.project(v)
+            got = target.project(v, out=out)
+            assert got is out
+            assert np.array_equal(got, want)
+
 
 class TestBall:
     def test_interior_point_fixed(self):

@@ -363,8 +363,9 @@ class TestStochasticRate:
 
 
 class TestFedRunBits:
-    """A run reads its streams through feeds and passes 0-d operands;
-    a loop that draws every batch from bare streams gets the same bits."""
+    """A run reads its streams through feeds, writes into buffers it
+    allocates once and passes 0-d operands; a loop that forms every batch
+    mean by hand from bare streams gets the same bits."""
 
     def test_matrix_noise_across_chunks(self):
         # a 10 x 20 game has 200 noise entries: one chunk holds 81 single

@@ -11,13 +11,18 @@ For each workload that ``BENCHMARK.json`` lists, the script runs
 keeps the median and the quartiles of every end-to-end metric, with the
 plain wall time of the solve next to its reference seconds. It then
 times one run of the non-slow test suite (``python3 -m pytest -q -m
-"not slow"``) in plain wall seconds. Everything goes to
-``bench/BENCH_<name>.json`` next to this script's checkout, with the
-core count, the numpy version, the OpenBLAS core that numpy selects, the
-git revision of the measured checkout and whether its tracked files
-differ from that revision. The script refuses to
-overwrite an existing file: each change adds one, none rewrites an old
-one.
+"not slow"``) in plain wall seconds; that is a single run with no
+spread, recorded as such, so it only indicates the suite's time.
+Everything goes to ``bench/BENCH_<name>.json`` next to this script's
+checkout, with the core count, the numpy version, the OpenBLAS core that
+numpy selects, the git revision of the measured checkout, whether its
+tracked files differ from that revision and the sha256 of ``git diff
+HEAD``, which tells two different working trees on one revision apart
+(files git does not track are not part of it: ``git add -A`` first; the
+record itself is written after the hash, so it is not part of it
+either).
+The script refuses to overwrite an existing file: each change adds one,
+none rewrites an old one.
 
 ``--root`` measures another checkout, say the parent commit's, with the
 benchmark code that checkout holds. The runs are serial; on a 2-core
@@ -27,6 +32,7 @@ machine the whole recording takes about 3 minutes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -74,6 +80,8 @@ def _environment(root):
     dirty = subprocess.run(["git", "-C", root, "status", "--porcelain",
                             "--untracked-files=no"],
                            capture_output=True, text=True)
+    diff = subprocess.run(["git", "-C", root, "diff", "HEAD", "--binary"],
+                          capture_output=True)
     return {
         "cores": os.cpu_count(),
         "python": sys.version.split()[0],
@@ -82,6 +90,10 @@ def _environment(root):
         "git_rev": rev.stdout.strip() if rev.returncode == 0 else None,
         "git_dirty": bool(dirty.stdout.strip()) if dirty.returncode == 0
                      else None,
+        "git_diff_sha256": hashlib.sha256(diff.stdout).hexdigest()
+                           if diff.returncode == 0 else None,
+        "git_diff_covers": "git diff HEAD --binary of the tracked files "
+                           "when the runs began; this file is not in it",
     }
 
 
@@ -111,7 +123,8 @@ def _workload(root, name):
 
 
 def _suite(root):
-    """Plain wall time and outcome line of one non-slow suite run."""
+    """Plain wall time and outcome line of one non-slow suite run: one
+    run, so no quartiles; the time is indicative only."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
     done = subprocess.run(
@@ -120,7 +133,8 @@ def _suite(root):
         cwd=root, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": done.returncode,
+    return {"wall_s": wall, "runs": 1, "spread": None,
+            "exit_code": done.returncode,
             "outcome": lines[-1] if lines else ""}
 
 
