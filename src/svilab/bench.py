@@ -1,11 +1,13 @@
 """Benchmark harness: experiment configs, seeded runs, CSV summaries.
 
 Configs are flat INI-style text: ``[problem]`` and ``[run]`` sections
-plus one ``[scheme.<name>]`` section per solver. Values that vary per
-problem row (lambda, rho, stepsize) accept comma lists zipped with the
-``lipschitz`` list. Every (problem, scheme, seed) cell runs the steps a
-fresh budget counter pays for, with samples keyed by its seed, and
-writes one trace CSV; the summary aggregates final metrics per cell.
+plus one ``[scheme.<name>]`` section per solver. Each scheme is declared
+once, in ``_SCHEMES``: its keys, solver config, first step, runner and
+trace cadence. Values that vary per problem row (lambda, rho, stepsize)
+accept comma lists zipped with the ``lipschitz`` list. Every (problem,
+scheme, seed) cell runs the steps a fresh budget counter pays for, with
+samples keyed by its seed, and writes one trace CSV; the summary
+aggregates final metrics per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,8 +33,6 @@ from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "summarize"]
 
-_SCHEME_ORDER = ["vs_ave", "ppawss", "extragradient"]
-
 # key -> (type tag, default); REQUIRED means no default
 _REQUIRED = object()
 _PROBLEM_KEYS = {
@@ -44,33 +45,101 @@ _PROBLEM_KEYS = {
     "seed": ("int", 0),
     "reference_tol": ("float", 1e-10),
 }
+# problem kind -> the [problem] key it requires; the others' keys it refuses
+_KIND_KEYS = {"bimatrix": "m", "affine": "mu"}
 _RUN_KEYS = {
     "budget": ("int", _REQUIRED),
     "seeds": ("int_list", _REQUIRED),
     "out": ("str", "results"),
 }
-# per-scheme keys; no run length: every cell runs what its budget pays for
-_SCHEME_KEYS = {
-    "ppawss": {
-        "lambda": ("float_list", _REQUIRED),
-        "eta": ("float", 1.0),
-        "alpha": ("float", 1.001),
-        "beta": ("float", 1.001),
-        "min_inner": ("int", 1),
-    },
-    "vs_ave": {
-        "rho": ("float_list", None),
-        "q_rule": ("str", "kappa_plus_2"),
-        "min_batch": ("int", 1),
-    },
-    "extragradient": {
-        "stepsize": ("float_list", None),
-        "theta": ("float", 1.0),
-        "b": ("float", 1e-3),
-        "mu_shift": ("float", 2.001),
-        "averaged": ("bool", False),
-    },
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """One scheme as the harness runs it.
+
+    ``keys`` is its ``[scheme.<name>]`` table, whose one ``float_list``
+    key takes a value per problem row. ``solver(config, params, row)``
+    builds a cell's uncapped solver config, and ``first_step(solver,
+    lipschitz)`` the config whose schedule is the cell's first step.
+    ``runner`` names the solver among this module's globals, looked up
+    as a cell runs. A ``flat`` cell is sized to the budget and traced at
+    about 200 rows.
+    """
+
+    keys: dict
+    solver: Callable
+    first_step: Callable
+    runner: str
+    flat: bool
+
+    @property
+    def per_row_key(self):
+        return next(k for k, (tag, _) in self.keys.items() if tag == "float_list")
+
+
+def _vs_ave_solver(config, params, row):
+    if not (config.kind == "affine" and config.mu > 0):
+        raise ConfigError("vs_ave requires a strongly monotone problem"
+                          " (mu > 0); bimatrix maps have mu = 0")
+    lip = config.lipschitz[row]
+    rho = (params["rho"][row] if params["rho"]
+           else rate_q(lip / config.mu, params["q_rule"]) ** 1.001)
+    return VsAveConfig(mu=config.mu, lipschitz=lip, rho=rho,
+                       max_iterations=2**31, min_batch=params["min_batch"])
+
+
+def _ppawss_solver(config, params, row):
+    return PpawssConfig(lam=params["lambda"][row], eta=params["eta"],
+                        alpha=params["alpha"], beta=params["beta"],
+                        outer_iterations=2**31, min_inner=params["min_inner"])
+
+
+def _extragradient_solver(config, params, row):
+    lip = config.lipschitz[row]
+    if params["stepsize"]:
+        stepsize = params["stepsize"][row]
+        check_stepsize(stepsize, lip)
+    else:
+        stepsize = 0.99 * max_stepsize(lip)
+    return ExtragradientConfig(
+        stepsize=stepsize, theta=params["theta"], mu_shift=params["mu_shift"],
+        b=params["b"], averaged=params["averaged"])
+
+
+def _one_step(solver, lipschitz):
+    return replace(solver, max_iterations=1)
+
+
+def _first_subproblem(solver, lipschitz):
+    # priced on the row's configured Lipschitz constant
+    return solver.subproblem(0, lipschitz)
+
+
+# every scheme, in the order of a config's cells and the summary's columns
+_SCHEMES = {
+    "vs_ave": _Scheme(
+        keys={"rho": ("float_list", None), "q_rule": ("str", "kappa_plus_2"),
+              "min_batch": ("int", VsAveConfig.min_batch)},
+        solver=_vs_ave_solver, first_step=_one_step, runner="run_vs_ave",
+        flat=True),
+    "ppawss": _Scheme(
+        keys={"lambda": ("float_list", _REQUIRED), "eta": ("float", 1.0),
+              "alpha": ("float", 1.001), "beta": ("float", 1.001),
+              "min_inner": ("int", PpawssConfig.min_inner)},
+        solver=_ppawss_solver, first_step=_first_subproblem,
+        runner="run_ppawss", flat=False),
+    "extragradient": _Scheme(
+        keys={"stepsize": ("float_list", None),
+              "theta": ("float", ExtragradientConfig.theta),
+              "b": ("float", ExtragradientConfig.b),
+              "mu_shift": ("float", ExtragradientConfig.mu_shift),
+              "averaged": ("bool", ExtragradientConfig.averaged)},
+        solver=_extragradient_solver, first_step=_one_step,
+        runner="run_extragradient", flat=True),
 }
+_SECTIONS = {"problem": _PROBLEM_KEYS, "run": _RUN_KEYS,
+             **{f"scheme.{name}": s.keys for name, s in _SCHEMES.items()}}
 
 
 @dataclass(frozen=True)
@@ -151,9 +220,7 @@ def parse_config(text, overrides=None):
             if not line.endswith("]"):
                 raise ConfigError(f"unterminated section header {line!r}", line=lineno)
             name = line[1:-1].strip()
-            if name not in ("problem", "run") and not (
-                name.startswith("scheme.") and name[7:] in _SCHEME_KEYS
-            ):
+            if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", line=lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", line=lineno)
@@ -167,12 +234,7 @@ def parse_config(text, overrides=None):
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if current == "problem":
-            table = _PROBLEM_KEYS
-        elif current == "run":
-            table = _RUN_KEYS
-        else:
-            table = _SCHEME_KEYS[current[7:]]
+        table = _SECTIONS[current]
         if key not in table:
             raise ConfigError(f"unknown key {key!r} in [{current}]", line=lineno)
         if key in sections[current]:
@@ -182,20 +244,14 @@ def parse_config(text, overrides=None):
 
     def resolved(section, table):
         got = sections.get(section, {})
-        out = {}
         for key, (_, default) in table.items():
-            if key in got:
-                out[key] = got[key]
-            elif default is _REQUIRED:
+            if key not in got and default is _REQUIRED:
                 raise ConfigError(f"[{section}] is missing required key {key!r}")
-            else:
-                out[key] = default
-        return out
+        return {key: got.get(key, default) for key, (_, default) in table.items()}
 
-    if "problem" not in sections:
-        raise ConfigError("missing [problem] section")
-    if "run" not in sections:
-        raise ConfigError("missing [run] section")
+    for name in ("problem", "run"):
+        if name not in sections:
+            raise ConfigError(f"missing [{name}] section")
     for key, raw in overrides.items():
         try:
             sections["run"][key] = _parse_value(raw, _RUN_KEYS[key][0], None)
@@ -204,37 +260,24 @@ def parse_config(text, overrides=None):
         key_lines[("run", key)] = None
     problem = resolved("problem", _PROBLEM_KEYS)
     run = resolved("run", _RUN_KEYS)
-    schemes = tuple(
-        name for name in _SCHEME_ORDER if f"scheme.{name}" in sections
-    )
+    schemes = tuple(name for name in _SCHEMES if f"scheme.{name}" in sections)
     if not schemes:
         raise ConfigError("at least one [scheme.<name>] section is required")
     scheme_params = {
-        name: resolved(f"scheme.{name}", _SCHEME_KEYS[name]) for name in schemes
+        name: resolved(f"scheme.{name}", _SCHEMES[name].keys) for name in schemes
     }
 
     kind = problem["kind"]
-    if kind not in ("bimatrix", "affine"):
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"kind must be {' or '.join(map(repr, _KIND_KEYS))};"
+                          f" got {kind!r}", line=key_lines.get(("problem", "kind")))
+    if problem[_KIND_KEYS[kind]] is None:
         raise ConfigError(
-            f"kind must be 'bimatrix' or 'affine'; got {kind!r}",
-            line=key_lines.get(("problem", "kind")),
-        )
-    if kind == "bimatrix":
-        if problem["m"] is None:
-            raise ConfigError("[problem] kind = bimatrix requires key 'm'")
-        if problem["mu"] is not None:
-            raise ConfigError(
-                "'mu' applies only to affine problems",
-                line=key_lines.get(("problem", "mu")),
-            )
-    else:
-        if problem["mu"] is None:
-            raise ConfigError("[problem] kind = affine requires key 'mu'")
-        if problem["m"] is not None:
-            raise ConfigError(
-                "'m' applies only to bimatrix problems",
-                line=key_lines.get(("problem", "m")),
-            )
+            f"[problem] kind = {kind} requires key {_KIND_KEYS[kind]!r}")
+    for other, key in _KIND_KEYS.items():
+        if other != kind and problem[key] is not None:
+            raise ConfigError(f"{key!r} applies only to {other} problems",
+                              line=key_lines.get(("problem", key)))
     rows = len(problem["lipschitz"])
     for value in problem["lipschitz"]:
         if not (np.isfinite(value) and value > 0):
@@ -251,11 +294,10 @@ def parse_config(text, overrides=None):
                  key_lines.get(("run", "seeds")))
     _check_seeds((problem["seed"],), "seed", key_lines.get(("problem", "seed")))
 
-    # normalize per-row lists: length 1 broadcasts, otherwise must match
-    for name, per_row_key in (("ppawss", "lambda"), ("vs_ave", "rho"),
-                              ("extragradient", "stepsize")):
-        if name not in scheme_params:
-            continue
+    # normalize per-row lists: length 1 broadcasts, otherwise must match;
+    # checked in the order of the keys' names
+    for per_row_key, name in sorted((_SCHEMES[name].per_row_key, name)
+                                    for name in schemes):
         value = scheme_params[name][per_row_key]
         if value is None:
             continue
@@ -270,20 +312,11 @@ def parse_config(text, overrides=None):
         scheme_params[name][per_row_key] = value
 
     config = ExperimentConfig(
-        kind=kind,
-        n=problem["n"],
-        m=problem["m"],
-        mu=problem["mu"],
-        lipschitz=tuple(problem["lipschitz"]),
-        noise_scale=problem["noise"],
-        problem_seed=problem["seed"],
-        reference_tol=problem["reference_tol"],
-        schemes=schemes,
-        scheme_params=scheme_params,
-        budget=run["budget"],
-        seeds=tuple(run["seeds"]),
-        output_path=run["out"],
-    )
+        kind=kind, n=problem["n"], m=problem["m"], mu=problem["mu"],
+        lipschitz=tuple(problem["lipschitz"]), noise_scale=problem["noise"],
+        problem_seed=problem["seed"], reference_tol=problem["reference_tol"],
+        schemes=schemes, scheme_params=scheme_params, budget=run["budget"],
+        seeds=tuple(run["seeds"]), output_path=run["out"])
     labels = [_row_label(config, row) for row in range(rows)]
     for row, label in enumerate(labels):
         if label in labels[:row]:
@@ -310,62 +343,18 @@ def _check_seeds(seeds, name, line=None):
 
 def _solver_config(config, scheme, row):
     """Uncapped solver config of one cell; raises ConfigError early."""
-    params = config.scheme_params[scheme]
-    lip = config.lipschitz[row]
-    if scheme == "ppawss":
-        return PpawssConfig(
-            lam=params["lambda"][row],
-            eta=params["eta"],
-            alpha=params["alpha"],
-            beta=params["beta"],
-            outer_iterations=2**31,
-            min_inner=params["min_inner"],
-        )
-    if scheme == "vs_ave":
-        if not (config.kind == "affine" and config.mu > 0):
-            raise ConfigError(
-                "vs_ave requires a strongly monotone problem (mu > 0);"
-                " bimatrix maps have mu = 0"
-            )
-        rho = (params["rho"][row] if params["rho"]
-               else rate_q(lip / config.mu, params["q_rule"]) ** 1.001)
-        return VsAveConfig(
-            mu=config.mu,
-            lipschitz=lip,
-            rho=rho,
-            max_iterations=2**31,
-            min_batch=params["min_batch"],
-        )
-    if scheme == "extragradient":
-        if params["stepsize"]:
-            stepsize = params["stepsize"][row]
-            check_stepsize(stepsize, lip)
-        else:
-            stepsize = 0.99 * max_stepsize(lip)
-        return ExtragradientConfig(
-            stepsize=stepsize,
-            theta=params["theta"],
-            mu_shift=params["mu_shift"],
-            b=params["b"],
-            averaged=params["averaged"],
-        )
-    raise AssertionError(scheme)
+    return _SCHEMES[scheme].solver(config, config.scheme_params[scheme], row)
 
 
 def validate_solver_configs(config):
     """Build every cell's solver config once, before any run starts, and
-    check that the budget pays for each cell's first step.
-
-    A PPAWSS step is its whole first subproblem, priced on the row's
-    configured Lipschitz constant.
-    """
+    check that the budget pays for each cell's first step."""
     for scheme in config.schemes:
-        for row in range(len(config.lipschitz)):
-            solver = _solver_config(config, scheme, row)
-            first = (replace(solver, max_iterations=1) if scheme != "ppawss"
-                     else solver.subproblem(0, config.lipschitz[row]))
+        for row, lip in enumerate(config.lipschitz):
+            first = _SCHEMES[scheme].first_step(
+                _solver_config(config, scheme, row), lip)
             sizes = list(first.schedule)
-            where = f"{scheme} on row {row} (L = {config.lipschitz[row]:g})"
+            where = f"{scheme} on row {row} (L = {lip:g})"
             if len(sizes) < first.max_iterations:
                 raise ConfigError(f"{where}: batch sizes overflow within"
                                   " the first step")
@@ -391,11 +380,10 @@ def _build_problem(config, row):
 
 
 def _row_label(config, row):
-    lip = config.lipschitz[row]
-    if "ppawss" in config.scheme_params:
-        lam = config.scheme_params["ppawss"]["lambda"][row]
-        return f"{lip:g}", f"{lam:g}"
-    return f"{lip:g}", "na"
+    # a row's lambda names its cells when the config runs PPAWSS
+    ppawss = config.scheme_params.get("ppawss")
+    lam = f"{ppawss['lambda'][row]:g}" if ppawss else "na"
+    return f"{config.lipschitz[row]:g}", lam
 
 
 def _cell_filename(scheme, lip_label, lam_label, seed):
@@ -409,20 +397,18 @@ _CELL_RE = re.compile(
 def _run_cell(job):
     """Run one (problem row, scheme, seed) cell and write its CSV."""
     config, scheme, row, problem, seed, out_path = job
-    budget = BudgetCounter(config.budget)
+    record = _SCHEMES[scheme]
     start = problem.feasible_set.project(np.zeros(problem.dimension))
     solver = _solver_config(config, scheme, row)
-    if scheme == "ppawss":
-        _, trace = run_ppawss(problem, start, solver, budget,
-                              scheme=scheme, seed=seed)
-    else:
+    recorder = Recorder()
+    if record.flat:
         solver = replace(solver, max_iterations=steps_within(
             solver.schedule, config.budget))
-        run = run_vs_ave if scheme == "vs_ave" else run_extragradient
-        # flat schemes trace about 200 rows, whatever their length
-        every = max(1, math.ceil(solver.max_iterations / 200))
-        _, trace = run(problem, start, solver, budget, scheme=scheme,
-                       seed=seed, recorder=Recorder(every=every))
+        recorder = Recorder(every=max(1, math.ceil(solver.max_iterations / 200)))
+    # looked up by name, so a wrapper set on this module's global runs
+    _, trace = globals()[record.runner](
+        problem, start, solver, BudgetCounter(config.budget), scheme=scheme,
+        seed=seed, recorder=recorder)
     trace.write_csv(out_path)
     return out_path
 
@@ -536,7 +522,7 @@ def summarize(csv_paths, summary_csv=None):
     labels = sorted({label for label, _ in cells}, key=sort_key)
     schemes = sorted(
         {scheme for _, scheme in cells},
-        key=lambda s: (_SCHEME_ORDER.index(s) if s in _SCHEME_ORDER else 99, s),
+        key=lambda s: (list(_SCHEMES).index(s) if s in _SCHEMES else 99, s),
     )
     summary_rows = []
     display = {}

@@ -1,14 +1,13 @@
 """Feasible sets and Euclidean projections.
 
-Every set exposes ``dimension``, ``project``, ``contains`` and
-``random_point``; ``project`` is the one public projection entry, so
-``Simplex(v.size).project(v)`` projects onto the simplex. Projections
-are exact (closed-form or sort-based), and ``project`` validates its
-input: a non-finite entry or a length mismatch raises
-:class:`~svilab.errors.ContractViolation`. ``project(v, out=buf)``
-writes the projection into ``buf``, a float64 vector of the set's
-dimension, and returns it; without ``out`` it returns a fresh array.
-"""
+Every set exposes ``dimension`` and ``project``; ``project`` is the one
+public projection entry, so ``Simplex(v.size).project(v)`` projects onto
+the simplex. Projections are exact (closed-form or sort-based), and
+``project`` validates its input: a non-finite entry or a length mismatch
+raises :class:`~svilab.errors.ContractViolation`. ``project(v,
+out=buf)`` writes the projection into ``buf``, a float64 vector of the
+set's dimension, and returns it; without ``out`` it returns a fresh
+array."""
 
 from __future__ import annotations
 
@@ -47,13 +46,6 @@ def _require_finite(v):
     # inf - inf, and vdot does neither.
     if not np.isfinite(v).all():
         raise ContractViolation("vector contains non-finite entries")
-
-
-def _checked(v, dim=None):
-    """Return ``v`` as a finite 1-D float64 array of length ``dim``."""
-    arr = _vector(v, dim)
-    _require_finite(arr)
-    return arr
 
 
 def _projection(self, v, *, out=None):
@@ -114,13 +106,6 @@ class Box:
         np.maximum(v, self.lo, out=out)
         np.minimum(out, self.hi, out=out)
 
-    def contains(self, v, tol=1e-12):
-        v = _checked(v, self.dimension)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
-    def random_point(self, rng):
-        return rng.uniform(self.lo, self.hi)
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -153,19 +138,6 @@ class Ball:
             out[...] = v
         else:
             out[...] = self.center + (self.radius / dist) * d
-
-    def contains(self, v, tol=1e-12):
-        v = _checked(v, self.dimension)
-        return bool(np.linalg.norm(v - self.center) <= self.radius + tol)
-
-    def random_point(self, rng):
-        d = rng.standard_normal(self.dimension)
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            return self.center.copy()
-        # radius scaled by u^(1/n) gives a uniform draw over the ball
-        r = self.radius * rng.uniform() ** (1.0 / self.dimension)
-        return self.center + (r / norm) * d
 
 
 @dataclass(frozen=True)
@@ -229,13 +201,6 @@ class Simplex:
         np.subtract(v, tau, out=out)
         np.maximum(out, _ZERO, out=out)
 
-    def contains(self, v, tol=1e-12):
-        v = _checked(v, self.dim)
-        return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
-
-    def random_point(self, rng):
-        return rng.dirichlet(np.ones(self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class Product:
@@ -273,10 +238,3 @@ class Product:
     def _project(self, v, out):
         for sl, block in self._parts:
             block(v[sl], out[sl])
-
-    def contains(self, v, tol=1e-12):
-        v = _checked(v, self.dimension)
-        return all(b.contains(v[sl], tol) for b, sl in zip(self.blocks, self._slices))
-
-    def random_point(self, rng):
-        return np.concatenate([b.random_point(rng) for b in self.blocks])

@@ -4,7 +4,9 @@ Each projection is solved by enumerating the KKT support structure and
 taking the closest feasible candidate, which is exact in exact
 arithmetic and independent of the sort-based implementations under
 test. Intended for small dimensions only (the simplex enumerator is
-exponential in the dimension).
+exponential in the dimension). :func:`contains` and
+:func:`random_point` test membership in and sample the sets of
+:mod:`svilab.sets`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,60 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from svilab.errors import ContractViolation
+from svilab.sets import Ball, Box, Product, Simplex
+
+
+def _checked(v, dim):
+    """Return ``v`` as a finite 1-D float64 array of length ``dim``."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1 or arr.size != dim:
+        raise ContractViolation(f"expected a vector of length {dim}, got shape"
+                                f" {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ContractViolation("vector contains non-finite entries")
+    return arr
+
+
+def contains(feasible_set, v, tol=1e-12):
+    """Whether ``v`` lies in ``feasible_set`` up to ``tol``."""
+    v = _checked(v, feasible_set.dimension)
+    if isinstance(feasible_set, Box):
+        return bool(np.all(v >= feasible_set.lo - tol)
+                    and np.all(v <= feasible_set.hi + tol))
+    if isinstance(feasible_set, Ball):
+        return bool(np.linalg.norm(v - feasible_set.center)
+                    <= feasible_set.radius + tol)
+    if isinstance(feasible_set, Simplex):
+        return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
+    if isinstance(feasible_set, Product):
+        blocks = feasible_set.blocks
+        cuts = np.cumsum([b.dimension for b in blocks])[:-1]
+        return all(contains(b, part, tol)
+                   for b, part in zip(blocks, np.split(v, cuts)))
+    raise TypeError(feasible_set)
+
+
+def random_point(feasible_set, rng):
+    """A random point of ``feasible_set`` drawn from ``rng``: uniform
+    over a box or ball, Dirichlet(1) on a simplex, blockwise on a
+    product."""
+    if isinstance(feasible_set, Box):
+        return rng.uniform(feasible_set.lo, feasible_set.hi)
+    if isinstance(feasible_set, Ball):
+        d = rng.standard_normal(feasible_set.dimension)
+        norm = np.linalg.norm(d)
+        if norm == 0.0:
+            return feasible_set.center.copy()
+        # radius scaled by u^(1/n) gives a uniform draw over the ball
+        r = feasible_set.radius * rng.uniform() ** (1.0 / feasible_set.dimension)
+        return feasible_set.center + (r / norm) * d
+    if isinstance(feasible_set, Simplex):
+        return rng.dirichlet(np.ones(feasible_set.dimension))
+    if isinstance(feasible_set, Product):
+        return np.concatenate([random_point(b, rng) for b in feasible_set.blocks])
+    raise TypeError(feasible_set)
 
 
 def project_simplex_bruteforce(v):

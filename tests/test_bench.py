@@ -538,3 +538,29 @@ class TestSummarize:
         text = summarize(sorted(paths))
         body = text.splitlines()[2:]
         assert [line.split()[0] for line in body] == ["7.05", "70.5", "705"]
+
+
+@pytest.mark.parametrize("name", ["bimatrix", "affine"])
+def test_a_run_is_a_prefix_of_a_run_with_a_larger_budget(name, tmp_path):
+    """Every row that a golden cell records at its budget B, it records
+    with the same bytes at 4B: no schedule, start point or cadence may
+    depend on the budget within the rows both runs share."""
+    golden = os.path.join(os.path.dirname(__file__), "fixtures", "golden")
+    with open(os.path.join(golden, f"{name}.cfg"), encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    rows = {}
+    for factor in (1, 4):
+        run_experiment(replace(config, budget=factor * config.budget,
+                               output_path=f"x{factor}"), base_dir=str(tmp_path))
+        for path in (tmp_path / f"x{factor}").glob("*_seed*.csv"):
+            lines = path.read_text(encoding="ascii").splitlines()[1:]
+            # outer_k -> the whole row
+            rows.setdefault(path.name, []).append(
+                {line.split(",")[2]: line for line in lines})
+    assert len(rows) == (len(config.schemes) * len(config.lipschitz)
+                         * len(config.seeds))
+    for cell, (small, large) in rows.items():
+        shared = small.keys() & large.keys()
+        assert shared, cell
+        for outer_k in shared:
+            assert small[outer_k] == large[outer_k], (cell, outer_k)

@@ -19,6 +19,7 @@ from svilab.oracle import BLOCK
 from svilab.problems import bimatrix_from_payoff
 
 from plain_loops import extragradient_loop
+from qp_oracle import contains
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -84,7 +85,7 @@ class TestDeterministicRuns:
         z, trace = run_extragradient(pennies_problem, z0, cfg, None)
         assert not trace.truncated
         assert np.linalg.norm(z - pennies_problem.reference_solution) <= 1e-8
-        assert pennies_problem.feasible_set.contains(z)
+        assert contains(pennies_problem.feasible_set, z)
 
     def test_averaged_mode_converges_slower_but_surely(self, pennies_problem):
         cfg = ExtragradientConfig(stepsize=0.2, max_iterations=300,
@@ -93,7 +94,7 @@ class TestDeterministicRuns:
         z, _ = run_extragradient(pennies_problem, z0, cfg, None)
         dist = np.linalg.norm(z - pennies_problem.reference_solution)
         assert dist <= 0.05
-        assert pennies_problem.feasible_set.contains(z)
+        assert contains(pennies_problem.feasible_set, z)
 
     def test_probe_step_is_what_converges(self, pennies_problem):
         # the plain projected forward step orbits the saddle of a skew

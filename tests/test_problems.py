@@ -20,6 +20,8 @@ from svilab.metrics import natural_residual
 from svilab.oracle import AdditiveGaussian, MatrixPerturbation, ZeroNoise
 from svilab.problems import bimatrix_from_payoff, reference_solution, z_saddle_value
 
+from qp_oracle import contains
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -107,7 +109,7 @@ class TestBimatrix:
             1.0 / prob.mean_map.lipschitz,
         )
         assert r <= 1e-10
-        assert prob.feasible_set.contains(prob.reference_solution, tol=1e-9)
+        assert contains(prob.feasible_set, prob.reference_solution, tol=1e-9)
 
 
 class TestAffine:

@@ -25,6 +25,7 @@ from svilab.sets import Box
 from svilab.vs_ave import rate_q, sample_size, schedule_cost
 
 from plain_loops import vs_ave_loop
+from qp_oracle import contains
 
 
 class TestRateQ:
@@ -183,7 +184,7 @@ class TestRunDeterministic:
         averaged, trace = run_vs_ave(prob, np.zeros(4), cfg, None)
         assert not trace.truncated
         assert np.linalg.norm(averaged - prob.reference_solution) <= 1e-6
-        assert prob.feasible_set.contains(averaged)
+        assert contains(prob.feasible_set, averaged)
 
     def test_singleton_dimension(self):
         prob = make_affine_strongly_monotone(n=1, mu=2.0, lipschitz=2.0,
@@ -303,7 +304,7 @@ class TestBudgetAndSchedule:
         assert trace.truncated
         assert [r.calls for r in trace.rows] == [2, 6, 14]
         assert budget.consumed == 14
-        assert prob.feasible_set.contains(averaged)
+        assert contains(prob.feasible_set, averaged)
 
     def test_unaffordable_step_draws_nothing(self):
         # the budget pays for the fourth iteration's first batch (8 of

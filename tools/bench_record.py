@@ -20,7 +20,9 @@ tracked files differ from that revision and the sha256 of ``git diff
 HEAD``, which tells two different working trees on one revision apart
 (files git does not track are not part of it: ``git add -A`` first; the
 record itself is written after the hash, so it is not part of it
-either).
+either). It also counts the lines of each ``src/svilab/*.py`` file and
+their total, and the total of the ``tests/`` Python files, so the size
+of the code has a trajectory next to its speed.
 The script refuses to overwrite an existing file: each change adds one,
 none rewrites an old one.
 
@@ -32,6 +34,7 @@ machine the whole recording takes about 3 minutes.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -122,6 +125,21 @@ def _workload(root, name):
     return {"runs": RUNS, "failed_runs": failures, "metrics": record}
 
 
+def _lines(root):
+    """Line counts of ``src/svilab/*.py``, per file and in total, and of
+    the Python files under ``tests/``."""
+    def count(path):
+        with open(path, "rb") as fh:
+            return sum(1 for _ in fh)
+
+    src = {os.path.basename(path): count(path) for path in
+           sorted(glob.glob(os.path.join(root, "src", "svilab", "*.py")))}
+    tests = sum(count(path) for path in glob.glob(
+        os.path.join(root, "tests", "**", "*.py"), recursive=True))
+    return {"src_svilab": src, "src_svilab_total": sum(src.values()),
+            "tests_total": tests}
+
+
 def _suite(root):
     """Plain wall time and outcome line of one non-slow suite run: one
     run, so no quartiles; the time is indicative only."""
@@ -148,7 +166,7 @@ def main(argv=None):
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
     record = {"name": args.name, "seconds": SECONDS, **_environment(root),
-              "workloads": {}}
+              "lines": _lines(root), "workloads": {}}
     for name in workloads:
         print(f"{name}: {RUNS} runs", file=sys.stderr)
         record["workloads"][name] = _workload(root, name)
