@@ -11,14 +11,16 @@ keyed by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
 repeated trials and the two batch kinds of one iteration never share
 draws.
 
-A :class:`SampleStream` draws in blocks: it asks Philox for ``BLOCK``
+A :class:`SampleStream` draws in blocks: it has Philox fill ``BLOCK``
 values of its noise model's distribution at a time and serves each
 batch as a slice of the current block, so a batch of a few samples
 costs a slice, not a call into numpy's generator. This does not change
 a single value. Philox makes one 64-bit word per double and keeps its
-unused words between calls, and ``uniform`` and ``standard_normal``
-fill their output one element after the other, so drawing ``a`` values
-and then ``b`` values gives the numbers one draw of ``a + b`` gives.
+unused words between calls, and ``random`` and ``standard_normal``
+fill their output one element after the other, so filling ``a`` values
+and then ``b`` values gives the numbers one fill of ``a + b`` gives.
+A U(-1, 1) fill, ``random`` then ``2u - 1``, has the bits of ``uniform``'s
+``-1.0 + 2.0 * u``: both are exact for every ``u`` on the 2**-53 grid.
 
 A solver knows its batch sizes before its first draw, so it reads each
 stream through a :class:`Feed` of those sizes. The feed prepares the
@@ -43,7 +45,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -89,17 +90,17 @@ _EMPTY = np.empty(0)
 class SampleStream:
     """The values of one stream in the order a run draws them.
 
-    ``draw(size)`` returns the next ``size`` values of a generator; a
-    noise model's ``sampler(gen)`` gives it for ``gen``. The stream
-    calls it for one ``BLOCK`` at a time and serves :meth:`take` from
-    the current block. A request at least one block long is drawn
-    directly, after the block's leftover values, and is not kept.
+    ``fill(out)`` writes a generator's next ``out.size`` values into
+    ``out``; a noise model's ``sampler(gen)`` gives it for ``gen``. The
+    stream fills one ``BLOCK`` at a time and serves :meth:`take` from
+    the current block. A request at least one block long is filled in
+    its own array, after the block's leftover values, and is not kept.
     """
 
-    __slots__ = ("_draw", "_block", "_next")
+    __slots__ = ("_fill", "_block", "_next")
 
-    def __init__(self, draw):
-        self._draw = draw
+    def __init__(self, fill):
+        self._fill = fill
         self._block = _EMPTY
         self._next = 0
 
@@ -120,24 +121,15 @@ class SampleStream:
             return block[start:end]
         left = block[start:]
         if count < BLOCK:
-            self._block = block = self._draw(BLOCK)
+            self._block = block = np.empty(BLOCK)
+            self._fill(block)
             self._next = count - left.size
             fresh = block[:self._next]
             return np.concatenate((left, fresh)) if left.size else fresh
         self._block, self._next = _EMPTY, 0
-        if not left.size:
-            return self._draw(count)
-        # the leftover values, then fresh ones a block at a time: a whole
-        # direct draw would sit next to its copy, two buffers of the
-        # request's size that the allocator frees to the system and
-        # faults back in on each such request
         out = np.empty(count)
-        filled = left.size
-        out[:filled] = left
-        while filled < count:
-            piece = min(BLOCK, count - filled)
-            out[filled:filled + piece] = self._draw(piece)
-            filled += piece
+        out[:left.size] = left
+        self._fill(out[left.size:])
         return out
 
 
@@ -261,7 +253,10 @@ class AdditiveGaussian:
         return self.sigma**2 * dim
 
     def sampler(self, gen):
-        return gen.standard_normal
+        """Fill of standard normal values from ``gen``."""
+        def fill(out):
+            gen.standard_normal(out=out)
+        return fill
 
     def prepare(self, stream, first, sizes, dim):
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
@@ -318,7 +313,12 @@ class MatrixPerturbation:
         return self.scale**2 * (self.rows + self.cols) / 3.0
 
     def sampler(self, gen):
-        return partial(gen.uniform, -1.0, 1.0)
+        """Fill of ``gen.uniform(-1.0, 1.0, size)``'s values, in place."""
+        def fill(out):
+            gen.random(out=out)
+            out *= 2.0
+            out -= 1.0
+        return fill
 
     def prepare(self, stream, first, sizes, dim):
         # the scaled sums E_1 + ... + E_n of the coming batches

@@ -68,7 +68,8 @@ class TestSampleStream:
             bimatrix_from_payoff(np.eye(2), noise_scale=0.1, seed=-1)
 
 
-# one direct draw of each noise model's distribution from a generator
+# one direct draw of each noise model's distribution from a generator:
+# the reference values of the stream's fills
 DIRECT_DRAWS = [
     (AdditiveGaussian(1.0), lambda gen, size: gen.standard_normal(size)),
     (MatrixPerturbation(2, 3, 1.0),
@@ -89,6 +90,20 @@ def test_any_split_of_a_stream_draws_the_same_values(case, sizes):
     assert [part.size for part in served] == sizes
     want = direct(generator(4, 0, 1), sum(sizes))
     assert np.array_equal(np.concatenate([np.empty(0)] + served), want)
+
+
+@pytest.mark.parametrize("noise, direct", DIRECT_DRAWS)
+@pytest.mark.parametrize("size", [0, 1, 7, BLOCK, BLOCK + 3])
+def test_sampler_fills_a_view_with_the_direct_draw(noise, direct, size):
+    # the stream fills blocks and the tail of a request after its
+    # leftover values: views that start inside a larger array
+    buffer = np.full(size + 5, np.nan)
+    noise.sampler(generator(4, 0, 1))(buffer[2:2 + size])
+    want = direct(generator(4, 0, 1), size)
+    got = buffer[2:2 + size]
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(buffer[:2]).all() and np.isnan(buffer[2 + size:]).all()
 
 
 @pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])

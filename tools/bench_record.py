@@ -9,10 +9,18 @@ For each workload that ``BENCHMARK.json`` lists, the script runs
 ``python3 perfbench/run.py --workload <w> --seed <s> --seconds 7
 --trace 0`` once per seed ``1 .. RUNS``, each in its own process, and
 keeps the median and the quartiles of every end-to-end metric, with the
-plain wall time of the solve next to its reference seconds. It then
-times one run of the non-slow test suite (``python3 -m pytest -q -m
-"not slow"``) in plain wall seconds; that is a single run with no
-spread, recorded as such, so it only indicates the suite's time.
+plain wall time of the solve next to its reference seconds. One more
+run per workload, with ``--trace 1`` and seed ``RUNS + 1``, gives the
+cost of each layer (``PER_LAYER``: projection, ``noise_sum``,
+``batch_mean``, a map call, a VS-Ave iteration, a PPAWSS outer step and
+the reference solve). It then times one run of the non-slow test suite
+(``python3 -m pytest -q -m "not slow"``) and one run of criterion 5,
+``table1.cfg`` at budget 1e6 (``python3 -m pytest -q
+tests/test_acceptance.py -k criterion_5``), in plain wall seconds.
+Each of these is a single run with no spread, recorded as such
+(``runs: 1``, ``spread: null``), so it only indicates its cost.
+Criterion 5's outcome is recorded with its time; the script's exit code
+does not depend on it.
 Everything goes to ``bench/BENCH_<name>.json`` next to this script's
 checkout, with the core count, the numpy version, the OpenBLAS core that
 numpy selects, the git revision of the measured checkout, whether its
@@ -28,7 +36,8 @@ none rewrites an old one.
 
 ``--root`` measures another checkout, say the parent commit's, with the
 benchmark code that checkout holds. The runs are serial; on a 2-core
-machine the whole recording takes about 3 minutes.
+machine the whole recording takes about 10 minutes, half of it
+criterion 5.
 """
 
 from __future__ import annotations
@@ -48,6 +57,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 OWN_ROOT = os.path.dirname(HERE)
 SECONDS = 7
 RUNS = 3
+# the per-layer metrics of a --trace 1 run that a record keeps
+PER_LAYER = (
+    "sets.project.ns_per_call",
+    "oracle.noise_sum.ns_per_call",
+    "oracle.noise_sum.ns_per_sample",
+    "oracle.batch_mean.self_ns_per_call",
+    "maps.call.ns_per_call",
+    "vs_ave.us_per_iter",
+    "ppawss.outer_step_s",
+    "problems.reference_solve_s",
+)
 # "plain pass: solve <wall> wall s = <reference> reference s"
 _SOLVE_LINE = re.compile(r"^plain pass: solve (\S+) wall s = (\S+) reference s$",
                          re.MULTILINE)
@@ -100,29 +120,47 @@ def _environment(root):
     }
 
 
+def _run(root, name, seed, trace, failures):
+    """stdout and metrics of one perfbench run, or None after adding
+    its failure to ``failures``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name,
+           "--seed", str(seed), "--seconds", str(SECONDS),
+           "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        failures.append({"seed": seed, "trace": trace,
+                         "exit_code": done.returncode,
+                         "stderr": done.stderr[-2000:]})
+        return None
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout, result["metrics"]
+
+
 def _workload(root, name):
-    """Medians and quartiles of one workload's end-to-end metrics."""
+    """Medians and quartiles of one workload's end-to-end metrics, and
+    the ``PER_LAYER`` metrics of one traced run."""
     values, wall, units, failures = {}, [], {}, []
     for seed in range(1, RUNS + 1):
-        cmd = [sys.executable, "perfbench/run.py", "--workload", name,
-               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-        if done.returncode != 0:
-            failures.append({"seed": seed, "exit_code": done.returncode,
-                             "stderr": done.stderr[-2000:]})
+        done = _run(root, name, seed, 0, failures)
+        if done is None:
             continue
-        result = json.loads(done.stdout.strip().splitlines()[-1])
-        for metric, entry in result["metrics"].items():
+        stdout, metrics = done
+        for metric, entry in metrics.items():
             values.setdefault(metric, []).append(entry["value"])
             units[metric] = entry["unit"]
-        solve = _SOLVE_LINE.search(done.stdout)
+        solve = _SOLVE_LINE.search(stdout)
         if solve:
             wall.append(float(solve.group(1)))
     record = {metric: dict(_quartiles(v), unit=units[metric])
               for metric, v in values.items()}
     if wall:
         record["wall_solve_s"] = dict(_quartiles(wall), unit="s")
-    return {"runs": RUNS, "failed_runs": failures, "metrics": record}
+    traced = _run(root, name, RUNS + 1, 1, failures)
+    layers = {metric: traced[1][metric] for metric in PER_LAYER
+              if metric in traced[1]} if traced else {}
+    return {"runs": RUNS, "failed_runs": failures, "metrics": record,
+            "per_layer": {"runs": 1, "spread": None, "seed": RUNS + 1,
+                          "metrics": layers}}
 
 
 def _lines(root):
@@ -140,13 +178,13 @@ def _lines(root):
             "tests_total": tests}
 
 
-def _suite(root):
-    """Plain wall time and outcome line of one non-slow suite run: one
-    run, so no quartiles; the time is indicative only."""
+def _pytest(root, *args):
+    """Plain wall time and outcome line of one pytest run: one run, so
+    no quartiles; the time is indicative only."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-m", "not slow",
+        [sys.executable, "-m", "pytest", "-q", *args,
          "-p", "no:cacheprovider"],
         cwd=root, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start
@@ -171,7 +209,10 @@ def main(argv=None):
         print(f"{name}: {RUNS} runs", file=sys.stderr)
         record["workloads"][name] = _workload(root, name)
     print("non-slow test suite", file=sys.stderr)
-    record["suite"] = _suite(root)
+    record["suite"] = _pytest(root, "-m", "not slow")
+    print("criterion 5: table1.cfg at budget 1e6", file=sys.stderr)
+    record["criterion_5"] = _pytest(root, "tests/test_acceptance.py",
+                                    "-k", "criterion_5")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
