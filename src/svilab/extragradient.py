@@ -123,7 +123,10 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     run. Each step charges ``budget`` ``2 * N_k`` before its first draw,
     and a row's ``calls`` is what the run has charged. ``budget=None``
     means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the two
-    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
+    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``;
+    the run reads them through :meth:`StochasticOracle.feeds`, so the
+    second stream's batches past a block are prepared on the run's
+    helper thread while the first's are formed on this one.
     """
     budget = ledger(budget)
     oracle = problem.oracle
@@ -136,21 +139,20 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
-    feed, feed_half = (oracle.feed(oracle.stream(seed, i),
-                                   islice(config.schedule, steps))
-                       for i in (0, 1))
-    for k, n_k in enumerate(islice(config.schedule, steps), 1):
-        budget.charge(2 * n_k)
-        estimate = batch_mean(oracle, z, n_k, feed)
-        z_half = feasible_set.project(z - config.stepsize * estimate)
-        estimate_half = batch_mean(oracle, z_half, n_k, feed_half)
-        z = feasible_set.project(z - config.stepsize * estimate_half)
-        # uniform running mean of the half-step points
-        average += (z_half - average) / k
-        if recorder is not None and recorder.due(k):
-            trace.add(evaluate_point(problem, average if config.averaged else z,
-                                     recorder, k, 0,
-                                     budget.consumed - consumed_before))
+    streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
+    with oracle.feeds(streams, config.schedule, steps) as (feed, feed_half):
+        for k, n_k in enumerate(islice(config.schedule, steps), 1):
+            budget.charge(2 * n_k)
+            estimate = batch_mean(oracle, z, n_k, feed)
+            z_half = feasible_set.project(z - config.stepsize * estimate)
+            estimate_half = batch_mean(oracle, z_half, n_k, feed_half)
+            z = feasible_set.project(z - config.stepsize * estimate_half)
+            # uniform running mean of the half-step points
+            average += (z_half - average) / k
+            if recorder is not None and recorder.due(k):
+                trace.add(evaluate_point(
+                    problem, average if config.averaged else z, recorder, k,
+                    0, budget.consumed - consumed_before))
     trace.truncated = steps < config.max_iterations
     point = average if config.averaged else z
     if recorder is not None and trace.missing(steps):

@@ -37,6 +37,16 @@ The bits do not move either: the chunk takes the values that
 step-by-step draws would take, in the same order, and forms each step's
 part with the same floating-point operations in the same order; a bare
 stream passed to ``noise_sum`` is read as a feed of one step.
+
+A run's two streams are independent, so :meth:`StochasticOracle.feeds`
+gives the second one's feed a helper thread of the run's own. That feed
+runs ahead: once a chunk it served drew more than one ``BLOCK`` of
+values (a batch past a block), it has the helper prepare its next step
+while the run goes on, and Philox fills with the GIL released, so the
+two streams fill on two cores. The helper is then the stream's only
+reader until the run asks for that step, and it reads the values the
+run would read, in the same order, with the same operations, so not a
+bit moves either.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -95,14 +107,16 @@ class SampleStream:
     stream fills one ``BLOCK`` at a time and serves :meth:`take` from
     the current block. A request at least one block long is filled in
     its own array, after the block's leftover values, and is not kept.
+    ``served`` counts the values it has served.
     """
 
-    __slots__ = ("_fill", "_block", "_next")
+    __slots__ = ("_fill", "_block", "_next", "served")
 
     def __init__(self, fill):
         self._fill = fill
         self._block = _EMPTY
         self._next = 0
+        self.served = 0
 
     @property
     def room(self):
@@ -113,6 +127,7 @@ class SampleStream:
         """The next ``count`` values. The result may be a view of the
         block; the stream never serves those values again, so the caller
         may overwrite them."""
+        self.served += count
         start = self._next
         end = start + count
         block = self._block
@@ -144,17 +159,29 @@ class Feed:
     chunk, or None. :meth:`next` serves the parts one step after the
     other, so the stream is read only for the steps of ``sizes`` and in
     their order.
+
+    A feed with a ``helper``, an executor of one thread, runs ahead:
+    once the chunk it serves drew more than one ``BLOCK`` of values, it
+    reads the next size itself and submits that step's ``prepare`` to
+    the helper. At most one chunk is in flight, and the feed takes its
+    result before it prepares anything else, so while a prepare is in
+    flight the helper is the stream's only reader, and the stream is
+    still read in the order of ``sizes``.
     """
 
-    __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk")
+    __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk",
+                 "_helper", "_pending", "_served")
 
-    def __init__(self, noise, stream, sizes, dim):
+    def __init__(self, noise, stream, sizes, dim, helper=None):
         self._noise = noise
         self._stream = stream
         self._sizes = iter(sizes)
         self._dim = dim
         self._ahead = None
         self._chunk = iter(())
+        self._helper = helper
+        self._pending = None
+        self._served = stream.served
 
     def next(self, n):
         """The prepared part of the next step's batch, which must hold
@@ -171,15 +198,34 @@ class Feed:
     def _refill(self):
         # let the used chunk, and the stream block it may view, go first
         self._chunk = iter(())
-        first = self._ahead
-        if first is None:
-            first = next(self._sizes, None)
+        if self._pending is None:
+            first = self._next_size()
             if first is None:
                 raise ContractViolation("the feed has no step left")
-        sizes, parts, self._ahead = self._noise.prepare(
-            self._stream, first, self._sizes, self._dim)
+            chunk = self._noise.prepare(self._stream, first, self._sizes,
+                                        self._dim)
+        else:
+            chunk, self._pending = self._pending.result(), None
+        sizes, parts, self._ahead = chunk
+        if self._helper is not None:
+            self._run_ahead()
         self._chunk = zip(sizes, parts)
         return next(self._chunk)
+
+    def _next_size(self):
+        first, self._ahead = self._ahead, None
+        return next(self._sizes, None) if first is None else first
+
+    def _run_ahead(self):
+        served, self._served = self._served, self._stream.served
+        if self._served - served <= BLOCK:
+            return
+        # this thread reads the size and the helper reads none: sizes may
+        # walk a Schedule, whose shared size list only its walker extends
+        first = self._next_size()
+        if first is not None:
+            self._pending = self._helper.submit(
+                self._noise.prepare, self._stream, first, (), self._dim)
 
 
 def _prepared(noise, x, n, source):
@@ -402,10 +448,24 @@ class StochasticOracle:
         gen = generator(self.rng_seed, seed, stream_id)
         return SampleStream(self.noise_model.sampler(gen))
 
-    def feed(self, stream, sizes):
+    def feed(self, stream, sizes, helper=None):
         """:class:`Feed` of ``stream`` for batches of ``sizes``, the
-        batch sizes of one stream's draws in the order a run makes them."""
-        return Feed(self.noise_model, stream, sizes, self.mean_map.dimension)
+        batch sizes of one stream's draws in the order a run makes them,
+        running ahead on ``helper`` if one is given."""
+        return Feed(self.noise_model, stream, sizes, self.mean_map.dimension,
+                    helper)
+
+    @contextmanager
+    def feeds(self, streams, schedule, steps):
+        """The feeds of a run's stream pair ``streams``, each for the
+        first ``steps`` sizes of ``schedule``. The first stream is
+        prepared on the calling thread; the second's feed runs ahead on
+        the run's one helper thread, so at most two threads are busy.
+        The helper starts with the first chunk it is given and is joined
+        on exit, also when the run raises: it never outlives the run."""
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            yield (self.feed(streams[0], islice(schedule, steps)),
+                   self.feed(streams[1], islice(schedule, steps), helper))
 
     @property
     def variance_bound(self):

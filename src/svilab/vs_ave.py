@@ -163,8 +163,10 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     batches), ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     Nested callers may pass ``streams`` instead, to keep one continuous
     stream pair across repeated runs. The run reads each stream through
-    a feed of its own steps' sizes (:meth:`StochasticOracle.feed`), so
-    it takes from them exactly the values of those steps.
+    a feed of its own steps' sizes (:meth:`StochasticOracle.feeds`), so
+    it takes from them exactly the values of those steps; the second
+    stream's batches past a block are prepared on the run's helper
+    thread, which is joined before the run returns or raises.
 
     The run allocates its vectors once: the running sums, the point
     (``x_k``, then ``y_{k+1}``) and the batch mean, which is also the
@@ -195,31 +197,31 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
-    feed_y, feed_x = (oracle.feed(stream, islice(config.schedule, steps))
-                      for stream in streams)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
-    for k, n_k in enumerate(islice(config.schedule, steps), 1):
-        budget.charge(2 * n_k)
-        batch_mean(oracle, point, n_k, feed_y, out=est)
-        est /= neg_mu
-        est += point
-        est *= gamma_0d
-        presum += est
-        np.divide(presum, Gamma_0d, est)
-        project(est, out=point)
-        batch_mean(oracle, point, n_k, feed_x, out=est)
-        est /= neg_lip
-        est += point
-        project(est, out=point)
-        gamma = weight * Gamma
-        Gamma += gamma
-        gamma_0d[()] = gamma
-        Gamma_0d[()] = Gamma
-        np.multiply(gamma_0d, point, est)
-        ysum += est
-        if recorder is not None and recorder.due(k):
-            trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder, k, 0,
-                                     budget.consumed - consumed_before))
+    with oracle.feeds(streams, config.schedule, steps) as (feed_y, feed_x):
+        for k, n_k in enumerate(islice(config.schedule, steps), 1):
+            budget.charge(2 * n_k)
+            batch_mean(oracle, point, n_k, feed_y, out=est)
+            est /= neg_mu
+            est += point
+            est *= gamma_0d
+            presum += est
+            np.divide(presum, Gamma_0d, est)
+            project(est, out=point)
+            batch_mean(oracle, point, n_k, feed_x, out=est)
+            est /= neg_lip
+            est += point
+            project(est, out=point)
+            gamma = weight * Gamma
+            Gamma += gamma
+            gamma_0d[()] = gamma
+            Gamma_0d[()] = Gamma
+            np.multiply(gamma_0d, point, est)
+            ysum += est
+            if recorder is not None and recorder.due(k):
+                trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder,
+                                         k, 0,
+                                         budget.consumed - consumed_before))
     trace.truncated = steps < config.max_iterations
     averaged = ysum / Gamma
     if recorder is not None and trace.missing(steps):

@@ -41,6 +41,24 @@ seeds = 0
 [scheme.extragradient]
 """
 
+# a 10 x 20 game whose extragradient batches grow past 81 samples, that
+# is past one sample block, so each run prepares its second stream's
+# batches on a helper thread, in the serial run and in every worker
+PAST_BLOCK_CFG = """\
+[problem]
+kind = bimatrix
+n = 20
+m = 10
+lipschitz = 7.05
+noise = 0.1
+
+[run]
+budget = 20000
+seeds = 0,1
+
+[scheme.extragradient]
+"""
+
 BAD_RHO_CFG = GOOD_CFG.replace("lipschitz = 2.0", "lipschitz = 3.0") + "rho = 0.9\n"
 
 GOLDEN_AFFINE = os.path.join(os.path.dirname(__file__), "fixtures", "golden",
@@ -258,17 +276,19 @@ class TestSubprocessInvocation:
         assert "config error" in result.stderr
 
     def test_parallel_run_matches_serial(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(GOOD_CFG)
-        outputs = {}
-        for label, threads in (("serial", "1"), ("parallel", "2")):
-            out = tmp_path / label
-            env = dict(os.environ, SVILAB_THREADS=threads)
-            result = subprocess.run(
-                [sys.executable, "-m", "svilab.cli", "run", str(cfg),
-                 "--out", str(out)],
-                capture_output=True, text=True, timeout=300, env=env,
-            )
-            assert result.returncode == 0
-            outputs[label] = read_tree(out)
-        assert outputs["serial"] == outputs["parallel"]
+        for name, text in (("affine", GOOD_CFG),
+                           ("past_block", PAST_BLOCK_CFG)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            outputs = {}
+            for label, threads in (("serial", "1"), ("parallel", "2")):
+                out = tmp_path / name / label
+                env = dict(os.environ, SVILAB_THREADS=threads)
+                result = subprocess.run(
+                    [sys.executable, "-m", "svilab.cli", "run", str(cfg),
+                     "--out", str(out)],
+                    capture_output=True, text=True, timeout=300, env=env,
+                )
+                assert result.returncode == 0, name
+                outputs[label] = read_tree(out)
+            assert outputs["serial"] == outputs["parallel"], name

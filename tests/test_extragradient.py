@@ -1,6 +1,10 @@
 """Tests for the variance-reduced extragradient baseline."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from svilab import (
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
 from svilab.oracle import BLOCK
-from svilab.problems import bimatrix_from_payoff
+from svilab.problems import ProblemInstance, bimatrix_from_payoff
 
 from plain_loops import extragradient_loop
 from qp_oracle import contains
@@ -200,3 +204,82 @@ def test_fed_run_equals_bare_stream_loop(averaged):
     point, _ = run_extragradient(game, np.zeros(30), cfg, None, seed=9)
     z, average = extragradient_loop(game, np.zeros(30), cfg, seed=9)
     assert np.array_equal(point, average if averaged else z)
+
+
+# a 40 x 40 game draws 1600 values per sample: batches of 11 or more pass
+# a sample block, so the second stream's are prepared on the run's helper
+# thread, and batches past 163 samples are summed in several groups
+PAST_BLOCK = bimatrix_from_payoff(
+    np.random.default_rng(8).normal(size=(40, 40)), noise_scale=0.1, seed=8,
+    with_reference=False)
+PAST_BLOCK_CFG = ExtragradientConfig(
+    stepsize=0.2 / (math.sqrt(6.0) * PAST_BLOCK.mean_map.lipschitz),
+    max_iterations=50, averaged=True)
+
+
+class ThreadCounting:
+    """A feasible set that notes the live thread count at each projection
+    and raises on its ``fail_at``-th call."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner, self.fail_at, self.counts = inner, fail_at, []
+
+    def project(self, v, out=None):
+        self.counts.append(threading.active_count())
+        if len(self.counts) == self.fail_at:
+            raise RuntimeError("projection failed")
+        return self.inner.project(v, out=out)
+
+
+class TestHelperThread:
+    def test_run_past_a_block_equals_bare_stream_loop(self):
+        sizes = [eg_sample_size(k, 1.0, 2.001, 1e-3) for k in range(50)]
+        assert sizes[0] * 1600 <= BLOCK < sizes[5] * 1600
+        assert max(sizes) > 262144 // 1600
+        point, _ = run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG,
+                                     None, seed=3, recorder=None)
+        _, average = extragradient_loop(PAST_BLOCK, np.zeros(80),
+                                        PAST_BLOCK_CFG, seed=3)
+        assert np.array_equal(point, average)
+
+    # the 61st projection is step 30's second, made just after the feed
+    # handed step 31 of the second stream to the helper
+    @pytest.mark.parametrize("fail_at", [None, 61], ids=["returns", "raises"])
+    def test_the_helper_does_not_outlive_the_run(self, fail_at):
+        watched = ThreadCounting(PAST_BLOCK.feasible_set, fail_at)
+        problem = ProblemInstance(oracle=PAST_BLOCK.oracle,
+                                  feasible_set=watched)
+        before = threading.active_count()
+        if fail_at is None:
+            run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG, None,
+                              recorder=None)
+            assert len(watched.counts) == 101
+        else:
+            with pytest.raises(RuntimeError, match="projection failed"):
+                run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
+                                  None, recorder=None)
+        # one helper ran beside this thread, and it was joined
+        assert max(watched.counts) == before + 1
+        assert threading.active_count() == before
+
+    def test_runs_in_threads_keep_their_bits(self):
+        # four runs at once on two cores, each with its own helper, while
+        # the interpreter switches threads as often as it can. Each run
+        # has its own batch sizes (theta), so no two walk one size list
+        configs = [replace(PAST_BLOCK_CFG, max_iterations=30,
+                           theta=1.0 + i / 100) for i in range(4)]
+        want = [extragradient_loop(PAST_BLOCK, np.zeros(80), cfg, seed=i)[1]
+                for i, cfg in enumerate(configs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(run_extragradient, PAST_BLOCK,
+                                    np.zeros(80), cfg, None, seed=i,
+                                    recorder=None)
+                        for i, cfg in enumerate(configs)]
+                got = [run.result(timeout=120)[0] for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(4):
+            assert np.array_equal(got[i], want[i]), i

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -441,6 +443,10 @@ class Recording:
     def room(self):
         return self.stream.room
 
+    @property
+    def served(self):
+        return self.stream.served
+
     def take(self, count):
         out = self.stream.take(count)
         self.counts.append(count)
@@ -510,6 +516,101 @@ class TestFeed:
         x = np.array([0.3, 0.7])
         for n in (1, 4):
             assert np.array_equal(batch_mean(oracle, x, n, feed), f(x))
+
+
+class Watched:
+    """A stream that records the thread of each take, and fails a take
+    that starts while another one runs."""
+
+    def __init__(self, stream):
+        self.stream, self.threads, self._busy = stream, [], False
+
+    @property
+    def room(self):
+        return self.stream.room
+
+    @property
+    def served(self):
+        return self.stream.served
+
+    def take(self, count):
+        if self._busy:
+            raise AssertionError("two takes at once")
+        self._busy = True
+        try:
+            self.threads.append(threading.current_thread())
+            return self.stream.take(count)
+        finally:
+            self._busy = False
+
+
+def _noting_threads(sizes, threads):
+    # the sizes, noting the thread that reads each
+    for n in sizes:
+        threads.append(threading.current_thread())
+        yield n
+
+
+class TestRunAhead:
+    """A feed with a helper prepares its batches past a block one step
+    ahead on the helper thread, with the bits of a feed without one."""
+
+    # a 40 x 40 payoff draws 1600 values per sample: batches of 11 or
+    # more pass a block, and those past 163 matrices (_chunk) are summed
+    # in several groups. After the last batch past a block comes a small
+    # one, which the helper prepares on its own
+    NOISE = MatrixPerturbation(40, 40, 0.1)
+    SIZES = [1, 3, 3, 10, 11, 40, 163, 164, 400, 400, 2, 2]
+
+    def test_helper_continues_the_stream_in_order(self):
+        oracle = StochasticOracle(None, self.NOISE, rng_seed=4)
+        stream, plain_stream = Watched(oracle.stream(1, 1)), oracle.stream(1, 1)
+        read, main = [], threading.current_thread()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            fed = Feed(self.NOISE, stream,
+                       _noting_threads(self.SIZES, read), 80, helper)
+            plain = Feed(self.NOISE, plain_stream, self.SIZES, 80)
+            for step, n in enumerate(self.SIZES):
+                assert np.array_equal(fed.next(n), plain.next(n)), step
+            # nothing was prepared past the last step
+            assert stream.served == plain_stream.served
+        # only this thread walks the sizes. The helper makes every take
+        # from the step after the first batch past a block (11) to the
+        # step after the last (the first 2), in 1 + 1 + 2 + 3 + 3 + 1
+        # takes, and no take overlaps another
+        assert len(read) == len(self.SIZES) and all(t is main for t in read)
+        helped = [t is not main for t in stream.threads]
+        assert helped == [False] * 4 + [True] * 11 + [False]
+        assert np.array_equal(stream.take(5), plain_stream.take(5))
+
+    def test_a_continued_stream_gets_a_new_helper(self):
+        # two feeds in turn on one stream, as consecutive PPAWSS runs
+        oracle = StochasticOracle(None, self.NOISE, rng_seed=4)
+        stream, plain = oracle.stream(2, 1), oracle.stream(2, 1)
+        for sizes in (self.SIZES[:6], self.SIZES[6:]):
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                fed = Feed(self.NOISE, stream, sizes, 80, helper)
+                for n in sizes:
+                    want = self.NOISE.noise_sum(_point(80), n, plain)
+                    got = self.NOISE.noise_sum(_point(80), n, fed)
+                    assert np.array_equal(got, want), n
+        assert np.array_equal(stream.take(3), plain.take(3))
+
+    @pytest.mark.parametrize("noise, dim, sizes",
+                             [(MatrixPerturbation(10, 20, 0.1), 30,
+                               [1] * 300 + [2] * 200 + [4] * 200),
+                              (AdditiveGaussian(0.7), 50, [1, 2, 3] * 500)],
+                             ids=["matrix", "gaussian"])
+    def test_chunks_within_a_block_start_no_thread(self, noise, dim, sizes):
+        # the batches of ppawss-L7 and vsave-affine: every chunk fits in
+        # a block, so the helper never starts
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 1)
+        before = threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            feed = Feed(noise, stream, sizes, dim, helper)
+            for n in sizes:
+                feed.next(n)
+                assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n", [2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])

@@ -401,3 +401,28 @@ class TestFedRunBits:
         want = vs_ave_loop(prob, y0, cfg, (prob.oracle.stream(2, 0),
                                            prob.oracle.stream(2, 1)))
         assert np.array_equal(averaged, want)
+
+    def test_matrix_noise_past_a_block_on_a_continued_pair(self):
+        # a 40 x 40 game draws 1600 values per sample: batches of 11 or
+        # more pass a block, so the second stream's are prepared on the
+        # run's helper thread, and those past 163 samples are summed in
+        # several groups. Two runs continue one stream pair, as PPAWSS
+        # subproblems do
+        game = bimatrix_from_payoff(
+            np.random.default_rng(7).normal(size=(40, 40)), noise_scale=0.1,
+            seed=7, with_reference=False)
+        lam = 20.0 / game.mean_map.lipschitz
+        cfg = VsAveConfig(mu=1.0 / lam,
+                          lipschitz=game.mean_map.lipschitz + 1.0 / lam,
+                          rho=0.9, max_iterations=52)
+        sizes = [sample_size(k, cfg.rho) for k in range(52)]
+        assert sizes[0] * 1600 <= BLOCK < sizes[-1] * 1600
+        assert sizes[-1] > 262144 // 1600
+        fed = (game.oracle.stream(5, 0), game.oracle.stream(5, 1))
+        plain = (game.oracle.stream(5, 0), game.oracle.stream(5, 1))
+        u = v = game.feasible_set.project(np.zeros(80))
+        for _ in range(2):
+            u, _ = run_vs_ave(prox_subproblem(game, u, lam), u, cfg, None,
+                              streams=fed, recorder=None)
+            v = vs_ave_loop(prox_subproblem(game, v, lam), v, cfg, plain)
+            assert np.array_equal(u, v)

@@ -22,10 +22,11 @@ Each of these is a single run with no spread, recorded as such
 Criterion 5's outcome is recorded with its time; the script's exit code
 does not depend on it.
 Everything goes to ``bench/BENCH_<name>.json`` next to this script's
-checkout, with the core count, the numpy version, the OpenBLAS core that
-numpy selects, the git revision of the measured checkout, whether its
-tracked files differ from that revision and the sha256 of ``git diff
-HEAD``, which tells two different working trees on one revision apart
+checkout, with the core count, the number of cores the process may run
+on, the numpy version, the OpenBLAS core that numpy selects, the git
+revision of the measured checkout, whether its tracked files differ
+from that revision and the sha256 of ``git diff HEAD``, which tells two
+different working trees on one revision apart
 (files git does not track are not part of it: ``git add -A`` first; the
 record itself is written after the hash, so it is not part of it
 either). It also counts the lines of each ``src/svilab/*.py`` file and
@@ -89,7 +90,7 @@ def _quartiles(values):
 
 
 def _environment(root):
-    """Core count, numpy version, OpenBLAS core and git revision."""
+    """Core counts, numpy version, OpenBLAS core and git revision."""
     probe = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
         capture_output=True, text=True, check=True,
@@ -107,6 +108,10 @@ def _environment(root):
                           capture_output=True)
     return {
         "cores": os.cpu_count(),
+        # the cores this process may run on: a run prepares its second
+        # sample stream on a helper thread, which gains only on a second
+        "usable_cores": len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else None,
         "python": sys.version.split()[0],
         "numpy": probe.stdout.split()[-1],
         "openblas_core": core.group(1) if core else None,
