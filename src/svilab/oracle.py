@@ -29,14 +29,20 @@ steps that fit in what is left of the stream's block, in one numpy pass
 (a step across the block's end is a chunk of its own, and the only one
 copied): the Gaussian noise parts of the batch means,
 ``(sigma * sqrt(n) * z) / n``, or the scaled sums of a run of
-equal-size batches of payoff perturbations. ``noise_sum`` then returns
-the noise part of one batch mean, the mean minus ``F(x)``: a Gaussian
-step's is its prepared row, and a payoff step's is formed at the
-iterate and divided by ``n``. :func:`batch_mean` adds ``F(x)`` to it.
+equal-size batches of payoff perturbations. A payoff batch past a
+block is summed in groups of about 2**18 values, and each group is
+drawn ``PART`` values at a time into one buffer whose first row carries
+the group's sum so far, so only 512 KB of drawn values are held at a
+time. ``noise_sum`` then returns the noise part of one batch mean, the
+mean minus ``F(x)``: a Gaussian step's is its prepared row, and a
+payoff step's is formed at the iterate and divided by ``n``.
+:func:`batch_mean` adds ``F(x)`` to it.
 The bits do not move either: the chunk takes the values that
 step-by-step draws would take, in the same order, and forms each step's
-part with the same floating-point operations in the same order; a bare
-stream passed to ``noise_sum`` is read as a feed of one step.
+part with the same floating-point operations in the same order (an
+axis-0 sum adds its rows one after the other, so a part's sum from the
+carried row goes on where the group's sum stopped); a bare stream
+passed to ``noise_sum`` is read as a feed of one step.
 
 A run's two streams are independent, so :meth:`StochasticOracle.feeds`
 gives the second one's feed a helper thread of the run's own. That feed
@@ -96,6 +102,9 @@ def generator(*key):
 
 # values per Philox block: 128 KB of doubles
 BLOCK = 2**14
+# values per part of a payoff group summed past a block: 512 KB of
+# doubles, a quarter of a core's 2 MB L2
+PART = 2**16
 _EMPTY = np.empty(0)
 
 
@@ -105,9 +114,12 @@ class SampleStream:
     ``fill(out)`` writes a generator's next ``out.size`` values into
     ``out``; a noise model's ``sampler(gen)`` gives it for ``gen``. The
     stream fills one ``BLOCK`` at a time and serves :meth:`take` from
-    the current block. A request at least one block long is filled in
-    its own array, after the block's leftover values, and is not kept.
-    ``served`` counts the values it has served.
+    the current block. :meth:`take_into` serves a caller's array: the
+    block's leftover values first, then what remains from a fresh block,
+    which it keeps, or, if that is at least one block, a fill of the
+    array itself. A :meth:`take` that does not fit the block is a
+    :meth:`take_into` of a fresh array. ``served`` counts the values it
+    has served.
     """
 
     __slots__ = ("_fill", "_block", "_next", "served")
@@ -127,25 +139,39 @@ class SampleStream:
         """The next ``count`` values. The result may be a view of the
         block; the stream never serves those values again, so the caller
         may overwrite them."""
-        self.served += count
         start = self._next
         end = start + count
-        block = self._block
-        if end <= block.size:
-            self._next = end
-            return block[start:end]
-        left = block[start:]
-        if count < BLOCK:
-            self._block = block = np.empty(BLOCK)
-            self._fill(block)
-            self._next = count - left.size
-            fresh = block[:self._next]
-            return np.concatenate((left, fresh)) if left.size else fresh
-        self._block, self._next = _EMPTY, 0
-        out = np.empty(count)
-        out[:left.size] = left
-        self._fill(out[left.size:])
+        if end > self._block.size:
+            if start < self._block.size or count >= BLOCK:
+                return self.take_into(np.empty(count))
+            self._refill()
+            start, end = 0, count
+        self.served += count
+        self._next = end
+        return self._block[start:end]
+
+    def take_into(self, out):
+        """Write the next ``out.size`` values into ``out``, a contiguous
+        float64 vector, and return it."""
+        self.served += out.size
+        start = self._next
+        left = min(self._block.size - start, out.size)
+        out[:left] = self._block[start:start + left]
+        self._next = start + left
+        rest = out[left:]
+        if rest.size >= BLOCK:
+            self._block, self._next = _EMPTY, 0
+            self._fill(rest)
+        elif rest.size:
+            self._refill()
+            self._next = rest.size
+            rest[...] = self._block[:rest.size]
         return out
+
+    def _refill(self):
+        self._block = np.empty(BLOCK)
+        self._fill(self._block)
+        self._next = 0
 
 
 class Feed:
@@ -348,8 +374,8 @@ class MatrixPerturbation:
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "scale", float(self.scale))
-        # matrices per take on the path of a batch past one block: about
-        # 2 MB of doubles at a time
+        # matrices per summed group of a batch past one block: about
+        # 2**18 values (2 MB), each group drawn PART values at a time
         object.__setattr__(self, "_chunk",
                            max(1, 262144 // (self.rows * self.cols)))
         object.__setattr__(self, "_scale", np.array(self.scale))
@@ -393,16 +419,34 @@ class MatrixPerturbation:
         return [n] * count, parts, ahead
 
     def _sum(self, stream, n):
-        # one batch past a block, summed _chunk matrices at a time
+        # one batch past a block: the sums of its groups of _chunk
+        # matrices, added in order. A group is drawn a part of at most
+        # PART values at a time into rows 1.. of one buffer, and row 0
+        # carries the group's sum so far, so each part's axis-0 sum goes
+        # on adding the matrices in the order one axis-0 sum over the
+        # whole group adds them
         rows, cols = self.rows, self.cols
         size = rows * cols
-        c = min(n, self._chunk)
-        e_sum = stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
-        left = n - c
+        part = min(n, self._chunk, max(1, PART // size))
+        buf = np.empty((part + 1, rows, cols))
+        flat = buf.reshape(-1)
+        e_sum = None
+        left = n
         while left > 0:
-            c = min(left, self._chunk)
-            e_sum += stream.take(c * size).reshape(c, rows, cols).sum(axis=0)
-            left -= c
+            group = min(left, self._chunk)
+            left -= group
+            first = 1  # row 0 carries nothing yet
+            while group > 0:
+                k = min(group, part)
+                group -= k
+                stream.take_into(flat[size:(k + 1) * size])
+                g_sum = buf[first:k + 1].sum(axis=0)
+                buf[0] = g_sum
+                first = 0
+            if e_sum is None:
+                e_sum = g_sum
+            else:
+                e_sum += g_sum
         return e_sum
 
     def noise_sum(self, z, n, source):

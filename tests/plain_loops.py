@@ -45,6 +45,19 @@ def mean_map(f, x):
     return f.matrix @ x + f.offset
 
 
+def payoff_sum(stream, n, rows, cols):
+    """The sum of the next ``n`` payoff perturbations of ``stream``: the
+    axis-0 sum of each chunk's matrices drawn at once, added in order."""
+    chunk = max(1, ENTRIES_PER_SUM // (rows * cols))
+    e_sum = None
+    for start in range(0, n, chunk):
+        c = min(chunk, n - start)
+        drawn = stream.take(c * rows * cols).reshape(c, rows, cols)
+        part = drawn.sum(axis=0)
+        e_sum = part if e_sum is None else e_sum + part
+    return e_sum
+
+
 def batch_mean(oracle, x, n, stream):
     """Mean of ``n`` samples at ``x`` from the bare ``stream``."""
     noise = oracle.noise_model
@@ -52,15 +65,8 @@ def batch_mean(oracle, x, n, stream):
         # one N(0, n sigma^2 I) draw is the sum of the batch's noise
         total = stream.take(x.size) * (noise.sigma * math.sqrt(n))
     elif isinstance(noise, MatrixPerturbation):
-        rows, cols = noise.rows, noise.cols
-        chunk = max(1, ENTRIES_PER_SUM // (rows * cols))
-        e_sum = None
-        for start in range(0, n, chunk):
-            c = min(chunk, n - start)
-            drawn = stream.take(c * rows * cols).reshape(c, rows, cols)
-            part = drawn.sum(axis=0)
-            e_sum = part if e_sum is None else e_sum + part
-        e_sum = e_sum * noise.scale
+        cols = noise.cols
+        e_sum = payoff_sum(stream, n, noise.rows, cols) * noise.scale
         total = np.concatenate([e_sum.T @ x[cols:], -(e_sum @ x[:cols])])
     else:
         total = np.zeros(x.size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from svilab.errors import BudgetExhausted, ContractViolation
 from svilab.maps import AffineMap
 from svilab.oracle import (
     BLOCK,
+    PART,
     AdditiveGaussian,
     Feed,
     MatrixPerturbation,
@@ -27,6 +29,8 @@ from svilab.oracle import (
     generator,
 )
 from svilab.problems import bimatrix_from_payoff
+
+from plain_loops import payoff_sum
 
 
 def gaussian_oracle(sigma=1.0, seed=0):
@@ -83,15 +87,30 @@ REQUEST = st.one_of(st.integers(0, 40), st.integers(BLOCK - 40, BLOCK + 40),
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(DIRECT_DRAWS), sizes=st.lists(REQUEST, max_size=12))
-def test_any_split_of_a_stream_draws_the_same_values(case, sizes):
+@given(case=st.sampled_from(DIRECT_DRAWS),
+       requests=st.lists(st.tuples(st.booleans(), REQUEST), max_size=12))
+def test_any_split_of_a_stream_draws_the_same_values(case, requests):
+    # any mix of take and take_into calls serves the direct draw
     noise, direct = case
     stream = StochasticOracle(None, noise, rng_seed=4).stream(0, 1)
+    served = []
+    for into, size in requests:
+        if into:
+            # a view inside a larger array, written only where it lies
+            buffer = np.full(size + 2, np.nan)
+            assert stream.take_into(buffer[1:size + 1]).base is buffer
+            assert np.isnan(buffer[0]) and np.isnan(buffer[-1])
+            served.append(buffer[1:size + 1])
+        else:
+            served.append(stream.take(size))
     # served values are kept, not copied: a later take must not move them
-    served = [stream.take(size) for size in sizes]
+    sizes = [size for _, size in requests]
     assert [part.size for part in served] == sizes
+    assert stream.served == sum(sizes)
+    got = np.concatenate([np.empty(0)] + served)
     want = direct(generator(4, 0, 1), sum(sizes))
-    assert np.array_equal(np.concatenate([np.empty(0)] + served), want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("noise, direct", DIRECT_DRAWS)
@@ -325,6 +344,50 @@ class TestMatrixPerturbationBits:
         self.check([1, 3, 1, self.CHUNK + 1, 1, 2, 2 * self.CHUNK + 3, 1, 4])
 
 
+class TestPayoffSum:
+    """``MatrixPerturbation._sum``, a batch past a block summed a part at
+    a time through one buffer, gives the bits of one axis-0 sum per
+    group of ``_chunk`` matrices (``plain_loops.payoff_sum``)."""
+
+    # the table-1 game: 1310 matrices per group, 327 per part
+    NOISE = MatrixPerturbation(10, 20, 0.1)
+    CHUNK = NOISE._chunk
+    PART_ROWS = PART // 200
+
+    @pytest.mark.parametrize("skip", [0, 37, BLOCK - 5],
+                             ids=["block-start", "mid-block", "block-end"])
+    @pytest.mark.parametrize("n", [1, PART_ROWS - 1, PART_ROWS,
+                                   PART_ROWS + 1, CHUNK - 1, CHUNK,
+                                   CHUNK + 1, 3 * CHUNK + 7])
+    def test_equals_one_sum_per_group(self, n, skip):
+        oracle = StochasticOracle(None, self.NOISE, rng_seed=5)
+        stream, plain = oracle.stream(0, 1), oracle.stream(0, 1)
+        stream.take(skip)
+        plain.take(skip)
+        got = self.NOISE._sum(stream, n)
+        want = payoff_sum(plain, n, 10, 20)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(stream.take(3), plain.take(3))
+
+    def test_a_large_batch_holds_one_part_at_a_time(self):
+        # 20,000 matrices in groups of 1310 (2 MB each) go through one
+        # buffer of PART values (512 KB) next to the stream's block.
+        # Measured peak on numpy 2.4.6: 662,613 bytes; drawing each
+        # group into an array of its own read 2,100,709
+        stream = StochasticOracle(None, self.NOISE, rng_seed=5).stream(0, 1)
+        stream.take(37)
+        tracemalloc.start()
+        try:
+            self.NOISE._sum(stream, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        group_bytes = self.CHUNK * 200 * 8
+        assert peak < 720_000
+        assert peak < group_bytes // 2
+
+
 class TestAdditiveGaussianBits:
     SIGMA = 0.7
 
@@ -453,6 +516,11 @@ class Recording:
         self.views.append(np.shares_memory(out, self.stream._block))
         return out
 
+    def take_into(self, out):
+        self.counts.append(out.size)
+        self.views.append(False)
+        return self.stream.take_into(out)
+
 
 class TestFeed:
     def test_reads_only_its_own_steps(self):
@@ -534,12 +602,18 @@ class Watched:
         return self.stream.served
 
     def take(self, count):
+        return self._watched(self.stream.take, count)
+
+    def take_into(self, out):
+        return self._watched(self.stream.take_into, out)
+
+    def _watched(self, take, arg):
         if self._busy:
             raise AssertionError("two takes at once")
         self._busy = True
         try:
             self.threads.append(threading.current_thread())
-            return self.stream.take(count)
+            return take(arg)
         finally:
             self._busy = False
 
@@ -556,9 +630,10 @@ class TestRunAhead:
     ahead on the helper thread, with the bits of a feed without one."""
 
     # a 40 x 40 payoff draws 1600 values per sample: batches of 11 or
-    # more pass a block, and those past 163 matrices (_chunk) are summed
-    # in several groups. After the last batch past a block comes a small
-    # one, which the helper prepares on its own
+    # more pass a block, those past 40 matrices are drawn in several
+    # parts, and those past 163 matrices (_chunk) are summed in several
+    # groups. After the last batch past a block comes a small one,
+    # which the helper prepares on its own
     NOISE = MatrixPerturbation(40, 40, 0.1)
     SIZES = [1, 3, 3, 10, 11, 40, 163, 164, 400, 400, 2, 2]
 
@@ -576,11 +651,13 @@ class TestRunAhead:
             assert stream.served == plain_stream.served
         # only this thread walks the sizes. The helper makes every take
         # from the step after the first batch past a block (11) to the
-        # step after the last (the first 2), in 1 + 1 + 2 + 3 + 3 + 1
-        # takes, and no take overlaps another
+        # step after the last (the first 2), and no take overlaps
+        # another. A group of 163 matrices is drawn in parts of 40
+        # (PART values), 5 takes, so the helper's batches take
+        # 1 + 5 + (5 + 1) + (5 + 5 + 2) + (5 + 5 + 2) + 1
         assert len(read) == len(self.SIZES) and all(t is main for t in read)
         helped = [t is not main for t in stream.threads]
-        assert helped == [False] * 4 + [True] * 11 + [False]
+        assert helped == [False] * 4 + [True] * 37 + [False]
         assert np.array_equal(stream.take(5), plain_stream.take(5))
 
     def test_a_continued_stream_gets_a_new_helper(self):
