@@ -93,6 +93,7 @@ def test_any_split_of_a_stream_draws_the_same_values(case, requests):
     # any mix of take and take_into calls serves the direct draw
     noise, direct = case
     stream = StochasticOracle(None, noise, rng_seed=4).stream(0, 1)
+    # served values are kept, not copied: a later take must not move them
     served = []
     for into, size in requests:
         if into:
@@ -103,7 +104,6 @@ def test_any_split_of_a_stream_draws_the_same_values(case, requests):
             served.append(buffer[1:size + 1])
         else:
             served.append(stream.take(size))
-    # served values are kept, not copied: a later take must not move them
     sizes = [size for _, size in requests]
     assert [part.size for part in served] == sizes
     assert stream.served == sum(sizes)
