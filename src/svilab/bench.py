@@ -16,7 +16,6 @@ import math
 import os
 import re
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -467,6 +466,9 @@ def run_experiment(config, base_dir="."):
                 )
                 jobs.append((config, scheme, row, problems[row], seed, path))
     if workers > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             paths = list(pool.map(_run_cell, jobs))
     else:

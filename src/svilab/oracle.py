@@ -52,7 +52,9 @@ while the run goes on, and Philox fills with the GIL released, so the
 two streams fill on two cores. The helper is then the stream's only
 reader until the run asks for that step, and it reads the values the
 run would read, in the same order, with the same operations, so not a
-bit moves either.
+bit moves either. The helper, and the import of ``concurrent.futures``,
+come with the feed's first run-ahead: a run whose batches all fit in a
+block starts no thread and loads no executor.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -252,6 +253,29 @@ class Feed:
         if first is not None:
             self._pending = self._helper.submit(
                 self._noise.prepare, self._stream, first, (), self._dim)
+
+
+class _Helper:
+    """A feed's helper: an executor of one thread, created at the first
+    :meth:`submit`, so a run that never runs ahead imports no
+    ``concurrent.futures`` and starts no thread. :meth:`close` joins the
+    thread, if there is one."""
+
+    __slots__ = ("_pool",)
+
+    def __init__(self):
+        self._pool = None
+
+    def submit(self, fn, *args):
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=1)
+        return self._pool.submit(fn, *args)
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def _prepared(noise, x, n, source):
@@ -505,11 +529,16 @@ class StochasticOracle:
         first ``steps`` sizes of ``schedule``. The first stream is
         prepared on the calling thread; the second's feed runs ahead on
         the run's one helper thread, so at most two threads are busy.
-        The helper starts with the first chunk it is given and is joined
-        on exit, also when the run raises: it never outlives the run."""
-        with ThreadPoolExecutor(max_workers=1) as helper:
+        The helper is created, and ``concurrent.futures`` imported, at
+        the feed's first run-ahead, so a run whose batches all fit in a
+        block has none. It is joined on exit, also when the run raises:
+        it never outlives the run."""
+        helper = _Helper()
+        try:
             yield (self.feed(streams[0], islice(schedule, steps)),
                    self.feed(streams[1], islice(schedule, steps), helper))
+        finally:
+            helper.close()
 
     @property
     def variance_bound(self):

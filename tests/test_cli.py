@@ -275,6 +275,37 @@ class TestSubprocessInvocation:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
+    def test_serial_run_loads_no_pool_or_helper(self, tmp_path):
+        # in a fresh interpreter, as pytest may have imported both modules.
+        # A serial run whose batches stay within a sample block starts no
+        # worker and no helper, so it imports neither pool; a run of
+        # batches past a block imports its helper's executor and joins
+        # its thread
+        script = (
+            "import sys, threading\n"
+            "from dataclasses import replace\n"
+            "from svilab.bench import parse_config, run_experiment\n"
+            "for path in sys.argv[1:]:\n"
+            "    with open(path) as fh:\n"
+            "        config = parse_config(fh.read())\n"
+            "    run_experiment(replace(config, output_path=path + '.out'))\n"
+            "    print([m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "           if m in sys.modules], threading.active_count())\n")
+        paths = []
+        for name, text in (
+                ("within", BIMATRIX_CFG + "\n[scheme.ppawss]\nlambda = 5.0\n"),
+                ("past", PAST_BLOCK_CFG)):
+            paths.append(tmp_path / f"{name}.cfg")
+            paths[-1].write_text(text)
+        env = dict(os.environ)
+        env.pop("SVILAB_THREADS", None)
+        result = subprocess.run([sys.executable, "-c", script, *paths],
+                                capture_output=True, text=True, timeout=120,
+                                env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "[] 1", "['concurrent.futures'] 1"]
+
     def test_parallel_run_matches_serial(self, tmp_path):
         for name, text in (("affine", GOOD_CFG),
                            ("past_block", PAST_BLOCK_CFG)):
