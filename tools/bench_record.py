@@ -36,9 +36,9 @@ The script refuses to overwrite an existing file: each change adds one,
 none rewrites an old one.
 
 ``--root`` measures another checkout, say the parent commit's, with the
-benchmark code that checkout holds. The runs are serial; on a 2-core
-machine the whole recording takes about 10 minutes, half of it
-criterion 5.
+benchmark code that checkout holds. The workload runs are serial, and
+criterion 5 runs its cells on the usable cores; on a 2-core machine the
+whole recording takes about 3 minutes, half of it criterion 5.
 """
 
 from __future__ import annotations
