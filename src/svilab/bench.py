@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .extragradient import (ExtragradientConfig, check_stepsize,
                             max_stepsize, run_extragradient)
-from .oracle import BudgetCounter
+from .oracle import BudgetCounter, Tape
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
 from .schedule import steps_within
@@ -63,7 +63,9 @@ class _Scheme:
     lipschitz)`` the config whose schedule is the cell's first step.
     ``runner`` names the solver among this module's globals, looked up
     as a cell runs. A ``flat`` cell is sized to the budget and traced at
-    about 200 rows.
+    about 200 rows. A ``taped`` runner takes a ``tape``: its batch sizes
+    do not depend on the row, so the rows of one trial seed can replay
+    the batches the first of them prepared.
     """
 
     keys: dict
@@ -71,6 +73,7 @@ class _Scheme:
     first_step: Callable
     runner: str
     flat: bool
+    taped: bool = False
 
     @property
     def per_row_key(self):
@@ -135,7 +138,7 @@ _SCHEMES = {
               "mu_shift": ("float", ExtragradientConfig.mu_shift),
               "averaged": ("bool", ExtragradientConfig.averaged)},
         solver=_extragradient_solver, first_step=_one_step,
-        runner="run_extragradient", flat=True),
+        runner="run_extragradient", flat=True, taped=True),
 }
 _SECTIONS = {"problem": _PROBLEM_KEYS, "run": _RUN_KEYS,
              **{f"scheme.{name}": s.keys for name, s in _SCHEMES.items()}}
@@ -393,33 +396,70 @@ _CELL_RE = re.compile(
 )
 
 
-def _run_cell(job):
+def _cell_solver(config, scheme, row):
+    """A cell's solver config; a flat cell's runs what the budget pays
+    for."""
+    solver = _solver_config(config, scheme, row)
+    if _SCHEMES[scheme].flat:
+        solver = replace(solver, max_iterations=steps_within(
+            solver.schedule, config.budget))
+    return solver
+
+
+def _batch_key(config, scheme, row, problem, seed):
+    """Cells of equal keys would read the same prepared batches: a taped
+    scheme's cells of one seed, noise model, oracle seed, dimension and
+    list of batch sizes. Any other cell's key is its own."""
+    if not _SCHEMES[scheme].taped:
+        return scheme, row, seed
+    oracle = problem.oracle
+    return (scheme, seed, oracle.noise_model, oracle.rng_seed,
+            problem.dimension, tuple(_cell_solver(config, scheme, row).schedule))
+
+
+def _run_cell(job, tape=None):
     """Run one (problem row, scheme, seed) cell and write its CSV."""
     config, scheme, row, problem, seed, out_path = job
     record = _SCHEMES[scheme]
     start = problem.feasible_set.project(np.zeros(problem.dimension))
-    solver = _solver_config(config, scheme, row)
+    solver = _cell_solver(config, scheme, row)
     recorder = Recorder()
     if record.flat:
-        solver = replace(solver, max_iterations=steps_within(
-            solver.schedule, config.budget))
         recorder = Recorder(every=max(1, math.ceil(solver.max_iterations / 200)))
+    shared = {} if tape is None else {"tape": tape}
     # looked up by name, so a wrapper set on this module's global runs
     _, trace = globals()[record.runner](
         problem, start, solver, BudgetCounter(config.budget), scheme=scheme,
-        seed=seed, recorder=recorder)
+        seed=seed, recorder=recorder, **shared)
     trace.write_csv(out_path)
-    return out_path
 
 
-def _worker_count(raw, cells):
-    """Worker processes for ``cells`` cells given ``SVILAB_THREADS``.
+def _run_group(jobs):
+    """Run the cells of one group in order. With more than one, the
+    first records a tape of its prepared batches and the others replay
+    it; the tape goes with the group."""
+    tape = Tape() if len(jobs) > 1 else None
+    for job in jobs:
+        _run_cell(job, tape)
+
+
+def _usable_cores():
+    """The cores this process may run on: its affinity set where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(raw, groups):
+    """Worker processes for ``groups`` groups of cells given
+    ``SVILAB_THREADS``.
 
     ``raw`` is the variable's text, or None when it is unset; unset or
     blank means one worker. Anything but a positive integer raises
-    :class:`ConfigError`. The count is clamped to the number of cells
-    and to the machine's core count, so a huge value never starts more
-    processes than there is work or hardware for.
+    :class:`ConfigError`. The count is clamped to the number of groups
+    and to the cores the process may use, so a huge value never starts
+    more processes than there is work or hardware for.
     """
     if raw is None or not raw.strip():
         return 1
@@ -431,23 +471,23 @@ def _worker_count(raw, cells):
         raise ConfigError(
             f"SVILAB_THREADS must be a positive integer; got {raw!r}"
         ) from None
-    return max(1, min(requested, cells, os.cpu_count() or 1))
+    return max(1, min(requested, groups, _usable_cores()))
 
 
 def run_experiment(config, base_dir="."):
     """Run the full scheme x row x seed matrix; returns the summary text.
 
     Writes one trace CSV per cell plus ``summary.csv`` into the output
-    directory. Cells run in parallel when the environment variable
-    ``SVILAB_THREADS`` is set above 1, with at most one worker per cell
-    and per core; outputs do not depend on the schedule since every
-    cell owns its file and its substream.
+    directory. Cells that would read the same prepared batches (the
+    rows of one extragradient trial seed, see :func:`_batch_key`) form a
+    group: its first cell records a :class:`~svilab.oracle.Tape` of its
+    batches, and the others replay it and draw nothing. Groups run in
+    parallel when the environment variable ``SVILAB_THREADS`` is set
+    above 1, with at most one worker per group and per usable core.
+    Outputs do not depend on the schedule: every cell owns its file, and
+    its samples are keyed by its seed, whether it draws or replays them.
     """
     validate_solver_configs(config)
-    workers = _worker_count(
-        os.environ.get("SVILAB_THREADS"),
-        len(config.lipschitz) * len(config.schemes) * len(config.seeds),
-    )
     try:
         problems = [_build_problem(config, row)
                     for row in range(len(config.lipschitz))]
@@ -455,24 +495,29 @@ def run_experiment(config, base_dir="."):
         # the problem constructors check the [problem] values
         raise ConfigError(str(exc)) from exc
     out_dir = os.path.join(base_dir, config.output_path)
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = []
+    groups, paths = {}, []
     for row in range(len(config.lipschitz)):
         lip_label, lam_label = _row_label(config, row)
         for scheme in config.schemes:
             for seed in config.seeds:
-                path = os.path.join(
+                paths.append(os.path.join(
                     out_dir, _cell_filename(scheme, lip_label, lam_label, seed)
-                )
-                jobs.append((config, scheme, row, problems[row], seed, path))
+                ))
+                key = _batch_key(config, scheme, row, problems[row], seed)
+                groups.setdefault(key, []).append(
+                    (config, scheme, row, problems[row], seed, paths[-1]))
+    groups = list(groups.values())
+    workers = _worker_count(os.environ.get("SVILAB_THREADS"), len(groups))
+    os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(_run_cell, jobs))
+            list(pool.map(_run_group, groups))
     else:
-        paths = [_run_cell(job) for job in jobs]
+        for group in groups:
+            _run_group(group)
     return summarize(paths, summary_csv=os.path.join(out_dir, "summary.csv"))
 
 

@@ -108,7 +108,7 @@ def eg_sample_size(k, theta, mu_shift, b):
 
 
 def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
-                      seed=0, recorder=Recorder()):
+                      seed=0, recorder=Recorder(), tape=None):
     """Run the leading steps of ``config.schedule`` that ``budget`` pays
     for in full.
 
@@ -127,6 +127,12 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     the run reads them through :meth:`StochasticOracle.feeds`, so the
     second stream's batches past a block are prepared on the run's
     helper thread while the first's are formed on this one.
+
+    ``tape`` (:class:`~svilab.oracle.Tape`) shares those prepared
+    batches among runs of the same seed, noise and batch sizes, whose
+    stepsizes may differ: a blank tape records this run's, and a
+    recorded one is replayed, so the run draws nothing and every bit is
+    what the run would draw.
     """
     budget = ledger(budget)
     oracle = problem.oracle
@@ -140,7 +146,8 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     consumed_before = budget.consumed
     steps = steps_within(config.schedule, budget.remaining)
     streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
-    with oracle.feeds(streams, config.schedule, steps) as (feed, feed_half):
+    with oracle.feeds(streams, config.schedule, steps,
+                      tape) as (feed, feed_half):
         for k, n_k in enumerate(islice(config.schedule, steps), 1):
             budget.charge(2 * n_k)
             estimate = batch_mean(oracle, z, n_k, feed)

@@ -55,6 +55,14 @@ run would read, in the same order, with the same operations, so not a
 bit moves either. The helper, and the import of ``concurrent.futures``,
 come with the feed's first run-ahead: a run whose batches all fit in a
 block starts no thread and loads no executor.
+
+Runs that would read the same batches (same noise model, dimension,
+stream keys and batch sizes, as the rows of one extragradient trial
+seed in the harness) can share them through a :class:`Tape`. The first
+run's feeds record each chunk they prepare, as owned, read-only arrays;
+the feeds of the others replay those chunks, so those runs draw nothing
+and start no helper. A replayed part is the part the recording run
+read, so not a bit moves either.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ __all__ = [
     "generator",
     "SampleStream",
     "Feed",
+    "Tape",
     "BudgetCounter",
     "ZeroNoise",
     "AdditiveGaussian",
@@ -120,16 +129,17 @@ class SampleStream:
     which it keeps, or, if that is at least one block, a fill of the
     array itself. A :meth:`take` that does not fit the block is a
     :meth:`take_into` of a fresh array. ``served`` counts the values it
-    has served.
+    has served, and ``key`` is the Philox key it reads.
     """
 
-    __slots__ = ("_fill", "_block", "_next", "served")
+    __slots__ = ("_fill", "_block", "_next", "served", "key")
 
-    def __init__(self, fill):
+    def __init__(self, fill, key):
         self._fill = fill
         self._block = _EMPTY
         self._next = 0
         self.served = 0
+        self.key = key
 
     @property
     def room(self):
@@ -194,12 +204,18 @@ class Feed:
     result before it prepares anything else, so while a prepare is in
     flight the helper is the stream's only reader, and the stream is
     still read in the order of ``sizes``.
+
+    A feed with a ``tape``, a list, appends each chunk it prepares to it
+    as ``(sizes, parts)``, the parts copied if they view a stream block
+    or a summing buffer, and read-only. A feed without a stream replays
+    such a ``tape``: it serves the recorded chunks in order, reads no
+    stream and prepares nothing.
     """
 
     __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk",
-                 "_helper", "_pending", "_served")
+                 "_helper", "_pending", "_served", "_tape")
 
-    def __init__(self, noise, stream, sizes, dim, helper=None):
+    def __init__(self, noise, stream, sizes, dim, helper=None, tape=None):
         self._noise = noise
         self._stream = stream
         self._sizes = iter(sizes)
@@ -208,11 +224,13 @@ class Feed:
         self._chunk = iter(())
         self._helper = helper
         self._pending = None
-        self._served = stream.served
+        self._served = 0 if stream is None else stream.served
+        self._tape = iter(tape) if stream is None else tape
 
     def next(self, n):
         """The prepared part of the next step's batch, which must hold
-        ``n`` samples. The caller may overwrite it."""
+        ``n`` samples. The caller only reads it: a taped part is
+        read-only."""
         for size, part in self._chunk:
             break
         else:
@@ -225,17 +243,25 @@ class Feed:
     def _refill(self):
         # let the used chunk, and the stream block it may view, go first
         self._chunk = iter(())
-        if self._pending is None:
-            first = self._next_size()
-            if first is None:
+        if self._stream is None:
+            sizes, parts = next(self._tape, (None, None))
+            if sizes is None:
                 raise ContractViolation("the feed has no step left")
-            chunk = self._noise.prepare(self._stream, first, self._sizes,
-                                        self._dim)
         else:
-            chunk, self._pending = self._pending.result(), None
-        sizes, parts, self._ahead = chunk
-        if self._helper is not None:
-            self._run_ahead()
+            if self._pending is None:
+                first = self._next_size()
+                if first is None:
+                    raise ContractViolation("the feed has no step left")
+                chunk = self._noise.prepare(self._stream, first, self._sizes,
+                                            self._dim)
+            else:
+                chunk, self._pending = self._pending.result(), None
+            sizes, parts, self._ahead = chunk
+            if self._tape is not None:
+                parts = _owned(parts)
+                self._tape.append((sizes, parts))
+            if self._helper is not None:
+                self._run_ahead()
         self._chunk = zip(sizes, parts)
         return next(self._chunk)
 
@@ -276,6 +302,39 @@ class _Helper:
     def close(self):
         if self._pool is not None:
             self._pool.shutdown()
+
+
+def _owned(parts):
+    # a tape's copy of a chunk's parts: it keeps no stream block or
+    # summing buffer alive, and no reader can change what it replays
+    if parts.base is not None:
+        parts = parts.copy()
+    parts.flags.writeable = False
+    return parts
+
+
+class Tape:
+    """The prepared chunks of one run's two streams, for the runs that
+    would read the same batches.
+
+    Handed blank to :meth:`StochasticOracle.feeds`, a tape records each
+    stream's chunks as its feed prepares them. It is registered, with
+    the run's ``key`` (noise model, dimension, the two stream keys and
+    the step count), only once the run has served all its steps, so a
+    run that raises leaves it blank. A registered tape is replayed: the
+    run's feeds serve its chunks and read no stream, so the run draws
+    nothing and starts no helper, and every part has the bits the
+    recording run read. A replay whose key differs raises
+    :class:`ContractViolation`, and so does a step of another size
+    (:meth:`Feed.next`). ``streams`` holds the two streams' lists of
+    ``(sizes, parts)``, each ``parts`` an owned, read-only array.
+    """
+
+    __slots__ = ("key", "streams")
+
+    def __init__(self):
+        self.key = None
+        self.streams = None
 
 
 def _prepared(noise, x, n, source):
@@ -372,7 +431,7 @@ class AdditiveGaussian:
     def noise_sum(self, x, n, source):
         """The noise part of the mean of ``n`` samples at ``x``,
         ``(sigma * sqrt(n) * z) / n``: the batch mean minus ``F(x)``.
-        It is the step's prepared row, which the caller may overwrite.
+        It is the step's prepared row, which the caller only reads.
         """
         return _prepared(self, x, n, source)
 
@@ -513,18 +572,20 @@ class StochasticOracle:
         """Fresh :class:`SampleStream` of run ``seed``'s stream
         ``stream_id`` in the noise model's distribution, keyed by
         ``(rng_seed, seed, stream_id)``."""
-        gen = generator(self.rng_seed, seed, stream_id)
-        return SampleStream(self.noise_model.sampler(gen))
+        key = (self.rng_seed, seed, stream_id)
+        gen = generator(*key)
+        return SampleStream(self.noise_model.sampler(gen), key)
 
-    def feed(self, stream, sizes, helper=None):
+    def feed(self, stream, sizes, helper=None, tape=None):
         """:class:`Feed` of ``stream`` for batches of ``sizes``, the
         batch sizes of one stream's draws in the order a run makes them,
-        running ahead on ``helper`` if one is given."""
+        running ahead on ``helper`` if one is given and recording into
+        or, without a stream, replaying ``tape``."""
         return Feed(self.noise_model, stream, sizes, self.mean_map.dimension,
-                    helper)
+                    helper, tape)
 
     @contextmanager
-    def feeds(self, streams, schedule, steps):
+    def feeds(self, streams, schedule, steps, tape=None):
         """The feeds of a run's stream pair ``streams``, each for the
         first ``steps`` sizes of ``schedule``. The first stream is
         prepared on the calling thread; the second's feed runs ahead on
@@ -532,13 +593,40 @@ class StochasticOracle:
         The helper is created, and ``concurrent.futures`` imported, at
         the feed's first run-ahead, so a run whose batches all fit in a
         block has none. It is joined on exit, also when the run raises:
-        it never outlives the run."""
+        it never outlives the run.
+
+        With a :class:`Tape`, a blank tape records the two feeds'
+        chunks and is registered when the run leaves the block having
+        served all ``steps`` steps; a registered tape of the same key is
+        replayed instead, with no helper."""
+        if tape is None:
+            records = (None, None)
+        else:
+            key = (self.noise_model, self.mean_map.dimension,
+                   streams[0].key, streams[1].key, steps)
+            if tape.key is not None:
+                if key != tape.key:
+                    raise ContractViolation(
+                        f"a tape recorded for {tape.key} cannot replay"
+                        f" {key}")
+                yield tuple(self.feed(None, (), tape=chunks)
+                            for chunks in tape.streams)
+                return
+            records = ([], [])
         helper = _Helper()
+        fed = (self.feed(streams[0], islice(schedule, steps), tape=records[0]),
+               self.feed(streams[1], islice(schedule, steps), helper,
+                         records[1]))
         try:
-            yield (self.feed(streams[0], islice(schedule, steps)),
-                   self.feed(streams[1], islice(schedule, steps), helper))
+            yield fed
         finally:
             helper.close()
+        # registered only if each feed prepared and served every step
+        if tape is not None and all(
+                sum(len(sizes) for sizes, _ in chunks) == steps
+                and next(feed._chunk, None) is None
+                for feed, chunks in zip(fed, records)):
+            tape.key, tape.streams = key, records
 
     @property
     def variance_bound(self):

@@ -174,8 +174,9 @@ def test_criterion_4_yosida_decay_slope(capsys):
 @pytest.mark.slow
 def test_criterion_5_benchmark_medians(capsys, tmp_path, monkeypatch):
     """Shipped benchmark at budget 1e6: scheme comparison and gap window."""
-    # the 60 cells on the usable cores: every cell owns its file and its
-    # streams, so the outputs are those of a serial run
+    # the 60 cells on the usable cores: every cell owns its file, and
+    # its samples are keyed by its seed whether it draws or replays
+    # them, so the outputs are those of a serial run
     monkeypatch.setenv("SVILAB_THREADS", str(len(os.sched_getaffinity(0))))
     t0 = time.perf_counter()
     with open(os.path.join(_HERE, "..", "configs", "table1.cfg")) as fh:

@@ -354,25 +354,39 @@ class TestSolverDerivation:
 
 class TestWorkerCount:
     def test_unset_or_blank_is_serial(self):
-        assert _worker_count(None, cells=8) == 1
-        assert _worker_count("", cells=8) == 1
-        assert _worker_count("  ", cells=8) == 1
+        assert _worker_count(None, groups=8) == 1
+        assert _worker_count("", groups=8) == 1
+        assert _worker_count("  ", groups=8) == 1
 
     @pytest.mark.parametrize("raw", ["two", "1.5", "2x", "0", "-3"])
     def test_bad_values_rejected(self, raw):
         with pytest.raises(ConfigError, match="SVILAB_THREADS must be a positive"):
-            _worker_count(raw, cells=8)
+            _worker_count(raw, groups=8)
 
     def test_clamped_to_cells_and_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _worker_count("3", cells=8) == 3
-        assert _worker_count("1000000000", cells=8) == 4
-        assert _worker_count("64", cells=2) == 2
-        assert _worker_count("1", cells=8) == 1
+        # clamped to the groups of cells and to the usable cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert _worker_count("3", groups=8) == 3
+        assert _worker_count("1000000000", groups=8) == 4
+        assert _worker_count("64", groups=2) == 2
+        assert _worker_count("1", groups=8) == 1
 
     def test_unknown_core_count_means_one(self, monkeypatch):
+        # without an affinity call the machine's core count clamps
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count("8", cells=8) == 1
+        assert _worker_count("8", groups=8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count("8", groups=8) == 3
+
+    def test_clamped_to_the_cores_the_process_may_use(self, monkeypatch):
+        # a process barred from all but one of 8 cores runs one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5},
+                            raising=False)
+        assert _worker_count("8", groups=8) == 1
 
     def test_run_experiment_rejects_before_any_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVILAB_THREADS", "lots")

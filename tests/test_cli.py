@@ -59,6 +59,28 @@ seeds = 0,1
 [scheme.extragradient]
 """
 
+# two rows of a game, PPAWSS and extragradient: the extragradient rows of
+# a seed form one group of the process pool, whose second cell replays
+# the batches the first prepared
+GROUPED_CFG = """\
+[problem]
+kind = bimatrix
+n = 6
+m = 4
+lipschitz = 3.0, 30.0
+noise = 0.1
+seed = 5
+
+[run]
+budget = 20000
+seeds = 0,1
+
+[scheme.ppawss]
+lambda = 20, 4
+
+[scheme.extragradient]
+"""
+
 BAD_RHO_CFG = GOOD_CFG.replace("lipschitz = 2.0", "lipschitz = 3.0") + "rho = 0.9\n"
 
 GOLDEN_AFFINE = os.path.join(os.path.dirname(__file__), "fixtures", "golden",
@@ -308,7 +330,8 @@ class TestSubprocessInvocation:
 
     def test_parallel_run_matches_serial(self, tmp_path):
         for name, text in (("affine", GOOD_CFG),
-                           ("past_block", PAST_BLOCK_CFG)):
+                           ("past_block", PAST_BLOCK_CFG),
+                           ("grouped", GROUPED_CFG)):
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(text)
             outputs = {}

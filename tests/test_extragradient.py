@@ -1,6 +1,7 @@
 """Tests for the variance-reduced extragradient baseline."""
 
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +19,11 @@ from svilab import (
     make_affine_strongly_monotone,
     run_extragradient,
 )
+import svilab.bench
+from svilab.bench import parse_config, run_experiment
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
-from svilab.oracle import BLOCK
+from svilab.oracle import BLOCK, StochasticOracle, Tape
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
 
 from plain_loops import extragradient_loop
@@ -290,3 +293,134 @@ class TestHelperThread:
             sys.setswitchinterval(interval)
         for i in range(4):
             assert np.array_equal(got[i], want[i]), i
+
+
+# table 1's three rows at a small budget: one 10 x 20 game per row, whose
+# extragradient batches pass a sample block from 82 samples on
+TABLE1_CFG = """\
+[problem]
+kind = bimatrix
+n = 20
+m = 10
+lipschitz = 7.05, 70.5, 705
+noise = 0.1
+seed = 777
+
+[run]
+budget = 60000
+seeds = 0,1
+
+[scheme.extragradient]
+"""
+
+
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "configs", "vsave-affine.cfg"), encoding="utf-8") as fh:
+    VSAVE_AFFINE_CFG = fh.read()
+
+
+class Taps:
+    """Wraps ``StochasticOracle.stream`` and ``svilab.bench.Tape`` to
+    keep every stream made and count the tapes made."""
+
+    def __init__(self, monkeypatch):
+        self.streams, self.tapes = [], 0
+        stream = StochasticOracle.stream
+
+        def kept(oracle, seed, stream_id):
+            self.streams.append(stream(oracle, seed, stream_id))
+            return self.streams[-1]
+
+        def counted():
+            self.tapes += 1
+            return Tape()
+
+        monkeypatch.setattr(StochasticOracle, "stream", kept)
+        monkeypatch.setattr(svilab.bench, "Tape", counted)
+        monkeypatch.delenv("SVILAB_THREADS", raising=False)
+
+    def served(self):
+        totals = {}
+        for stream in self.streams:
+            totals[stream.key] = totals.get(stream.key, 0) + stream.served
+        return totals
+
+
+class TestTape:
+    def test_rows_of_a_seed_fill_each_stream_once(self, tmp_path,
+                                                  monkeypatch):
+        taps = Taps(monkeypatch)
+        config = parse_config(TABLE1_CFG, {"out": str(tmp_path / "all")})
+        run_experiment(config)
+        # one tape per trial seed; each (seed, stream) serves the values
+        # of one cell, not of three
+        solver = svilab.bench._cell_solver(config, "extragradient", 0)
+        sizes = list(solver.schedule)
+        assert max(sizes) * 200 > BLOCK
+        assert taps.tapes == 2
+        assert taps.served() == {(777, seed, stream): sum(sizes) * 200
+                                 for seed in (0, 1) for stream in (0, 1)}
+        # and each row's CSVs are those of the row run alone
+        for lip in ("7.05", "70.5", "705"):
+            out = tmp_path / lip
+            run_experiment(parse_config(
+                TABLE1_CFG.replace("7.05, 70.5, 705", lip),
+                {"out": str(out)}))
+            for seed in (0, 1):
+                name = f"extragradient_L{lip}_lamna_seed{seed}.csv"
+                assert (out / name).read_bytes() == (
+                    tmp_path / "all" / name).read_bytes(), name
+        assert taps.tapes == 2
+
+    @pytest.mark.parametrize("text", [
+        TABLE1_CFG.replace("7.05, 70.5, 705", "7.05"),
+        TABLE1_CFG.replace("[scheme.extragradient]",
+                           "[scheme.ppawss]\nlambda = 3500, 350, 35"
+                           ).replace("budget = 60000", "budget = 20000"),
+        VSAVE_AFFINE_CFG,
+    ], ids=["one-row", "ppawss-only", "vsave-affine"])
+    def test_a_config_of_no_shared_batches_makes_no_tape(self, text, tmp_path,
+                                                         monkeypatch):
+        taps = Taps(monkeypatch)
+        run_experiment(parse_config(text, {"out": str(tmp_path)}))
+        assert taps.tapes == 0 and taps.streams
+
+    def test_a_recording_run_that_raises_registers_nothing(self):
+        failing = ProblemInstance(
+            oracle=PAST_BLOCK.oracle,
+            feasible_set=ThreadCounting(PAST_BLOCK.feasible_set, fail_at=61))
+        tape = Tape()
+        with pytest.raises(RuntimeError, match="projection failed"):
+            run_extragradient(failing, np.zeros(80), PAST_BLOCK_CFG, None,
+                              seed=3, recorder=None, tape=tape)
+        assert tape.key is None and tape.streams is None
+        # the tape then records a whole run, which a run at another
+        # stepsize replays with the bits it would draw
+        point, _ = run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG,
+                                     None, seed=3, recorder=None, tape=tape)
+        assert tape.key is not None
+        assert np.array_equal(point, extragradient_loop(
+            PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
+        other = replace(PAST_BLOCK_CFG, stepsize=PAST_BLOCK_CFG.stepsize / 2)
+        before = threading.active_count()
+        replayed, _ = run_extragradient(PAST_BLOCK, np.zeros(80), other, None,
+                                        seed=3, recorder=None, tape=tape)
+        assert threading.active_count() == before
+        assert np.array_equal(replayed, extragradient_loop(
+            PAST_BLOCK, np.zeros(80), other, seed=3)[1])
+
+    def test_a_replay_of_other_batch_sizes_raises(self):
+        tape = Tape()
+        run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, None,
+                          seed=3, recorder=None, tape=tape)
+        # the same step count of other sizes: the first larger batch
+        larger = replace(PAST_BLOCK_CFG, theta=2.0)
+        with pytest.raises(ContractViolation, match="holds 2 samples, not 3"):
+            run_extragradient(PAST_BLOCK, np.zeros(80), larger, None, seed=3,
+                              recorder=None, tape=tape)
+        # fewer steps, or another seed
+        for cfg, seed in ((replace(PAST_BLOCK_CFG, max_iterations=49), 3),
+                          (PAST_BLOCK_CFG, 4)):
+            with pytest.raises(ContractViolation, match="cannot replay"):
+                run_extragradient(PAST_BLOCK, np.zeros(80), cfg, None,
+                                  seed=seed, recorder=None, tape=tape)

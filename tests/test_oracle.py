@@ -24,6 +24,7 @@ from svilab.oracle import (
     Feed,
     MatrixPerturbation,
     StochasticOracle,
+    Tape,
     ZeroNoise,
     batch_mean,
     generator,
@@ -688,6 +689,95 @@ class TestRunAhead:
             for n in sizes:
                 feed.next(n)
                 assert threading.active_count() == before
+
+
+class TestTape:
+    """A tape records the chunks of a run's two feeds, and the feeds of a
+    run with the same key replay them without reading a stream."""
+
+    # the run-ahead sizes: chunks within a block, batches past a block
+    # (on the helper) and batches summed in several groups
+    NOISE = TestRunAhead.NOISE
+    SIZES = TestRunAhead.SIZES
+    ORACLE = StochasticOracle(AffineMap(np.eye(80), np.zeros(80)), NOISE,
+                              rng_seed=4)
+
+    def _streams(self, seed=1):
+        return self.ORACLE.stream(seed, 0), self.ORACLE.stream(seed, 1)
+
+    def _record(self):
+        tape, streams = Tape(), self._streams()
+        with self.ORACLE.feeds(streams, self.SIZES, len(self.SIZES),
+                               tape) as feeds:
+            for n in self.SIZES:
+                for feed, stream in zip(feeds, streams):
+                    part = feed.next(n)
+                    assert not part.flags.writeable
+                    assert not np.shares_memory(part, stream._block)
+        return tape
+
+    def test_replay_serves_the_recorded_parts_and_reads_no_stream(self):
+        tape = self._record()
+        assert tape.key is not None
+        plain = [self.ORACLE.feed(stream, self.SIZES)
+                 for stream in self._streams()]
+        replayed = self._streams()
+        with self.ORACLE.feeds(replayed, self.SIZES, len(self.SIZES),
+                               tape) as feeds:
+            for n in self.SIZES:
+                for feed, want in zip(feeds, plain):
+                    part = feed.next(n)
+                    assert np.array_equal(part, want.next(n)), n
+                    assert not part.flags.writeable
+        assert [s.served for s in replayed] == [0, 0]
+
+    def test_parts_are_owned_and_read_only(self):
+        # a chunk that views a stream block (1, 3) or a summing buffer
+        # (a batch past a block) is copied: the tape keeps neither alive
+        for chunks in self._record().streams:
+            assert [n for sizes, _ in chunks for n in sizes] == self.SIZES
+            for sizes, parts in chunks:
+                assert parts.base is None and not parts.flags.writeable
+                assert parts.shape == (len(sizes), 40, 40)
+
+    def test_a_replay_of_other_batches_raises(self):
+        tape = self._record()
+        sizes, steps = self.SIZES, len(self.SIZES)
+        # another trial seed, or fewer steps
+        for streams, count in ((self._streams(seed=2), steps),
+                               (self._streams(), steps - 1)):
+            with pytest.raises(ContractViolation, match="cannot replay"):
+                with self.ORACLE.feeds(streams, sizes, count, tape):
+                    pass
+        other = StochasticOracle(self.ORACLE.mean_map,
+                                 MatrixPerturbation(40, 40, 0.2), rng_seed=4)
+        with pytest.raises(ContractViolation, match="cannot replay"):
+            with other.feeds(self._streams(), sizes, steps, tape):
+                pass
+        with self.ORACLE.feeds(self._streams(), sizes, steps,
+                               tape) as (feed, _):
+            feed.next(1)
+            with pytest.raises(ContractViolation, match="holds 3 samples"):
+                feed.next(4)
+
+    @pytest.mark.parametrize("served", [0, 5, 11])
+    def test_a_run_that_stops_early_registers_nothing(self, served):
+        tape = Tape()
+        with pytest.raises(RuntimeError, match="stopped"):
+            with self.ORACLE.feeds(self._streams(), self.SIZES,
+                                   len(self.SIZES), tape) as feeds:
+                for n in self.SIZES[:served]:
+                    for feed in feeds:
+                        feed.next(n)
+                raise RuntimeError("stopped")
+        assert tape.key is None and tape.streams is None
+        # nor does one that returns before its last step
+        with self.ORACLE.feeds(self._streams(), self.SIZES,
+                               len(self.SIZES), tape) as feeds:
+            for n in self.SIZES[:served]:
+                for feed in feeds:
+                    feed.next(n)
+        assert tape.key is None and tape.streams is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])
