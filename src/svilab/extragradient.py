@@ -132,7 +132,7 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     batches among runs of the same seed, noise and batch sizes, whose
     stepsizes may differ: a blank tape records this run's, and a
     recorded one is replayed, so the run draws nothing and every bit is
-    what the run would draw.
+    what the run would draw. Either way the run starts no helper.
     """
     budget = ledger(budget)
     oracle = problem.oracle

@@ -60,9 +60,11 @@ Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
 seed in the harness) can share them through a :class:`Tape`. The first
 run's feeds record each chunk they prepare, as owned, read-only arrays;
-the feeds of the others replay those chunks, so those runs draw nothing
-and start no helper. A replayed part is the part the recording run
-read, so not a bit moves either.
+the feeds of the others replay those chunks, so those runs draw nothing.
+Neither kind starts a helper: the recording run fills for its whole
+group, so it fills on its own thread, and its time does not depend on
+the load of a second core. A replayed part is the part the recording
+run read, so not a bit moves either.
 """
 
 from __future__ import annotations
@@ -318,7 +320,8 @@ class Tape:
     would read the same batches.
 
     Handed blank to :meth:`StochasticOracle.feeds`, a tape records each
-    stream's chunks as its feed prepares them. It is registered, with
+    stream's chunks as its feed prepares them, both on the calling
+    thread, with no helper. It is registered, with
     the run's ``key`` (noise model, dimension, the two stream keys and
     the step count), only once the run has served all its steps, so a
     run that raises leaves it blank. A registered tape is replayed: the
@@ -598,7 +601,10 @@ class StochasticOracle:
         With a :class:`Tape`, a blank tape records the two feeds'
         chunks and is registered when the run leaves the block having
         served all ``steps`` steps; a registered tape of the same key is
-        replayed instead, with no helper."""
+        replayed instead. Neither starts a helper: a recording run
+        prepares both streams on the calling thread, so the time of the
+        run that fills for its whole group does not hang on whether a
+        second core is free."""
         if tape is None:
             records = (None, None)
         else:
@@ -613,14 +619,15 @@ class StochasticOracle:
                             for chunks in tape.streams)
                 return
             records = ([], [])
-        helper = _Helper()
+        helper = _Helper() if tape is None else None
         fed = (self.feed(streams[0], islice(schedule, steps), tape=records[0]),
                self.feed(streams[1], islice(schedule, steps), helper,
                          records[1]))
         try:
             yield fed
         finally:
-            helper.close()
+            if helper is not None:
+                helper.close()
         # registered only if each feed prepared and served every step
         if tape is not None and all(
                 sum(len(sizes) for sizes, _ in chunks) == steps

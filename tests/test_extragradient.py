@@ -409,6 +409,23 @@ class TestTape:
         assert np.array_equal(replayed, extragradient_loop(
             PAST_BLOCK, np.zeros(80), other, seed=3)[1])
 
+    def test_a_recording_run_starts_no_helper(self):
+        # the run that fills for its group prepares both streams on its
+        # own thread, batches past a block included, with the bits of
+        # the run with a helper
+        watched = ThreadCounting(PAST_BLOCK.feasible_set)
+        problem = ProblemInstance(oracle=PAST_BLOCK.oracle,
+                                  feasible_set=watched)
+        tape = Tape()
+        before = threading.active_count()
+        point, _ = run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
+                                     None, seed=3, recorder=None, tape=tape)
+        assert tape.key is not None
+        assert watched.counts == [before] * 101
+        assert np.array_equal(point, run_extragradient(
+            PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, None, seed=3,
+            recorder=None)[0])
+
     def test_a_replay_of_other_batch_sizes_raises(self):
         tape = Tape()
         run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, None,
