@@ -535,6 +535,46 @@ def _final_metric(trace):
     )
 
 
+def _quantile(xs, q):
+    # np.percentile's default linear method on the sorted list xs, at q
+    # in [0, 1]: numpy reads a virtual index (n - 1) q, takes the entry
+    # at its floor and the next one, but the last entry twice (with the
+    # floor set to -1) once the index reaches n - 1, and interpolates
+    # by its _lerp, which works from the upper entry when t >= 0.5
+    n = len(xs)
+    i = (n - 1) * q
+    lo = -1 if i >= n - 1 else math.floor(i)
+    a, b = xs[lo], xs[lo + 1]
+    t = i - lo
+    d = b - a
+    if t >= 0.5:
+        return b - d * (1 - t)
+    return a + d * t
+
+
+def _quartiles(values):
+    """(median, q25, q75) of ``values``, a non-empty sequence of floats,
+    with the bits ``np.median`` and ``np.percentile`` give them.
+
+    Computed in Python, since numpy's median and percentile import
+    ``numpy.ma`` (for their nan check) in every run. The domain is
+    floats that are not -0.0: numpy sums the two middle entries of an
+    even count from +0.0, so a -0.0 may come out +0.0 there, and here it
+    does not. Every final metric is a norm or an absolute value, so no
+    value is -0.0. A nan anywhere makes all three nan, as in numpy;
+    inf takes numpy's arithmetic (inf - inf is nan).
+    """
+    xs = sorted(values)
+    if any(math.isnan(x) for x in xs):
+        return math.nan, math.nan, math.nan
+    half = len(xs) // 2
+    if len(xs) % 2:
+        median = xs[half]
+    else:
+        median = (xs[half - 1] + xs[half]) / 2
+    return median, _quantile(xs, 0.25), _quantile(xs, 0.75)
+
+
 def summarize(csv_paths, summary_csv=None):
     """Aggregate trace CSVs into an aligned text table.
 
@@ -586,10 +626,7 @@ def summarize(csv_paths, summary_csv=None):
                     f" {scheme} at L={label[0]}"
                 )
             metric = next(iter(metrics))
-            values = np.array([value for _, value, _ in entries])
-            med = float(np.median(values))
-            q25 = float(np.percentile(values, 25))
-            q75 = float(np.percentile(values, 75))
+            med, q25, q75 = _quartiles([value for _, value, _ in entries])
             truncated = any(flag for _, _, flag in entries)
             star = "*" if truncated else ""
             display[(label, scheme)] = (
@@ -598,7 +635,7 @@ def summarize(csv_paths, summary_csv=None):
             summary_rows.append({
                 "L": label[0], "lam": label[1], "scheme": scheme,
                 "metric": metric, "median": med, "q25": q25, "q75": q75,
-                "n_seeds": len(values), "any_truncated": truncated,
+                "n_seeds": len(entries), "any_truncated": truncated,
             })
 
     headers = ["L", "lambda"] + [f"{s} (median final)" for s in schemes]

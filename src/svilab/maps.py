@@ -124,6 +124,10 @@ class BimatrixMap:
         # negated matrix saves negating every result
         object.__setattr__(self, "_at", A.T)
         object.__setattr__(self, "_neg", -A)
+        # the column count and the dimension as Python ints, read on
+        # every call
+        object.__setattr__(self, "_n", A.shape[1])
+        object.__setattr__(self, "_dim", A.shape[0] + A.shape[1])
 
     @property
     def n(self):
@@ -135,7 +139,7 @@ class BimatrixMap:
 
     @property
     def dimension(self):
-        return self.n + self.m
+        return self._dim
 
     @property
     def mu(self):
@@ -159,9 +163,9 @@ class BimatrixMap:
         return np.zeros(self.dimension)
 
     def __call__(self, z, *, out=None):
-        m, n = self.payoff.shape
+        n = self._n
         if out is None:
-            out = np.empty(n + m)
+            out = np.empty(self._dim)
         # ndarray.dot is np.dot without its dispatch wrapper
         self._at.dot(z[n:], out[:n])
         self._neg.dot(z[:n], out[n:])
