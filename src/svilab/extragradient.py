@@ -124,15 +124,14 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     and a row's ``calls`` is what the run has charged. ``budget=None``
     means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the two
     sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``;
-    the run reads them through :meth:`StochasticOracle.feeds`, so the
-    second stream's batches past a block are prepared on the run's
-    helper thread while the first's are formed on this one.
+    the run reads them through :meth:`StochasticOracle.feeds`, which
+    prepares both on this thread.
 
     ``tape`` (:class:`~svilab.oracle.Tape`) shares those prepared
     batches among runs of the same seed, noise and batch sizes, whose
     stepsizes may differ: a blank tape records this run's, and a
     recorded one is replayed, so the run draws nothing and every bit is
-    what the run would draw. Either way the run starts no helper.
+    what the run would draw.
     """
     budget = ledger(budget)
     oracle = problem.oracle

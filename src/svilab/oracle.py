@@ -44,27 +44,17 @@ axis-0 sum adds its rows one after the other, so a part's sum from the
 carried row goes on where the group's sum stopped); a bare stream
 passed to ``noise_sum`` is read as a feed of one step.
 
-A run's two streams are independent, so :meth:`StochasticOracle.feeds`
-gives the second one's feed a helper thread of the run's own. That feed
-runs ahead: once a chunk it served drew more than one ``BLOCK`` of
-values (a batch past a block), it has the helper prepare its next step
-while the run goes on, and Philox fills with the GIL released, so the
-two streams fill on two cores. The helper is then the stream's only
-reader until the run asks for that step, and it reads the values the
-run would read, in the same order, with the same operations, so not a
-bit moves either. The helper, and the import of ``concurrent.futures``,
-come with the feed's first run-ahead: a run whose batches all fit in a
-block starts no thread and loads no executor.
+A run's two streams are independent, but :meth:`StochasticOracle.feeds`
+prepares both on the run's own thread, one chunk at a time as the run
+reaches it: a run starts no thread and loads no executor.
 
 Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
 seed in the harness) can share them through a :class:`Tape`. The first
 run's feeds record each chunk they prepare, as owned, read-only arrays;
 the feeds of the others replay those chunks, so those runs draw nothing.
-Neither kind starts a helper: the recording run fills for its whole
-group, so it fills on its own thread, and its time does not depend on
-the load of a second core. A replayed part is the part the recording
-run read, so not a bit moves either.
+A replayed part is the part the recording run read, so not a bit moves
+either.
 """
 
 from __future__ import annotations
@@ -199,14 +189,6 @@ class Feed:
     other, so the stream is read only for the steps of ``sizes`` and in
     their order.
 
-    A feed with a ``helper``, an executor of one thread, runs ahead:
-    once the chunk it serves drew more than one ``BLOCK`` of values, it
-    reads the next size itself and submits that step's ``prepare`` to
-    the helper. At most one chunk is in flight, and the feed takes its
-    result before it prepares anything else, so while a prepare is in
-    flight the helper is the stream's only reader, and the stream is
-    still read in the order of ``sizes``.
-
     A feed with a ``tape``, a list, appends each chunk it prepares to it
     as ``(sizes, parts)``, the parts copied if they view a stream block
     or a summing buffer, and read-only. A feed without a stream replays
@@ -215,18 +197,15 @@ class Feed:
     """
 
     __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk",
-                 "_helper", "_pending", "_served", "_tape")
+                 "_tape")
 
-    def __init__(self, noise, stream, sizes, dim, helper=None, tape=None):
+    def __init__(self, noise, stream, sizes, dim, tape=None):
         self._noise = noise
         self._stream = stream
         self._sizes = iter(sizes)
         self._dim = dim
         self._ahead = None
         self._chunk = iter(())
-        self._helper = helper
-        self._pending = None
-        self._served = 0 if stream is None else stream.served
         self._tape = iter(tape) if stream is None else tape
 
     def next(self, n):
@@ -250,60 +229,18 @@ class Feed:
             if sizes is None:
                 raise ContractViolation("the feed has no step left")
         else:
-            if self._pending is None:
-                first = self._next_size()
+            first = self._ahead
+            if first is None:
+                first = next(self._sizes, None)
                 if first is None:
                     raise ContractViolation("the feed has no step left")
-                chunk = self._noise.prepare(self._stream, first, self._sizes,
-                                            self._dim)
-            else:
-                chunk, self._pending = self._pending.result(), None
-            sizes, parts, self._ahead = chunk
+            sizes, parts, self._ahead = self._noise.prepare(
+                self._stream, first, self._sizes, self._dim)
             if self._tape is not None:
                 parts = _owned(parts)
                 self._tape.append((sizes, parts))
-            if self._helper is not None:
-                self._run_ahead()
         self._chunk = zip(sizes, parts)
         return next(self._chunk)
-
-    def _next_size(self):
-        first, self._ahead = self._ahead, None
-        return next(self._sizes, None) if first is None else first
-
-    def _run_ahead(self):
-        served, self._served = self._served, self._stream.served
-        if self._served - served <= BLOCK:
-            return
-        # this thread reads the size and the helper reads none: sizes may
-        # walk a Schedule, whose shared size list only its walker extends
-        first = self._next_size()
-        if first is not None:
-            self._pending = self._helper.submit(
-                self._noise.prepare, self._stream, first, (), self._dim)
-
-
-class _Helper:
-    """A feed's helper: an executor of one thread, created at the first
-    :meth:`submit`, so a run that never runs ahead imports no
-    ``concurrent.futures`` and starts no thread. :meth:`close` joins the
-    thread, if there is one."""
-
-    __slots__ = ("_pool",)
-
-    def __init__(self):
-        self._pool = None
-
-    def submit(self, fn, *args):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=1)
-        return self._pool.submit(fn, *args)
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 def _owned(parts):
@@ -320,17 +257,16 @@ class Tape:
     would read the same batches.
 
     Handed blank to :meth:`StochasticOracle.feeds`, a tape records each
-    stream's chunks as its feed prepares them, both on the calling
-    thread, with no helper. It is registered, with
+    stream's chunks as its feed prepares them. It is registered, with
     the run's ``key`` (noise model, dimension, the two stream keys and
     the step count), only once the run has served all its steps, so a
     run that raises leaves it blank. A registered tape is replayed: the
     run's feeds serve its chunks and read no stream, so the run draws
-    nothing and starts no helper, and every part has the bits the
-    recording run read. A replay whose key differs raises
-    :class:`ContractViolation`, and so does a step of another size
-    (:meth:`Feed.next`). ``streams`` holds the two streams' lists of
-    ``(sizes, parts)``, each ``parts`` an owned, read-only array.
+    nothing, and every part has the bits the recording run read. A
+    replay whose key differs raises :class:`ContractViolation`, and so
+    does a step of another size (:meth:`Feed.next`). ``streams`` holds
+    the two streams' lists of ``(sizes, parts)``, each ``parts`` an
+    owned, read-only array.
     """
 
     __slots__ = ("key", "streams")
@@ -579,32 +515,23 @@ class StochasticOracle:
         gen = generator(*key)
         return SampleStream(self.noise_model.sampler(gen), key)
 
-    def feed(self, stream, sizes, helper=None, tape=None):
+    def feed(self, stream, sizes, tape=None):
         """:class:`Feed` of ``stream`` for batches of ``sizes``, the
         batch sizes of one stream's draws in the order a run makes them,
-        running ahead on ``helper`` if one is given and recording into
-        or, without a stream, replaying ``tape``."""
+        recording into or, without a stream, replaying ``tape``."""
         return Feed(self.noise_model, stream, sizes, self.mean_map.dimension,
-                    helper, tape)
+                    tape)
 
     @contextmanager
     def feeds(self, streams, schedule, steps, tape=None):
         """The feeds of a run's stream pair ``streams``, each for the
-        first ``steps`` sizes of ``schedule``. The first stream is
-        prepared on the calling thread; the second's feed runs ahead on
-        the run's one helper thread, so at most two threads are busy.
-        The helper is created, and ``concurrent.futures`` imported, at
-        the feed's first run-ahead, so a run whose batches all fit in a
-        block has none. It is joined on exit, also when the run raises:
-        it never outlives the run.
+        first ``steps`` sizes of ``schedule``, both prepared on the
+        calling thread.
 
         With a :class:`Tape`, a blank tape records the two feeds'
         chunks and is registered when the run leaves the block having
         served all ``steps`` steps; a registered tape of the same key is
-        replayed instead. Neither starts a helper: a recording run
-        prepares both streams on the calling thread, so the time of the
-        run that fills for its whole group does not hang on whether a
-        second core is free."""
+        replayed instead."""
         if tape is None:
             records = (None, None)
         else:
@@ -619,15 +546,9 @@ class StochasticOracle:
                             for chunks in tape.streams)
                 return
             records = ([], [])
-        helper = _Helper() if tape is None else None
-        fed = (self.feed(streams[0], islice(schedule, steps), tape=records[0]),
-               self.feed(streams[1], islice(schedule, steps), helper,
-                         records[1]))
-        try:
-            yield fed
-        finally:
-            if helper is not None:
-                helper.close()
+        fed = tuple(self.feed(stream, islice(schedule, steps), chunks)
+                    for stream, chunks in zip(streams, records))
+        yield fed
         # registered only if each feed prepared and served every step
         if tape is not None and all(
                 sum(len(sizes) for sizes, _ in chunks) == steps

@@ -164,9 +164,8 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     Nested callers may pass ``streams`` instead, to keep one continuous
     stream pair across repeated runs. The run reads each stream through
     a feed of its own steps' sizes (:meth:`StochasticOracle.feeds`), so
-    it takes from them exactly the values of those steps; the second
-    stream's batches past a block are prepared on the run's helper
-    thread, which is joined before the run returns or raises.
+    it takes from them exactly the values of those steps, both on the
+    run's own thread.
 
     The run allocates its vectors once: the running sums, the point
     (``x_k``, then ``y_{k+1}``) and the batch mean, which is also the

@@ -42,8 +42,8 @@ seeds = 0
 """
 
 # a 10 x 20 game whose extragradient batches grow past 81 samples, that
-# is past one sample block, so each run prepares its second stream's
-# batches on a helper thread, in the serial run and in every worker
+# is past one sample block; one row, so its runs share no tape and each
+# fills its own two streams
 PAST_BLOCK_CFG = """\
 [problem]
 kind = bimatrix
@@ -297,12 +297,11 @@ class TestSubprocessInvocation:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
-    def test_serial_run_loads_no_pool_or_helper(self, tmp_path):
+    def test_serial_run_loads_no_pool_within_or_past_a_block(self, tmp_path):
         # in a fresh interpreter, as pytest may have imported both modules.
-        # A serial run whose batches stay within a sample block starts no
-        # worker and no helper, so it imports neither pool; a run of
-        # batches past a block imports its helper's executor and joins
-        # its thread
+        # A serial run prepares both streams on its own thread, whether its
+        # batches stay within a sample block or pass it, so it imports
+        # neither pool and ends with the one thread it started with
         script = (
             "import sys, threading\n"
             "from dataclasses import replace\n"
@@ -325,8 +324,7 @@ class TestSubprocessInvocation:
                                 capture_output=True, text=True, timeout=120,
                                 env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            "[] 1", "['concurrent.futures'] 1"]
+        assert result.stdout.splitlines() == ["[] 1", "[] 1"]
 
     def test_parallel_run_matches_serial(self, tmp_path):
         for name, text in (("affine", GOOD_CFG),

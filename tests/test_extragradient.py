@@ -211,8 +211,7 @@ def test_fed_run_equals_bare_stream_loop(averaged):
 
 
 # a 40 x 40 game draws 1600 values per sample: batches of 11 or more pass
-# a sample block, so the second stream's are prepared on the run's helper
-# thread, and batches past 163 samples are summed in several groups
+# a sample block, and batches past 163 samples are summed in several groups
 PAST_BLOCK = bimatrix_from_payoff(
     np.random.default_rng(8).normal(size=(40, 40)), noise_scale=0.1, seed=8,
     with_reference=False)
@@ -235,7 +234,7 @@ class ThreadCounting:
         return self.inner.project(v, out=out)
 
 
-class TestHelperThread:
+class TestPastABlock:
     def test_run_past_a_block_equals_bare_stream_loop(self):
         sizes = [eg_sample_size(k, 1.0, 2.001, 1e-3) for k in range(50)]
         assert sizes[0] * 1600 <= BLOCK < sizes[5] * 1600
@@ -246,36 +245,29 @@ class TestHelperThread:
                                         PAST_BLOCK_CFG, seed=3)
         assert np.array_equal(point, average)
 
-    # the 61st projection is step 30's second, made just after the feed
-    # handed step 31 of the second stream to the helper
-    @pytest.mark.parametrize("fail_at", [None, 61], ids=["returns", "raises"])
-    def test_the_helper_does_not_outlive_the_run(self, fail_at):
-        watched = ThreadCounting(PAST_BLOCK.feasible_set, fail_at)
+    @pytest.mark.parametrize("recording", [False, True],
+                             ids=["no-tape", "blank-tape"])
+    def test_every_projection_sees_the_starting_thread_count(self,
+                                                              recording):
+        # both streams, batches past a block included, are prepared on the
+        # run's own thread, whether or not a tape records them
+        watched = ThreadCounting(PAST_BLOCK.feasible_set)
         problem = ProblemInstance(oracle=PAST_BLOCK.oracle,
                                   feasible_set=watched)
+        tape = Tape() if recording else None
         before = threading.active_count()
-        if fail_at is None:
-            run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG, None,
-                              recorder=None)
-            assert len(watched.counts) == 101
-        else:
-            with pytest.raises(RuntimeError, match="projection failed"):
-                run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
-                                  None, recorder=None)
-        # one helper ran beside this thread, from the projection after
-        # the feed's first run-ahead (at the first batch past a block) to
-        # the end of the run, and it was joined
-        sizes = islice(PAST_BLOCK_CFG.schedule, 50)
-        first = next(k for k, n in enumerate(sizes, 1) if n * 1600 > BLOCK)
-        counts = watched.counts
-        assert counts == [before] * 2 * first + [before + 1] * (
-            len(counts) - 2 * first)
-        assert threading.active_count() == before
+        point, _ = run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
+                                     None, seed=3, recorder=None, tape=tape)
+        assert watched.counts == [before] * 101
+        if recording:
+            assert tape.key is not None
+        assert np.array_equal(point, extragradient_loop(
+            PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
 
     def test_runs_in_threads_keep_their_bits(self):
-        # four runs at once on two cores, each with its own helper, while
-        # the interpreter switches threads as often as it can. Each run
-        # has its own batch sizes (theta), so no two walk one size list
+        # four runs at once on two cores, each filling its own streams,
+        # while the interpreter switches threads as often as it can. Each
+        # run has its own batch sizes (theta), so no two walk one size list
         configs = [replace(PAST_BLOCK_CFG, max_iterations=30,
                            theta=1.0 + i / 100) for i in range(4)]
         want = [extragradient_loop(PAST_BLOCK, np.zeros(80), cfg, seed=i)[1]
@@ -408,23 +400,6 @@ class TestTape:
         assert threading.active_count() == before
         assert np.array_equal(replayed, extragradient_loop(
             PAST_BLOCK, np.zeros(80), other, seed=3)[1])
-
-    def test_a_recording_run_starts_no_helper(self):
-        # the run that fills for its group prepares both streams on its
-        # own thread, batches past a block included, with the bits of
-        # the run with a helper
-        watched = ThreadCounting(PAST_BLOCK.feasible_set)
-        problem = ProblemInstance(oracle=PAST_BLOCK.oracle,
-                                  feasible_set=watched)
-        tape = Tape()
-        before = threading.active_count()
-        point, _ = run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
-                                     None, seed=3, recorder=None, tape=tape)
-        assert tape.key is not None
-        assert watched.counts == [before] * 101
-        assert np.array_equal(point, run_extragradient(
-            PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, None, seed=3,
-            recorder=None)[0])
 
     def test_a_replay_of_other_batch_sizes_raises(self):
         tape = Tape()

@@ -404,8 +404,7 @@ class TestFedRunBits:
 
     def test_matrix_noise_past_a_block_on_a_continued_pair(self):
         # a 40 x 40 game draws 1600 values per sample: batches of 11 or
-        # more pass a block, so the second stream's are prepared on the
-        # run's helper thread, and those past 163 samples are summed in
+        # more pass a block, and those past 163 samples are summed in
         # several groups. Two runs continue one stream pair, as PPAWSS
         # subproblems do
         game = bimatrix_from_payoff(

@@ -108,8 +108,8 @@ def _environment(root):
                           capture_output=True)
     return {
         "cores": os.cpu_count(),
-        # the cores this process may run on: a run prepares its second
-        # sample stream on a helper thread, which gains only on a second
+        # the cores this process may run on: the process pool of
+        # SVILAB_THREADS runs at most one worker per usable core
         "usable_cores": len(os.sched_getaffinity(0))
                         if hasattr(os, "sched_getaffinity") else None,
         "python": sys.version.split()[0],
