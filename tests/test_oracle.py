@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svilab import (BudgetCounter, ExtragradientConfig, PpawssConfig,
@@ -469,7 +469,6 @@ PAST_BLOCK_SIZES = [1, 3, 3, 10, 11, 40, 163, 164, 400, 400, 2, 2]
 
 @settings(max_examples=40, deadline=None)
 @given(case=fed_case())
-@example(case=(PAST_BLOCK_NOISE, 80, PAST_BLOCK_SIZES, 6))
 def test_fed_batches_equal_per_step_noise_sums(case):
     noise, dim, sizes, cut = case
     z = _point(dim)
@@ -575,6 +574,32 @@ class TestFeed:
                 copied += 1
             first = next(sizes, None) if ahead is None else ahead
         assert copied and len(stream.counts) < 100
+
+    def test_a_feed_past_a_block_continues_the_stream_in_order(self):
+        oracle = StochasticOracle(None, PAST_BLOCK_NOISE, rng_seed=4)
+        stream, plain = oracle.stream(1, 1), oracle.stream(1, 1)
+        feed = Feed(PAST_BLOCK_NOISE, stream, PAST_BLOCK_SIZES, 80)
+        z = _point(80)
+        for step, n in enumerate(PAST_BLOCK_SIZES):
+            got = PAST_BLOCK_NOISE.noise_sum(z, n, feed)
+            want = PAST_BLOCK_NOISE.noise_sum(z, n, plain)
+            assert np.array_equal(got, want), (step, n)
+        # nothing was prepared past the last step
+        assert stream.served == plain.served
+        assert np.array_equal(stream.take(5), plain.take(5))
+
+    def test_a_continued_stream_gets_a_new_feed(self):
+        # two feeds in turn on one stream, as consecutive PPAWSS runs
+        oracle = StochasticOracle(None, PAST_BLOCK_NOISE, rng_seed=4)
+        stream, plain = oracle.stream(2, 1), oracle.stream(2, 1)
+        z = _point(80)
+        for sizes in (PAST_BLOCK_SIZES[:6], PAST_BLOCK_SIZES[6:]):
+            feed = Feed(PAST_BLOCK_NOISE, stream, sizes, 80)
+            for n in sizes:
+                want = PAST_BLOCK_NOISE.noise_sum(z, n, plain)
+                got = PAST_BLOCK_NOISE.noise_sum(z, n, feed)
+                assert np.array_equal(got, want), n
+        assert np.array_equal(stream.take(3), plain.take(3))
 
     def test_rejects_a_batch_of_another_size(self):
         noise = AdditiveGaussian(1.0)
