@@ -26,7 +26,7 @@ from .extragradient import (ExtragradientConfig, check_stepsize,
 from .oracle import BudgetCounter, Tape
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
-from .schedule import steps_within
+from .schedule import sizes_within
 from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
@@ -401,8 +401,8 @@ def _cell_solver(config, scheme, row):
     for."""
     solver = _solver_config(config, scheme, row)
     if _SCHEMES[scheme].flat:
-        solver = replace(solver, max_iterations=steps_within(
-            solver.schedule, config.budget))
+        solver = replace(solver, max_iterations=len(sizes_within(
+            solver.schedule, config.budget)))
     return solver
 
 
@@ -413,8 +413,10 @@ def _batch_key(config, scheme, row, problem, seed):
     if not _SCHEMES[scheme].taped:
         return scheme, row, seed
     oracle = problem.oracle
+    sizes = sizes_within(_solver_config(config, scheme, row).schedule,
+                         config.budget)
     return (scheme, seed, oracle.noise_model, oracle.rng_seed,
-            problem.dimension, tuple(_cell_solver(config, scheme, row).schedule))
+            problem.dimension, tuple(sizes))
 
 
 def _run_cell(job, tape=None):

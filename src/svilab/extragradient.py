@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import batch_mean, ledger
-from .schedule import Schedule, steps_within
+from .schedule import Schedule, sizes_within
 from .trace import Recorder, RunTrace
 
 __all__ = [
@@ -123,9 +122,11 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     run. Each step charges ``budget`` ``2 * N_k`` before its first draw,
     and a row's ``calls`` is what the run has charged. ``budget=None``
     means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the two
-    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``;
-    the run reads them through :meth:`StochasticOracle.feeds`, which
-    prepares both on this thread.
+    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
+    The run sizes itself once: the list of sizes the budget pays for
+    (:func:`~svilab.schedule.sizes_within`) drives its loop and both
+    feeds of :meth:`StochasticOracle.feeds`, which prepares both streams
+    on this thread.
 
     ``tape`` (:class:`~svilab.oracle.Tape`) shares those prepared
     batches among runs of the same seed, noise and batch sizes, whose
@@ -143,11 +144,10 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     average = z.copy()
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
-    steps = steps_within(config.schedule, budget.remaining)
+    sizes = sizes_within(config.schedule, budget.remaining)
     streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
-    with oracle.feeds(streams, config.schedule, steps,
-                      tape) as (feed, feed_half):
-        for k, n_k in enumerate(islice(config.schedule, steps), 1):
+    with oracle.feeds(streams, sizes, tape) as (feed, feed_half):
+        for k, n_k in enumerate(sizes, 1):
             budget.charge(2 * n_k)
             estimate = batch_mean(oracle, z, n_k, feed)
             z_half = feasible_set.project(z - config.stepsize * estimate)
@@ -159,6 +159,7 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
                 trace.add(evaluate_point(
                     problem, average if config.averaged else z, recorder, k,
                     0, budget.consumed - consumed_before))
+    steps = len(sizes)
     trace.truncated = steps < config.max_iterations
     point = average if config.averaged else z
     if recorder is not None and trace.missing(steps):

@@ -22,8 +22,9 @@ and then ``b`` values gives the numbers one fill of ``a + b`` gives.
 A U(-1, 1) fill, ``random`` then ``2u - 1``, has the bits of ``uniform``'s
 ``-1.0 + 2.0 * u``: both are exact for every ``u`` on the 2**-53 grid.
 
-A solver knows its batch sizes before its first draw, so it reads each
-stream through a :class:`Feed` of those sizes. The feed prepares the
+A solver fixes its batch sizes before its first draw, as one list
+(:func:`~svilab.schedule.sizes_within`), and reads each stream through a
+:class:`Feed` of that list. The feed prepares the
 part of the coming batches that does not depend on the iterate, for the
 steps that fit in what is left of the stream's block, in one numpy pass
 (a step across the block's end is a chunk of its own, and the only one
@@ -45,8 +46,9 @@ carried row goes on where the group's sum stopped); a bare stream
 passed to ``noise_sum`` is read as a feed of one step.
 
 A run's two streams are independent, but :meth:`StochasticOracle.feeds`
-prepares both on the run's own thread, one chunk at a time as the run
-reaches it: a run starts no thread and loads no executor.
+hands both feeds the run's one size list and prepares both on the run's
+own thread, one chunk at a time as the run reaches it: a run starts no
+thread and loads no executor.
 
 Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
@@ -64,7 +66,6 @@ import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -180,14 +181,13 @@ class SampleStream:
 class Feed:
     """The batches of one stream for a run whose batch sizes are known.
 
-    ``sizes`` gives the run's batch sizes in order; the feed reads it
-    once, as far as it has prepared. ``noise.prepare(stream, first,
-    sizes, dim)`` forms the iterate-independent parts of a chunk of
-    steps, the first of size ``first`` and the rest read from ``sizes``,
-    and returns their sizes, their parts and the size it read past the
-    chunk, or None. :meth:`next` serves the parts one step after the
-    other, so the stream is read only for the steps of ``sizes`` and in
-    their order.
+    ``sizes`` is the run's list of batch sizes in order, and the feed
+    keeps the index of the first step it has not prepared.
+    ``noise.prepare(stream, sizes, at, dim)`` forms the
+    iterate-independent parts of a chunk of steps from index ``at`` on
+    and returns their count and their parts. :meth:`next` serves the
+    parts one step after the other, so the stream is read only for the
+    steps of ``sizes`` and in their order.
 
     A feed with a ``tape``, a list, appends each chunk it prepares to it
     as ``(sizes, parts)``, the parts copied if they view a stream block
@@ -196,15 +196,15 @@ class Feed:
     stream and prepares nothing.
     """
 
-    __slots__ = ("_noise", "_stream", "_sizes", "_dim", "_ahead", "_chunk",
+    __slots__ = ("_noise", "_stream", "_sizes", "_at", "_dim", "_chunk",
                  "_tape")
 
     def __init__(self, noise, stream, sizes, dim, tape=None):
         self._noise = noise
         self._stream = stream
-        self._sizes = iter(sizes)
+        self._sizes = sizes
+        self._at = 0
         self._dim = dim
-        self._ahead = None
         self._chunk = iter(())
         self._tape = iter(tape) if stream is None else tape
 
@@ -229,13 +229,13 @@ class Feed:
             if sizes is None:
                 raise ContractViolation("the feed has no step left")
         else:
-            first = self._ahead
-            if first is None:
-                first = next(self._sizes, None)
-                if first is None:
-                    raise ContractViolation("the feed has no step left")
-            sizes, parts, self._ahead = self._noise.prepare(
-                self._stream, first, self._sizes, self._dim)
+            at = self._at
+            if at == len(self._sizes):
+                raise ContractViolation("the feed has no step left")
+            count, parts = self._noise.prepare(self._stream, self._sizes,
+                                               at, self._dim)
+            self._at = at + count
+            sizes = self._sizes[at:self._at]
             if self._tape is not None:
                 parts = _owned(parts)
                 self._tape.append((sizes, parts))
@@ -259,14 +259,14 @@ class Tape:
     Handed blank to :meth:`StochasticOracle.feeds`, a tape records each
     stream's chunks as its feed prepares them. It is registered, with
     the run's ``key`` (noise model, dimension, the two stream keys and
-    the step count), only once the run has served all its steps, so a
-    run that raises leaves it blank. A registered tape is replayed: the
-    run's feeds serve its chunks and read no stream, so the run draws
-    nothing, and every part has the bits the recording run read. A
-    replay whose key differs raises :class:`ContractViolation`, and so
-    does a step of another size (:meth:`Feed.next`). ``streams`` holds
-    the two streams' lists of ``(sizes, parts)``, each ``parts`` an
-    owned, read-only array.
+    the length of the run's size list), only once the run has served
+    every step of that list, so a run that raises leaves it blank. A
+    registered tape is replayed: the run's feeds serve its chunks and
+    read no stream, so the run draws nothing, and every part has the
+    bits the recording run read. A replay whose key differs raises
+    :class:`ContractViolation`, and so does a step of another size
+    (:meth:`Feed.next`). ``streams`` holds the two streams' lists of
+    ``(sizes, parts)``, each ``parts`` an owned, read-only array.
     """
 
     __slots__ = ("key", "streams")
@@ -352,7 +352,7 @@ class AdditiveGaussian:
             gen.standard_normal(out=out)
         return fill
 
-    def prepare(self, stream, first, sizes, dim):
+    def prepare(self, stream, sizes, at, dim):
         # the sum of n iid N(0, sigma^2 I) vectors is N(0, n sigma^2 I),
         # so a single scaled draw has exactly the right law. One multiply
         # scales a chunk of steps, each row by its own sigma * sqrt(n),
@@ -360,12 +360,13 @@ class AdditiveGaussian:
         # rounded to the nearest double, as math.sqrt and a division by
         # n round it, and np.sqrt is correctly rounded like math.sqrt;
         # dividing by 1.0 is exact
-        steps = [first, *islice(sizes, max(1, stream.room // dim) - 1)]
+        steps = sizes[at:at + max(1, stream.room // dim)]
+        count = len(steps)
         counts = np.array(steps, dtype=np.float64)[:, None]
-        parts = stream.take(len(steps) * dim).reshape(len(steps), dim)
+        parts = stream.take(count * dim).reshape(count, dim)
         parts *= self.sigma * np.sqrt(counts)
         parts /= counts
-        return steps, parts, None
+        return count, parts
 
     def noise_sum(self, x, n, source):
         """The noise part of the mean of ``n`` samples at ``x``,
@@ -414,23 +415,21 @@ class MatrixPerturbation:
             out -= 1.0
         return fill
 
-    def prepare(self, stream, first, sizes, dim):
+    def prepare(self, stream, sizes, at, dim):
         # the scaled sums E_1 + ... + E_n of the coming batches
         rows, cols = self.rows, self.cols
         size = rows * cols
-        n = first
-        count, ahead = 1, None
+        n = sizes[at]
+        count = 1
         if n * size > BLOCK:
             parts = self._sum(stream, n)[None]
         else:
-            # the run of equal sizes from first that the stream's block
-            # holds; summing the middle axis adds each step's matrices in
-            # the order a (n, rows, cols) sum over its first axis adds them
-            room = stream.room // (n * size)
-            for m in sizes:
-                if m != n or count >= room:
-                    ahead = m
-                    break
+            # the run of equal sizes from index at that the stream's
+            # block holds; summing the middle axis adds each step's
+            # matrices in the order a (n, rows, cols) sum over its first
+            # axis adds them
+            stop = min(len(sizes) - at, stream.room // (n * size))
+            while count < stop and sizes[at + count] == n:
                 count += 1
             drawn = stream.take(count * n * size)
             if n == 1:
@@ -438,7 +437,7 @@ class MatrixPerturbation:
             else:
                 parts = drawn.reshape(count, n, rows, cols).sum(axis=1)
         parts *= self._scale
-        return [n] * count, parts, ahead
+        return count, parts
 
     def _sum(self, stream, n):
         # one batch past a block: the sums of its groups of _chunk
@@ -515,45 +514,37 @@ class StochasticOracle:
         gen = generator(*key)
         return SampleStream(self.noise_model.sampler(gen), key)
 
-    def feed(self, stream, sizes, tape=None):
-        """:class:`Feed` of ``stream`` for batches of ``sizes``, the
-        batch sizes of one stream's draws in the order a run makes them,
-        recording into or, without a stream, replaying ``tape``."""
-        return Feed(self.noise_model, stream, sizes, self.mean_map.dimension,
-                    tape)
-
     @contextmanager
-    def feeds(self, streams, schedule, steps, tape=None):
-        """The feeds of a run's stream pair ``streams``, each for the
-        first ``steps`` sizes of ``schedule``, both prepared on the
-        calling thread.
+    def feeds(self, streams, sizes, tape=None):
+        """The :class:`Feed` of each of a run's stream pair ``streams``,
+        both for the run's list of batch sizes ``sizes`` and both
+        prepared on the calling thread.
 
         With a :class:`Tape`, a blank tape records the two feeds'
         chunks and is registered when the run leaves the block having
-        served all ``steps`` steps; a registered tape of the same key is
-        replayed instead."""
+        served every step of ``sizes``; a registered tape of the same
+        key is replayed instead."""
+        noise, dim = self.noise_model, self.mean_map.dimension
         if tape is None:
             records = (None, None)
         else:
-            key = (self.noise_model, self.mean_map.dimension,
-                   streams[0].key, streams[1].key, steps)
+            key = (noise, dim, streams[0].key, streams[1].key, len(sizes))
             if tape.key is not None:
                 if key != tape.key:
                     raise ContractViolation(
                         f"a tape recorded for {tape.key} cannot replay"
                         f" {key}")
-                yield tuple(self.feed(None, (), tape=chunks)
+                yield tuple(Feed(noise, None, (), dim, chunks)
                             for chunks in tape.streams)
                 return
             records = ([], [])
-        fed = tuple(self.feed(stream, islice(schedule, steps), chunks)
+        fed = tuple(Feed(noise, stream, sizes, dim, chunks)
                     for stream, chunks in zip(streams, records))
         yield fed
         # registered only if each feed prepared and served every step
         if tape is not None and all(
-                sum(len(sizes) for sizes, _ in chunks) == steps
-                and next(feed._chunk, None) is None
-                for feed, chunks in zip(fed, records)):
+                feed._at == len(sizes) and next(feed._chunk, None) is None
+                for feed in fed):
             tape.key, tape.streams = key, records
 
     @property

@@ -20,7 +20,7 @@ from .maps import ShiftedMap
 from .metrics import evaluate_point
 from .oracle import ledger
 from .problems import ProblemInstance
-from .schedule import steps_within
+from .schedule import sizes_within
 from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
@@ -159,8 +159,8 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     for k in range(config.outer_iterations):
         inner_config = config.subproblem(k, lip)
         ell_k = inner_config.max_iterations
-        # the inner run iterates the sizes this walk computes
-        if steps_within(inner_config.schedule, budget.remaining) < ell_k:
+        # the inner run sizes itself from the sizes this walk computes
+        if len(sizes_within(inner_config.schedule, budget.remaining)) < ell_k:
             break
         sub = prox_subproblem(problem, u, config.lam)
         z, _ = run_vs_ave(sub, u, inner_config, budget,

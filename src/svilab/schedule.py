@@ -2,9 +2,10 @@
 
 Every scheme is defined by its schedule ``N_0, N_1, ...``, and one step
 ``k`` draws two batches of ``N_k`` samples. A solver config holds one
-:class:`Schedule`. Before its first draw, a run measures it against the
-remaining budget with :func:`steps_within` and iterates only the steps
-that fit; the harness and the PPAWSS outer loop price it the same way.
+:class:`Schedule`. Before its first draw, a run takes the list of the
+leading sizes the remaining budget pays for, :func:`sizes_within`, and
+that list drives its loop, both its stream feeds and its tape key; the
+harness and the PPAWSS outer loop price a schedule the same way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import islice
 
 from .errors import ScheduleOverflow
 
-__all__ = ["Schedule", "steps_within"]
+__all__ = ["Schedule", "sizes_within"]
 
 
 @lru_cache(maxsize=16)
@@ -46,9 +47,8 @@ class Schedule:
         k = 0
         while k < self._length:
             if k < len(sizes):
-                # every size computed so far in one pass: a run walks its
-                # schedule for its length, its loop and each stream's
-                # feed, mostly over known sizes
+                # every size computed so far in one pass: runs of one
+                # rule, as PPAWSS's subproblems, mostly walk known sizes
                 stop = min(len(sizes), self._length)
                 yield from islice(sizes, k, stop)
                 k = stop
@@ -63,13 +63,14 @@ class Schedule:
             k += 1
 
 
-def steps_within(schedule, limit):
-    """Number of leading steps of ``schedule`` whose costs ``2 * N_k``
-    sum to at most ``limit`` oracle calls."""
-    steps = spent = 0
+def sizes_within(schedule, limit):
+    """The leading sizes ``N_k`` of ``schedule``, as a list, whose step
+    costs ``2 * N_k`` sum to at most ``limit`` oracle calls."""
+    sizes = []
+    spent = 0
     for n_k in schedule:
         spent += 2 * n_k
         if spent > limit:
             break
-        steps += 1
-    return steps
+        sizes.append(n_k)
+    return sizes

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ScheduleOverflow
 from .metrics import evaluate_point
 from .oracle import batch_mean, ledger
-from .schedule import Schedule, steps_within
+from .schedule import Schedule, sizes_within
 from .trace import Recorder, RunTrace
 
 __all__ = [
@@ -162,10 +161,11 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     ``seed`` keys the two sample streams (step-1.1 batches, step-1.2
     batches), ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     Nested callers may pass ``streams`` instead, to keep one continuous
-    stream pair across repeated runs. The run reads each stream through
-    a feed of its own steps' sizes (:meth:`StochasticOracle.feeds`), so
-    it takes from them exactly the values of those steps, both on the
-    run's own thread.
+    stream pair across repeated runs. The run sizes itself once: the
+    list of sizes the budget pays for (:func:`~svilab.schedule.sizes_within`)
+    drives its loop and both its stream feeds
+    (:meth:`StochasticOracle.feeds`), so it takes from the streams
+    exactly the values of those steps, both on the run's own thread.
 
     The run allocates its vectors once: the running sums, the point
     (``x_k``, then ``y_{k+1}``) and the batch mean, which is also the
@@ -195,10 +195,10 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     gamma_0d, Gamma_0d = np.array(gamma), np.array(Gamma)
     trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
-    steps = steps_within(config.schedule, budget.remaining)
+    sizes = sizes_within(config.schedule, budget.remaining)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
-    with oracle.feeds(streams, config.schedule, steps) as (feed_y, feed_x):
-        for k, n_k in enumerate(islice(config.schedule, steps), 1):
+    with oracle.feeds(streams, sizes) as (feed_y, feed_x):
+        for k, n_k in enumerate(sizes, 1):
             budget.charge(2 * n_k)
             batch_mean(oracle, point, n_k, feed_y, out=est)
             est /= neg_mu
@@ -221,6 +221,7 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
                 trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder,
                                          k, 0,
                                          budget.consumed - consumed_before))
+    steps = len(sizes)
     trace.truncated = steps < config.max_iterations
     averaged = ysum / Gamma
     if recorder is not None and trace.missing(steps):

@@ -22,7 +22,7 @@ from svilab import (
 )
 from svilab.bench import _solver_config, _worker_count
 from svilab.extragradient import eg_sample_size
-from svilab.schedule import steps_within
+from svilab.schedule import sizes_within
 from svilab.trace import Recorder, RunTrace, TraceRow
 from svilab.vs_ave import sample_size
 
@@ -282,7 +282,7 @@ class TestSolverDerivation:
              lambda k: eg_sample_size(k, 1.0, 2.001, 1e-3)),
         ]
         for solver, size in schedules:
-            iters = steps_within(solver.schedule, limit)
+            iters = len(sizes_within(solver.schedule, limit))
             used = sum(2 * size(k) for k in range(iters))
             overshoot = used + 2 * size(iters)
             assert used <= limit < overshoot
@@ -293,8 +293,8 @@ class TestSolverDerivation:
             + "\n[scheme.extragradient]\n")
         run_experiment(config)
         for scheme in ("vs_ave", "extragradient"):
-            steps = steps_within(_solver_config(config, scheme, 0).schedule,
-                                 config.budget)
+            steps = len(sizes_within(
+                _solver_config(config, scheme, 0).schedule, config.budget))
             for seed in (0, 1):
                 trace = RunTrace.read_csv(
                     tmp_path / "res" / f"{scheme}_L2_lamna_seed{seed}.csv")
@@ -472,8 +472,8 @@ def test_seed_keys_the_run(scheme, tmp_path):
     solver = _solver_config(config, scheme, 0)
     recorder = Recorder()
     if scheme != "ppawss":
-        solver = replace(solver, max_iterations=steps_within(
-            solver.schedule, config.budget))
+        solver = replace(solver, max_iterations=len(sizes_within(
+            solver.schedule, config.budget)))
         recorder = Recorder(every=math.ceil(solver.max_iterations / 200))
     problem = make_affine_strongly_monotone(3, 1.0, 2.0, sigma=0.5, seed=0)
 

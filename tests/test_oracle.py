@@ -492,7 +492,7 @@ def test_batch_mean_out_matches_fresh(noise, dim):
     f = AffineMap(2.0 * np.eye(dim), np.linspace(-1.0, 1.0, dim))
     oracle = StochasticOracle(f, noise, rng_seed=2)
     sizes = [1, 1, 2, 5, 5, 40]
-    fed = oracle.feed(oracle.stream(0, 0), sizes)
+    fed = Feed(noise, oracle.stream(0, 0), sizes, dim)
     plain = oracle.stream(0, 0)
     x, out = _point(dim), np.empty(dim)
     for n in sizes:
@@ -565,15 +565,53 @@ class TestFeed:
         # is served as a view of its block
         stream = Recording(
             StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
-        sizes = iter([1] * 700 + [2] * 300 + [3] * 300)
-        first, copied = next(sizes), 0
-        while first is not None:
-            steps, _, ahead = noise.prepare(stream, first, sizes, dim)
+        sizes = [1] * 700 + [2] * 300 + [3] * 300
+        at = copied = 0
+        while at < len(sizes):
+            count, _ = noise.prepare(stream, sizes, at, dim)
             if not stream.views[-1]:
-                assert len(steps) == 1
+                assert count == 1
                 copied += 1
-            first = next(sizes, None) if ahead is None else ahead
+            at += count
         assert copied and len(stream.counts) < 100
+
+    def test_a_payoff_chunk_ends_at_a_size_change_or_the_blocks_room(self):
+        # 200 values a matrix: batches of up to 81 matrices fit a block,
+        # and a run of equal sizes is one chunk as far as the block holds
+        # it; a batch past a block is a chunk of its own, even in a run
+        noise = MatrixPerturbation(10, 20, 0.1)
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
+        sizes = ([1] * 100 + [2] * 100 + [81] * 3 + [82, 82, 500] + [3] * 5
+                 + [1] * 300)
+        at, ends = 0, set()
+        while at < len(sizes):
+            n, room = sizes[at], stream.room // (sizes[at] * 200)
+            run = next((j for j in range(at, len(sizes)) if sizes[j] != n),
+                       len(sizes)) - at
+            count, parts = noise.prepare(stream, sizes, at, 30)
+            assert parts.shape == (count, 10, 20)
+            if n > 81:
+                assert count == 1
+                ends.add("past a block")
+            else:
+                assert count == max(1, min(run, room)), at
+                ends.add("size change" if count == run else "room")
+            at += count
+        assert ends == {"past a block", "size change", "room"}
+
+    @pytest.mark.parametrize("dim", [50, 3000, BLOCK + 3])
+    def test_a_gaussian_chunk_holds_what_the_room_holds(self, dim):
+        # one Gaussian vector a step, whatever its batch size
+        noise = AdditiveGaussian(0.7)
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
+        sizes = [1, 2, 2, 7, 2**31 + 1, 1, 5] * 200
+        at = 0
+        while at < len(sizes):
+            room = stream.room
+            count, parts = noise.prepare(stream, sizes, at, dim)
+            assert count == min(len(sizes) - at, max(1, room // dim)), at
+            assert parts.shape == (count, dim)
+            at += count
 
     def test_a_feed_past_a_block_continues_the_stream_in_order(self):
         oracle = StochasticOracle(None, PAST_BLOCK_NOISE, rng_seed=4)
@@ -612,7 +650,7 @@ class TestFeed:
     def test_zero_noise_prepares_nothing(self):
         f = AffineMap(np.eye(2), np.array([1.0, -1.0]))
         oracle = StochasticOracle(f, ZeroNoise(), rng_seed=0)
-        feed = oracle.feed(oracle.stream(0, 0), [1, 4])
+        feed = Feed(ZeroNoise(), oracle.stream(0, 0), [1, 4], 2)
         x = np.array([0.3, 0.7])
         for n in (1, 4):
             assert np.array_equal(batch_mean(oracle, x, n, feed), f(x))
@@ -634,8 +672,7 @@ class TestTape:
 
     def _record(self):
         tape, streams = Tape(), self._streams()
-        with self.ORACLE.feeds(streams, self.SIZES, len(self.SIZES),
-                               tape) as feeds:
+        with self.ORACLE.feeds(streams, self.SIZES, tape) as feeds:
             for n in self.SIZES:
                 for feed, stream in zip(feeds, streams):
                     part = feed.next(n)
@@ -646,11 +683,10 @@ class TestTape:
     def test_replay_serves_the_recorded_parts_and_reads_no_stream(self):
         tape = self._record()
         assert tape.key is not None
-        plain = [self.ORACLE.feed(stream, self.SIZES)
+        plain = [Feed(self.NOISE, stream, self.SIZES, 80)
                  for stream in self._streams()]
         replayed = self._streams()
-        with self.ORACLE.feeds(replayed, self.SIZES, len(self.SIZES),
-                               tape) as feeds:
+        with self.ORACLE.feeds(replayed, self.SIZES, tape) as feeds:
             for n in self.SIZES:
                 for feed, want in zip(feeds, plain):
                     part = feed.next(n)
@@ -669,20 +705,19 @@ class TestTape:
 
     def test_a_replay_of_other_batches_raises(self):
         tape = self._record()
-        sizes, steps = self.SIZES, len(self.SIZES)
+        sizes = self.SIZES
         # another trial seed, or fewer steps
-        for streams, count in ((self._streams(seed=2), steps),
-                               (self._streams(), steps - 1)):
+        for streams, fewer in ((self._streams(seed=2), sizes),
+                               (self._streams(), sizes[:-1])):
             with pytest.raises(ContractViolation, match="cannot replay"):
-                with self.ORACLE.feeds(streams, sizes, count, tape):
+                with self.ORACLE.feeds(streams, fewer, tape):
                     pass
         other = StochasticOracle(self.ORACLE.mean_map,
                                  MatrixPerturbation(40, 40, 0.2), rng_seed=4)
         with pytest.raises(ContractViolation, match="cannot replay"):
-            with other.feeds(self._streams(), sizes, steps, tape):
+            with other.feeds(self._streams(), sizes, tape):
                 pass
-        with self.ORACLE.feeds(self._streams(), sizes, steps,
-                               tape) as (feed, _):
+        with self.ORACLE.feeds(self._streams(), sizes, tape) as (feed, _):
             feed.next(1)
             with pytest.raises(ContractViolation, match="holds 3 samples"):
                 feed.next(4)
@@ -692,15 +727,14 @@ class TestTape:
         tape = Tape()
         with pytest.raises(RuntimeError, match="stopped"):
             with self.ORACLE.feeds(self._streams(), self.SIZES,
-                                   len(self.SIZES), tape) as feeds:
+                                   tape) as feeds:
                 for n in self.SIZES[:served]:
                     for feed in feeds:
                         feed.next(n)
                 raise RuntimeError("stopped")
         assert tape.key is None and tape.streams is None
         # nor does one that returns before its last step
-        with self.ORACLE.feeds(self._streams(), self.SIZES,
-                               len(self.SIZES), tape) as feeds:
+        with self.ORACLE.feeds(self._streams(), self.SIZES, tape) as feeds:
             for n in self.SIZES[:served]:
                 for feed in feeds:
                     feed.next(n)

@@ -1,0 +1,84 @@
+"""What a budget pays for: the size list a run draws its batches by."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from svilab.errors import ContractViolation, ScheduleOverflow
+from svilab.extragradient import eg_sample_size
+from svilab.oracle import AdditiveGaussian, Feed, StochasticOracle
+from svilab.schedule import Schedule, sizes_within
+from svilab.vs_ave import sample_size
+
+
+@st.composite
+def priced_schedule(draw):
+    """A VS-Ave or extragradient size rule, its parameters, a length and
+    a limit; some limits reach the rule's ScheduleOverflow."""
+    length = draw(st.one_of(st.integers(1, 60), st.just(2**31)))
+    if draw(st.booleans()):
+        size_of = sample_size
+        params = (draw(st.floats(0.05, 0.9)), draw(st.integers(1, 5)))
+        # pays for every size below 2**62 at any of these rates
+        cap = 2**70
+    else:
+        size_of = eg_sample_size
+        theta = draw(st.sampled_from([0.5, 1.0, 3.0, 1e15]))
+        params = (theta, draw(st.floats(1.001, 10.0)),
+                  draw(st.floats(1e-4, 1.0)))
+        # a few thousand steps; enough to overflow at theta = 1e15
+        cap = int(theta * 10**7)
+    # or exactly what the first few sizes cost
+    exact = 2 * sum(filter(None, (_size(size_of, params, k)
+                                  for k in range(draw(st.integers(0, 20))))))
+    limit = draw(st.one_of(st.integers(0, 10**6), st.integers(0, cap),
+                           st.just(cap), st.just(exact)))
+    return size_of, params, length, limit
+
+
+def _size(size_of, params, k):
+    try:
+        return size_of(k, *params)
+    except ScheduleOverflow:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=priced_schedule(), more=st.integers(0, 10**9))
+# a limit of exactly what four steps cost pays for them
+@example(case=(sample_size, (0.5, 1), 60, 30), more=0)
+# both rules end at ScheduleOverflow within these limits
+@example(case=(sample_size, (0.5, 1), 2**31, 2**70), more=0)
+@example(case=(eg_sample_size, (1e15, 2.001, 1e-3), 2**31, 10**22), more=1)
+def test_sizes_within_is_the_longest_affordable_prefix(case, more):
+    size_of, params, length, limit = case
+    sizes = sizes_within(Schedule(size_of, params, length), limit)
+    # a prefix of the schedule whose steps cost at most the limit
+    assert sizes == [size_of(k, *params) for k in range(len(sizes))]
+    assert 2 * sum(sizes) <= limit
+    # maximal: the schedule has no next size, or it would pass the limit
+    k = len(sizes)
+    after = _size(size_of, params, k) if k < length else None
+    assert after is None or 2 * (sum(sizes) + after) > limit
+    event("ends at the limit" if after is not None else
+          "ends at the length" if k == length else "ends at the overflow")
+    # a prefix of what any larger limit pays for, on a fresh schedule
+    larger = sizes_within(Schedule(size_of, params, length), limit + more)
+    assert larger[:k] == sizes
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=priced_schedule())
+def test_a_feed_has_no_step_past_its_list(case):
+    size_of, params, length, limit = case
+    sizes = sizes_within(Schedule(size_of, params, min(length, 400)), limit)
+    noise = AdditiveGaussian(1.0)
+    feed = Feed(noise, StochasticOracle(None, noise, rng_seed=0).stream(0, 0),
+                sizes, 2)
+    for n in sizes:
+        assert np.isfinite(feed.next(n)).all()
+    with pytest.raises(ContractViolation, match="the feed has no step left"):
+        feed.next(1)
