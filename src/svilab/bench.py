@@ -355,7 +355,7 @@ def validate_solver_configs(config):
         for row, lip in enumerate(config.lipschitz):
             first = _SCHEMES[scheme].first_step(
                 _solver_config(config, scheme, row), lip)
-            sizes = list(first.schedule)
+            sizes = sizes_within(first.schedule, math.inf)
             where = f"{scheme} on row {row} (L = {lip:g})"
             if len(sizes) < first.max_iterations:
                 raise ConfigError(f"{where}: batch sizes overflow within"

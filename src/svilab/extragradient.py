@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +64,11 @@ class ExtragradientConfig:
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
-    @cached_property
+    @property
     def schedule(self):
         """The run's batch sizes ``N_k`` (:func:`eg_sample_size`), as a
-        :class:`Schedule` of at most ``max_iterations`` steps that is
-        built only as far as it is walked."""
+        :class:`Schedule` record of at most ``max_iterations`` steps;
+        :func:`~svilab.schedule.sizes_within` computes them."""
         return Schedule(eg_sample_size, (self.theta, self.mu_shift, self.b),
                         self.max_iterations)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -95,11 +94,11 @@ class VsAveConfig:
     def kappa(self):
         return self.lipschitz / self.mu
 
-    @cached_property
+    @property
     def schedule(self):
         """The run's batch sizes ``N_k`` (:func:`sample_size`), as a
-        :class:`Schedule` of at most ``max_iterations`` steps that is
-        built only as far as it is walked."""
+        :class:`Schedule` record of at most ``max_iterations`` steps;
+        :func:`~svilab.schedule.sizes_within` computes them."""
         return Schedule(sample_size, (self.rho, self.min_batch),
                         self.max_iterations)
 

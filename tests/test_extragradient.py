@@ -6,7 +6,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
 from svilab.oracle import BLOCK, StochasticOracle, Tape
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
+from svilab.schedule import sizes_within
 
 from plain_loops import extragradient_loop
 from qp_oracle import contains
@@ -347,7 +347,7 @@ class TestTape:
         # one tape per trial seed; each (seed, stream) serves the values
         # of one cell, not of three
         solver = svilab.bench._cell_solver(config, "extragradient", 0)
-        sizes = list(solver.schedule)
+        sizes = sizes_within(solver.schedule, math.inf)
         assert max(sizes) * 200 > BLOCK
         assert taps.tapes == 2
         assert taps.served() == {(777, seed, stream): sum(sizes) * 200

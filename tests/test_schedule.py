@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
 from svilab.oracle import AdditiveGaussian, Feed, StochasticOracle
-from svilab.schedule import Schedule, sizes_within
+from svilab.schedule import Schedule, _sizes, sizes_within
 from svilab.vs_ave import sample_size
 
 
@@ -47,15 +47,25 @@ def _size(size_of, params, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=priced_schedule(), more=st.integers(0, 10**9))
+@given(case=priced_schedule(), more=st.integers(0, 10**9),
+       cut=st.integers(0, 10**6))
 # a limit of exactly what four steps cost pays for them
-@example(case=(sample_size, (0.5, 1), 60, 30), more=0)
+@example(case=(sample_size, (0.5, 1), 60, 30), more=0, cut=0)
 # both rules end at ScheduleOverflow within these limits
-@example(case=(sample_size, (0.5, 1), 2**31, 2**70), more=0)
-@example(case=(eg_sample_size, (1e15, 2.001, 1e-3), 2**31, 10**22), more=1)
-def test_sizes_within_is_the_longest_affordable_prefix(case, more):
+@example(case=(sample_size, (0.5, 1), 2**31, 2**70), more=0, cut=0)
+@example(case=(eg_sample_size, (1e15, 2.001, 1e-3), 2**31, 10**22), more=1,
+         cut=0)
+# a PPAWSS-like inner rule: its sizes run 1 x 17329, 2 x 10136 and
+# 3 x 6779, and 45345 calls pay for 20000 steps, inside the run of 2s
+@example(case=(sample_size, (0.99996, 1), 34244, 45345), more=10**5,
+         cut=30000)
+def test_sizes_within_is_the_longest_affordable_prefix(case, more, cut):
     size_of, params, length, limit = case
-    sizes = sizes_within(Schedule(size_of, params, length), limit)
+    schedule = Schedule(size_of, params, length)
+    # the larger limit first, on a cold list; then warm walks of it
+    _sizes.cache_clear()
+    larger = sizes_within(schedule, limit + more)
+    sizes = sizes_within(schedule, limit)
     # a prefix of the schedule whose steps cost at most the limit
     assert sizes == [size_of(k, *params) for k in range(len(sizes))]
     assert 2 * sum(sizes) <= limit
@@ -65,9 +75,17 @@ def test_sizes_within_is_the_longest_affordable_prefix(case, more):
     assert after is None or 2 * (sum(sizes) + after) > limit
     event("ends at the limit" if after is not None else
           "ends at the length" if k == length else "ends at the overflow")
-    # a prefix of what any larger limit pays for, on a fresh schedule
-    larger = sizes_within(Schedule(size_of, params, length), limit + more)
+    # a prefix of what the larger limit pays for
+    assert larger == [size_of(k, *params) for k in range(len(larger))]
     assert larger[:k] == sizes
+    # a shorter schedule of the rule ends at its own length
+    shorter = Schedule(size_of, params, cut % (len(larger) + 1))
+    assert sizes_within(shorter, limit + more) == larger[:shorter.length]
+    # each answer is a list of its own: changing it changes no later one
+    sizes.append(-1)
+    larger.append(-1)
+    assert sizes_within(schedule, limit) == sizes[:-1]
+    assert sizes_within(schedule, limit + more) == larger[:-1]
 
 
 @settings(max_examples=20, deadline=None)
