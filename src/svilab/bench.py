@@ -59,13 +59,14 @@ class _Scheme:
 
     ``keys`` is its ``[scheme.<name>]`` table, whose one ``float_list``
     key takes a value per problem row. ``solver(config, params, row)``
-    builds a cell's uncapped solver config, and ``first_step(solver,
-    lipschitz)`` the config whose schedule is the cell's first step.
-    ``runner`` names the solver among this module's globals, looked up
-    as a cell runs. A ``flat`` cell is sized to the budget and traced at
-    about 200 rows. A ``taped`` runner takes a ``tape``: its batch sizes
-    do not depend on the row, so the rows of one trial seed can replay
-    the batches the first of them prepared.
+    builds the uncapped solver config of a row, shared by its seeds,
+    and ``first_step(solver, lipschitz)`` the config whose schedule is
+    the row's first step. ``runner`` names the solver among this
+    module's globals, looked up as a cell runs. A ``flat`` row is sized
+    to the budget once, and its cells are traced at about 200 rows. A
+    ``taped`` runner takes a ``tape``: its batch sizes do not depend on
+    the row, so the rows of one trial seed can replay the batches the
+    first of them prepared.
     """
 
     keys: dict
@@ -255,6 +256,9 @@ def parse_config(text, overrides=None):
         if name not in sections:
             raise ConfigError(f"missing [{name}] section")
     for key, raw in overrides.items():
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"unknown option --{key}; the flags are "
+                              + ", ".join(f"--{name}" for name in _RUN_KEYS))
         try:
             sections["run"][key] = _parse_value(raw, _RUN_KEYS[key][0], None)
         except ConfigError:
@@ -343,18 +347,16 @@ def _check_seeds(seeds, name, line=None):
                               line=line)
 
 
-def _solver_config(config, scheme, row):
-    """Uncapped solver config of one cell; raises ConfigError early."""
-    return _SCHEMES[scheme].solver(config, config.scheme_params[scheme], row)
-
-
 def validate_solver_configs(config):
-    """Build every cell's solver config once, before any run starts, and
-    check that the budget pays for each cell's first step."""
+    """Build each (scheme, row)'s uncapped solver config once, before any
+    run starts, and check that the budget pays for its first step.
+    Returns the configs, keyed by ``(scheme, row)``."""
+    solvers = {}
     for scheme in config.schemes:
+        record = _SCHEMES[scheme]
         for row, lip in enumerate(config.lipschitz):
-            first = _SCHEMES[scheme].first_step(
-                _solver_config(config, scheme, row), lip)
+            solver = record.solver(config, config.scheme_params[scheme], row)
+            first = record.first_step(solver, lip)
             sizes = sizes_within(first.schedule, math.inf)
             where = f"{scheme} on row {row} (L = {lip:g})"
             if len(sizes) < first.max_iterations:
@@ -365,6 +367,8 @@ def validate_solver_configs(config):
                 raise ConfigError(f"budget {config.budget} cannot pay for the"
                                   f" first step of {where}: it costs {cost}"
                                   " oracle calls")
+            solvers[scheme, row] = solver
+    return solvers
 
 
 def _build_problem(config, row):
@@ -396,53 +400,18 @@ _CELL_RE = re.compile(
 )
 
 
-def _cell_solver(config, scheme, row):
-    """A cell's solver config; a flat cell's runs what the budget pays
-    for."""
-    solver = _solver_config(config, scheme, row)
-    if _SCHEMES[scheme].flat:
-        solver = replace(solver, max_iterations=len(sizes_within(
-            solver.schedule, config.budget)))
-    return solver
-
-
-def _batch_key(config, scheme, row, problem, seed):
-    """Cells of equal keys would read the same prepared batches: a taped
-    scheme's cells of one seed, noise model, oracle seed, dimension and
-    list of batch sizes. Any other cell's key is its own."""
-    if not _SCHEMES[scheme].taped:
-        return scheme, row, seed
-    oracle = problem.oracle
-    sizes = sizes_within(_solver_config(config, scheme, row).schedule,
-                         config.budget)
-    return (scheme, seed, oracle.noise_model, oracle.rng_seed,
-            problem.dimension, tuple(sizes))
-
-
-def _run_cell(job, tape=None):
-    """Run one (problem row, scheme, seed) cell and write its CSV."""
-    config, scheme, row, problem, seed, out_path = job
-    record = _SCHEMES[scheme]
-    start = problem.feasible_set.project(np.zeros(problem.dimension))
-    solver = _cell_solver(config, scheme, row)
-    recorder = Recorder()
-    if record.flat:
-        recorder = Recorder(every=max(1, math.ceil(solver.max_iterations / 200)))
-    shared = {} if tape is None else {"tape": tape}
-    # looked up by name, so a wrapper set on this module's global runs
-    _, trace = globals()[record.runner](
-        problem, start, solver, BudgetCounter(config.budget), scheme=scheme,
-        seed=seed, recorder=recorder, **shared)
-    trace.write_csv(out_path)
-
-
 def _run_group(jobs):
-    """Run the cells of one group in order. With more than one, the
-    first records a tape of its prepared batches and the others replay
-    it; the tape goes with the group."""
-    tape = Tape() if len(jobs) > 1 else None
-    for job in jobs:
-        _run_cell(job, tape)
+    """Run the cells of one group in order, each writing its trace CSV.
+    With more than one, the first records a tape of its prepared batches
+    and the others replay it; the tape goes with the group."""
+    shared = {"tape": Tape()} if len(jobs) > 1 else {}
+    for runner, problem, solver, recorder, budget, scheme, seed, path in jobs:
+        start = problem.feasible_set.project(np.zeros(problem.dimension))
+        # looked up by name, so a wrapper set on this module's global runs
+        _, trace = globals()[runner](
+            problem, start, solver, BudgetCounter(budget), scheme=scheme,
+            seed=seed, recorder=recorder, **shared)
+        trace.write_csv(path)
 
 
 def _usable_cores():
@@ -480,16 +449,19 @@ def run_experiment(config, base_dir="."):
     """Run the full scheme x row x seed matrix; returns the summary text.
 
     Writes one trace CSV per cell plus ``summary.csv`` into the output
-    directory. Cells that would read the same prepared batches (the
-    rows of one extragradient trial seed, see :func:`_batch_key`) form a
-    group: its first cell records a :class:`~svilab.oracle.Tape` of its
-    batches, and the others replay it and draw nothing. Groups run in
-    parallel when the environment variable ``SVILAB_THREADS`` is set
-    above 1, with at most one worker per group and per usable core.
-    Outputs do not depend on the schedule: every cell owns its file, and
-    its samples are keyed by its seed, whether it draws or replays them.
+    directory. A row's seeds share its solver config, and a flat row's
+    one list of batch sizes gives their step count and trace cadence.
+    Cells that would read the same prepared batches form a group: the
+    rows of one taped (extragradient) trial seed with one noise model,
+    oracle seed, dimension and list of batch sizes. A group's first
+    cell records a :class:`~svilab.oracle.Tape` of its batches, and the
+    others replay it and draw nothing. Groups run in parallel when the
+    environment variable ``SVILAB_THREADS`` is set above 1, with at most
+    one worker per group and per usable core. Outputs do not depend on
+    the schedule: every cell owns its file, and its samples are keyed by
+    its seed, whether it draws or replays them.
     """
-    validate_solver_configs(config)
+    solvers = validate_solver_configs(config)
     try:
         problems = [_build_problem(config, row)
                     for row in range(len(config.lipschitz))]
@@ -498,16 +470,28 @@ def run_experiment(config, base_dir="."):
         raise ConfigError(str(exc)) from exc
     out_dir = os.path.join(base_dir, config.output_path)
     groups, paths = {}, []
-    for row in range(len(config.lipschitz)):
+    for row, problem in enumerate(problems):
         lip_label, lam_label = _row_label(config, row)
         for scheme in config.schemes:
+            record = _SCHEMES[scheme]
+            solver, recorder = solvers[scheme, row], Recorder()
+            if record.flat:
+                sizes = sizes_within(solver.schedule, config.budget)
+                solver = replace(solver, max_iterations=len(sizes))
+                recorder = Recorder(every=max(1, math.ceil(len(sizes) / 200)))
+            # a taped scheme's rows share a seed's batches where these
+            # agree; any other cell's key is its own
+            oracle = problem.oracle
+            batches = ((oracle.noise_model, oracle.rng_seed,
+                        problem.dimension, tuple(sizes))
+                       if record.taped else (row,))
             for seed in config.seeds:
                 paths.append(os.path.join(
                     out_dir, _cell_filename(scheme, lip_label, lam_label, seed)
                 ))
-                key = _batch_key(config, scheme, row, problems[row], seed)
-                groups.setdefault(key, []).append(
-                    (config, scheme, row, problems[row], seed, paths[-1]))
+                groups.setdefault((scheme, seed, *batches), []).append(
+                    (record.runner, problem, solver, recorder, config.budget,
+                     scheme, seed, paths[-1]))
     groups = list(groups.values())
     workers = _worker_count(os.environ.get("SVILAB_THREADS"), len(groups))
     os.makedirs(out_dir, exist_ok=True)

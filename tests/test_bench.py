@@ -20,7 +20,7 @@ from svilab import (
     run_vs_ave,
     summarize,
 )
-from svilab.bench import _solver_config, _worker_count
+from svilab.bench import _worker_count, validate_solver_configs
 from svilab.extragradient import eg_sample_size
 from svilab.schedule import sizes_within
 from svilab.trace import Recorder, RunTrace, TraceRow
@@ -265,11 +265,11 @@ class TestParsing:
 class TestSolverDerivation:
     def test_default_rho_follows_q_rule(self):
         config = parse_config(AFFINE_CFG)
-        solver = _solver_config(config, "vs_ave", 0)
+        solver = validate_solver_configs(config)["vs_ave", 0]
         # kappa = 2: default rho is (1 - 1/4)^1.001
         assert solver.rho == pytest.approx(0.75**1.001, rel=1e-12)
         alt = parse_config(AFFINE_CFG + "q_rule = kappa_plus_1\n")
-        solver_alt = _solver_config(alt, "vs_ave", 0)
+        solver_alt = validate_solver_configs(alt)["vs_ave", 0]
         assert solver_alt.rho == pytest.approx((2.0 / 3.0) ** 1.001, rel=1e-12)
 
     def test_iterations_within_budget(self):
@@ -294,7 +294,8 @@ class TestSolverDerivation:
         run_experiment(config)
         for scheme in ("vs_ave", "extragradient"):
             steps = len(sizes_within(
-                _solver_config(config, scheme, 0).schedule, config.budget))
+                validate_solver_configs(config)[scheme, 0].schedule,
+                config.budget))
             for seed in (0, 1):
                 trace = RunTrace.read_csv(
                     tmp_path / "res" / f"{scheme}_L2_lamna_seed{seed}.csv")
@@ -469,7 +470,7 @@ def test_seed_keys_the_run(scheme, tmp_path):
            "extragradient": run_extragradient}[scheme]
     config = parse_config(ALL_SCHEMES_CFG.replace(
         "seeds = 3", f"seeds = 3\nout = {tmp_path}/res"))
-    solver = _solver_config(config, scheme, 0)
+    solver = validate_solver_configs(config)[scheme, 0]
     recorder = Recorder()
     if scheme != "ppawss":
         solver = replace(solver, max_iterations=len(sizes_within(
@@ -488,6 +489,29 @@ def test_seed_keys_the_run(scheme, tmp_path):
     solve(3)[1].write_csv(tmp_path / "direct.csv")
     cell = tmp_path / "res" / f"{scheme}_L2_lam5_seed3.csv"
     assert cell.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_a_row_is_planned_once_for_all_its_seeds(tmp_path, monkeypatch):
+    """The harness builds each (scheme, row)'s solver config once and
+    walks a flat row's batch sizes once, however many seeds share it."""
+    text = ALL_SCHEMES_CFG.replace("lipschitz = 2.0", "lipschitz = 2.0, 4.0")
+    walks = []
+
+    def counted(schedule, limit):
+        walks.append(limit)
+        return sizes_within(schedule, limit)
+
+    monkeypatch.setattr("svilab.bench.sizes_within", counted)
+    for seeds in ("3", "3,4,5"):
+        config = parse_config(text.replace(
+            "seeds = 3", f"seeds = {seeds}\nout = {tmp_path}/{len(seeds)}"))
+        assert set(validate_solver_configs(config)) == {
+            (scheme, row) for scheme in config.schemes for row in (0, 1)}
+        walks.clear()
+        run_experiment(config)
+        # a first step per (scheme, row), and the budget per flat (vs_ave,
+        # extragradient) row, for one seed as for three
+        assert sorted(walks) == [config.budget] * 4 + [math.inf] * 6
 
 
 def _write_cell(path, scheme, seed, value, metric="natural_residual",

@@ -147,6 +147,13 @@ class TestRunCommand:
                            match=r"^cannot parse --budget '2000\.7'$"):
             parse_config(GOOD_CFG, {"budget": "2000.7"})
 
+    def test_an_override_outside_run_is_refused(self):
+        # only [run] values have flags; [problem]'s seed is not one
+        for key in ("seed", "lipschitz", "bogus"):
+            with pytest.raises(ConfigError, match=rf"^unknown option --{key};"
+                               " the flags are --budget, --seeds, --out$"):
+                parse_config(GOOD_CFG, {key: "1"})
+
     def test_bad_overrides(self, tmp_path, capsys):
         # a flag value is parsed and checked like the [run] value it
         # replaces, and the message names the flag, not a file line

@@ -346,8 +346,9 @@ class TestTape:
         run_experiment(config)
         # one tape per trial seed; each (seed, stream) serves the values
         # of one cell, not of three
-        solver = svilab.bench._cell_solver(config, "extragradient", 0)
-        sizes = sizes_within(solver.schedule, math.inf)
+        solver = svilab.bench.validate_solver_configs(config)[
+            "extragradient", 0]
+        sizes = sizes_within(solver.schedule, config.budget)
         assert max(sizes) * 200 > BLOCK
         assert taps.tapes == 2
         assert taps.served() == {(777, seed, stream): sum(sizes) * 200
