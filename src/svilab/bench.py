@@ -16,7 +16,7 @@ import math
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,7 +151,8 @@ class ExperimentConfig:
 
     ``scheme_params`` maps scheme name to its resolved parameters with
     defaults filled; per-row values are tuples aligned with
-    ``lipschitz``.
+    ``lipschitz``. ``solvers`` is :func:`validate_solver_configs` of the
+    config, built with it and so again by ``dataclasses.replace``.
     """
 
     kind: str
@@ -167,6 +168,10 @@ class ExperimentConfig:
     budget: int
     seeds: tuple
     output_path: str
+    solvers: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "solvers", validate_solver_configs(self))
 
 
 def _parse_value(raw, kind, lineno):
@@ -298,6 +303,11 @@ def parse_config(text, overrides=None):
         )
     _check_seeds(run["seeds"], "--seeds" if "seeds" in overrides else "seeds",
                  key_lines.get(("run", "seeds")))
+    if not run["out"]:
+        # an empty path would write the cells into the working directory
+        raise ConfigError(
+            f"{'--out' if 'out' in overrides else 'out'} must name a directory",
+            line=key_lines.get(("run", "out")))
     _check_seeds((problem["seed"],), "seed", key_lines.get(("problem", "seed")))
 
     # normalize per-row lists: length 1 broadcasts, otherwise must match;
@@ -332,7 +342,6 @@ def parse_config(text, overrides=None):
                 " would collide",
                 line=key_lines.get(("problem", "lipschitz")),
             )
-    validate_solver_configs(config)
     return config
 
 
@@ -348,9 +357,9 @@ def _check_seeds(seeds, name, line=None):
 
 
 def validate_solver_configs(config):
-    """Build each (scheme, row)'s uncapped solver config once, before any
-    run starts, and check that the budget pays for its first step.
-    Returns the configs, keyed by ``(scheme, row)``."""
+    """Build each (scheme, row)'s uncapped solver config and check that
+    the budget pays for its first step. Returns the configs, keyed by
+    ``(scheme, row)``: an :class:`ExperimentConfig`'s ``solvers``."""
     solvers = {}
     for scheme in config.schemes:
         record = _SCHEMES[scheme]
@@ -461,7 +470,6 @@ def run_experiment(config, base_dir="."):
     the schedule: every cell owns its file, and its samples are keyed by
     its seed, whether it draws or replays them.
     """
-    solvers = validate_solver_configs(config)
     try:
         problems = [_build_problem(config, row)
                     for row in range(len(config.lipschitz))]
@@ -474,7 +482,7 @@ def run_experiment(config, base_dir="."):
         lip_label, lam_label = _row_label(config, row)
         for scheme in config.schemes:
             record = _SCHEMES[scheme]
-            solver, recorder = solvers[scheme, row], Recorder()
+            solver, recorder = config.solvers[scheme, row], Recorder()
             if record.flat:
                 sizes = sizes_within(solver.schedule, config.budget)
                 solver = replace(solver, max_iterations=len(sizes))

@@ -141,9 +141,10 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
         check_stepsize(config.stepsize, lip)
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
-    trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     sizes = sizes_within(config.schedule, budget.remaining)
+    steps = len(sizes)
+    trace = RunTrace(scheme, seed, steps < config.max_iterations)
     streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     with oracle.feeds(streams, sizes, tape) as (feed, feed_half):
         for k, n_k in enumerate(sizes, 1):
@@ -154,14 +155,8 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
             z = feasible_set.project(z - config.stepsize * estimate_half)
             # uniform running mean of the half-step points
             average += (z_half - average) / k
-            if recorder is not None and recorder.due(k):
+            if recorder is not None and recorder.due(k, steps):
                 trace.add(evaluate_point(
                     problem, average if config.averaged else z, recorder, k,
                     0, budget.consumed - consumed_before))
-    steps = len(sizes)
-    trace.truncated = steps < config.max_iterations
-    point = average if config.averaged else z
-    if recorder is not None and trace.missing(steps):
-        trace.add(evaluate_point(problem, point, recorder, steps, 0,
-                                 budget.consumed - consumed_before))
-    return point, trace
+    return (average if config.averaged else z), trace

@@ -137,39 +137,41 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
                recorder=Recorder()):
     """Run the outer loop for ``config.outer_iterations`` steps.
 
-    Returns ``(u_K, trace)``; ``recorder`` picks the completed outer
-    iterations that get a row (``inner_k`` records that step's inner
-    iteration count, ``calls`` what the run has charged so far). A
-    subproblem whose whole sampling schedule the remaining budget cannot
-    pay for is not started: the run ends there with ``trace.truncated``
-    set and the last completed iterate, and draws nothing more. Each
-    inner step charges ``budget`` before its first draw. ``budget=None``
-    means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the stream
-    pair all subproblems continue, ``problem.oracle.stream(seed, 0)`` and
-    ``(seed, 1)``.
+    Returns ``(u_K, trace)``. Before its first draw the run lists the
+    subproblems ``budget`` pays for in full, in order, up to the first
+    it cannot: a run that stops there sets ``trace.truncated``, returns
+    the last completed iterate and draws nothing more. Each inner step
+    charges ``budget`` before its first draw. ``recorder`` picks the
+    completed outer iterations that get a row (``inner_k`` records that
+    step's inner iteration count, ``calls`` what the run has charged so
+    far). ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
+    ``seed`` keys the stream pair all subproblems continue,
+    ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     """
     budget = ledger(budget)
-    feasible_set = problem.feasible_set
-    u = feasible_set.project(np.asarray(u0, dtype=np.float64))
+    u = problem.feasible_set.project(np.asarray(u0, dtype=np.float64))
     lip = problem.mean_map.lipschitz
-    trace = RunTrace(scheme, seed)
-    streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
-    consumed_before = budget.consumed
-    last = (0, 0, 0)  # (outer_k, inner_k, calls) of the last completed step
+    plan, left = [], budget.remaining
     for k in range(config.outer_iterations):
         inner_config = config.subproblem(k, lip)
-        ell_k = inner_config.max_iterations
         # the inner run sizes itself from the sizes this walk computes
-        if len(sizes_within(inner_config.schedule, budget.remaining)) < ell_k:
+        sizes = sizes_within(inner_config.schedule, left)
+        if len(sizes) < inner_config.max_iterations:
             break
+        plan.append(inner_config)
+        left -= 2 * sum(sizes)
+    del sizes  # else the last walk's list stays alive through the run
+    steps = len(plan)
+    trace = RunTrace(scheme, seed, steps < config.outer_iterations)
+    streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
+    consumed_before = budget.consumed
+    for k, inner_config in enumerate(plan, 1):
         sub = prox_subproblem(problem, u, config.lam)
         z, _ = run_vs_ave(sub, u, inner_config, budget,
                           streams=streams, recorder=None)
         u = relaxation_step(u, z, config.eta)
-        last = (k + 1, ell_k, budget.consumed - consumed_before)
-        if recorder is not None and recorder.due(k + 1):
-            trace.add(evaluate_point(problem, u, recorder, *last))
-    trace.truncated = last[0] < config.outer_iterations
-    if recorder is not None and trace.missing(last[0]):
-        trace.add(evaluate_point(problem, u, recorder, *last))
+        if recorder is not None and recorder.due(k, steps):
+            trace.add(evaluate_point(problem, u, recorder, k,
+                                     inner_config.max_iterations,
+                                     budget.consumed - consumed_before))
     return u, trace

@@ -22,7 +22,7 @@ CSV_HEADER = (
 @dataclass(frozen=True)
 class Recorder:
     """What a solver records: a row after every ``every``-th completed
-    iteration and after the last one if the cadence skipped it.
+    iteration and after the run's last one (:meth:`due`).
 
     Rows always carry the cheap metrics (natural residual, distance to
     the reference, bimatrix saddle gap). Each optional one costs an
@@ -40,9 +40,10 @@ class Recorder:
         if not (isinstance(self.every, int) and self.every >= 1):
             raise ContractViolation(f"every must be >= 1; got {self.every!r}")
 
-    def due(self, k):
-        """Whether completed iteration ``k`` falls on the cadence."""
-        return k % self.every == 0
+    def due(self, k, last):
+        """Whether completed iteration ``k`` of a run of ``last``
+        iterations gets a row: it falls on the cadence or ends the run."""
+        return k % self.every == 0 or k == last
 
 
 @dataclass
@@ -70,13 +71,14 @@ def _fmt(v):
 
 
 class RunTrace:
-    """Ordered trace rows of a single (scheme, seed) run."""
+    """Ordered trace rows of a single (scheme, seed) run, and whether it
+    stops short of its configured length, known before its first draw."""
 
-    def __init__(self, scheme, seed):
+    def __init__(self, scheme, seed, truncated=False):
         self.scheme = str(scheme)
         self.seed = int(seed)
         self.rows = []
-        self.truncated = False
+        self.truncated = truncated
 
     def add(self, row):
         if self.rows and row.calls <= self.rows[-1].calls:
@@ -85,10 +87,6 @@ class RunTrace:
                 f"after {self.rows[-1].calls}"
             )
         self.rows.append(row)
-
-    def missing(self, k):
-        """Whether completed iteration ``k`` > 0 still lacks its row."""
-        return k > 0 and (not self.rows or self.rows[-1].outer_k != k)
 
     @property
     def final(self):
@@ -130,7 +128,7 @@ class RunTrace:
                 raise ContractViolation(f"{path}: row {line!r} disagrees with"
                                         " the first on scheme, seed or flag")
         try:
-            trace = RunTrace(run[0], int(run[1]))
+            trace = RunTrace(run[0], int(run[1]), run[2] == "true")
             for parts in rows:
                 trace.add(TraceRow(
                     int(parts[2]), int(parts[3]), int(parts[4]),
@@ -138,5 +136,4 @@ class RunTrace:
                 ))
         except ValueError as exc:
             raise ContractViolation(f"{path}: non-numeric field: {exc}") from None
-        trace.truncated = run[2] == "true"
         return trace

@@ -192,9 +192,10 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     # theirs each step
     neg_mu, neg_lip = np.array(-mu), np.array(-lip)
     gamma_0d, Gamma_0d = np.array(gamma), np.array(Gamma)
-    trace = RunTrace(scheme, seed)
     consumed_before = budget.consumed
     sizes = sizes_within(config.schedule, budget.remaining)
+    steps = len(sizes)
+    trace = RunTrace(scheme, seed, steps < config.max_iterations)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
     with oracle.feeds(streams, sizes) as (feed_y, feed_x):
         for k, n_k in enumerate(sizes, 1):
@@ -216,14 +217,8 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
             Gamma_0d[()] = Gamma
             np.multiply(gamma_0d, point, est)
             ysum += est
-            if recorder is not None and recorder.due(k):
+            if recorder is not None and recorder.due(k, steps):
                 trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder,
                                          k, 0,
                                          budget.consumed - consumed_before))
-    steps = len(sizes)
-    trace.truncated = steps < config.max_iterations
-    averaged = ysum / Gamma
-    if recorder is not None and trace.missing(steps):
-        trace.add(evaluate_point(problem, averaged, recorder, steps, 0,
-                                 budget.consumed - consumed_before))
-    return averaged, trace
+    return ysum / Gamma, trace

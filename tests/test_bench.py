@@ -20,7 +20,7 @@ from svilab import (
     run_vs_ave,
     summarize,
 )
-from svilab.bench import _worker_count, validate_solver_configs
+from svilab.bench import _worker_count
 from svilab.extragradient import eg_sample_size
 from svilab.schedule import sizes_within
 from svilab.trace import Recorder, RunTrace, TraceRow
@@ -265,11 +265,11 @@ class TestParsing:
 class TestSolverDerivation:
     def test_default_rho_follows_q_rule(self):
         config = parse_config(AFFINE_CFG)
-        solver = validate_solver_configs(config)["vs_ave", 0]
+        solver = config.solvers["vs_ave", 0]
         # kappa = 2: default rho is (1 - 1/4)^1.001
         assert solver.rho == pytest.approx(0.75**1.001, rel=1e-12)
         alt = parse_config(AFFINE_CFG + "q_rule = kappa_plus_1\n")
-        solver_alt = validate_solver_configs(alt)["vs_ave", 0]
+        solver_alt = alt.solvers["vs_ave", 0]
         assert solver_alt.rho == pytest.approx((2.0 / 3.0) ** 1.001, rel=1e-12)
 
     def test_iterations_within_budget(self):
@@ -293,9 +293,8 @@ class TestSolverDerivation:
             + "\n[scheme.extragradient]\n")
         run_experiment(config)
         for scheme in ("vs_ave", "extragradient"):
-            steps = len(sizes_within(
-                validate_solver_configs(config)[scheme, 0].schedule,
-                config.budget))
+            steps = len(sizes_within(config.solvers[scheme, 0].schedule,
+                                     config.budget))
             for seed in (0, 1):
                 trace = RunTrace.read_csv(
                     tmp_path / "res" / f"{scheme}_L2_lamna_seed{seed}.csv")
@@ -343,6 +342,10 @@ class TestSolverDerivation:
             )
         assert parse_config(BIMATRIX_CFG.replace("budget = 4000",
                                                  "budget = 4")).budget == 4
+        # a replaced config is priced again
+        with pytest.raises(ConfigError, match="^budget 3 cannot pay for the"
+                           " first step of extragradient"):
+            replace(parse_config(BIMATRIX_CFG), budget=3)
         with pytest.raises(ConfigError, match="extragradient on row 0 .L = 2.:"
                            " batch sizes overflow within the first step"):
             parse_config(BIMATRIX_CFG + "theta = 1e308\n")
@@ -470,7 +473,7 @@ def test_seed_keys_the_run(scheme, tmp_path):
            "extragradient": run_extragradient}[scheme]
     config = parse_config(ALL_SCHEMES_CFG.replace(
         "seeds = 3", f"seeds = 3\nout = {tmp_path}/res"))
-    solver = validate_solver_configs(config)[scheme, 0]
+    solver = config.solvers[scheme, 0]
     recorder = Recorder()
     if scheme != "ppawss":
         solver = replace(solver, max_iterations=len(sizes_within(
@@ -505,13 +508,16 @@ def test_a_row_is_planned_once_for_all_its_seeds(tmp_path, monkeypatch):
     for seeds in ("3", "3,4,5"):
         config = parse_config(text.replace(
             "seeds = 3", f"seeds = {seeds}\nout = {tmp_path}/{len(seeds)}"))
-        assert set(validate_solver_configs(config)) == {
+        assert set(config.solvers) == {
             (scheme, row) for scheme in config.schemes for row in (0, 1)}
+        # the config walks a first step per (scheme, row) as it is built
+        assert walks == [math.inf] * 6
         walks.clear()
         run_experiment(config)
-        # a first step per (scheme, row), and the budget per flat (vs_ave,
-        # extragradient) row, for one seed as for three
-        assert sorted(walks) == [config.budget] * 4 + [math.inf] * 6
+        # and the run the budget per flat (vs_ave, extragradient) row,
+        # for one seed as for three
+        assert walks == [config.budget] * 4
+        walks.clear()
 
 
 def _write_cell(path, scheme, seed, value, metric="natural_residual",

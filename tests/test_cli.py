@@ -116,6 +116,24 @@ class TestRunCommand:
         assert err == ("config error: rho must be < 1 - 1/(kappa+2) = 0.8;"
                        " got 0.9\n")
 
+    def test_an_empty_out_is_refused(self, good_cfg, tmp_path, capsys,
+                                     monkeypatch):
+        # an empty path would write the cells and summary.csv into the
+        # working directory, over a summary.csv there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "summary.csv").write_text("keep\n")
+        assert main(["run", good_cfg, "--out", ""]) == 2
+        assert capsys.readouterr().err == \
+            "config error: --out must name a directory\n"
+        path = tmp_path / "empty-out.cfg"
+        path.write_text(GOOD_CFG.replace("[run]\n", "[run]\nout =\n"))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: line 9: out must name a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["empty-out.cfg", "exp.cfg",
+                                                "summary.csv"]
+        assert (tmp_path / "summary.csv").read_text() == "keep\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -346,8 +346,7 @@ class TestTape:
         run_experiment(config)
         # one tape per trial seed; each (seed, stream) serves the values
         # of one cell, not of three
-        solver = svilab.bench.validate_solver_configs(config)[
-            "extragradient", 0]
+        solver = config.solvers["extragradient", 0]
         sizes = sizes_within(solver.schedule, config.budget)
         assert max(sizes) * 200 > BLOCK
         assert taps.tapes == 2

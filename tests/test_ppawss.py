@@ -18,7 +18,8 @@ from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise
 from svilab.ppawss import inner_iterations, prox_subproblem, relaxation_step
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.sets import Box
-from svilab.vs_ave import sample_size, schedule_cost
+from svilab.schedule import sizes_within
+from svilab.vs_ave import run_vs_ave, sample_size, schedule_cost
 
 from plain_loops import ppawss_loop
 
@@ -192,6 +193,34 @@ class TestBudgetAccounting:
         # nothing of the fourth subproblem was drawn
         assert budget.consumed == cum[2]
         assert trace.final.calls == cum[2]
+
+    def test_subproblems_are_planned_before_the_first_draw(self,
+                                                           monkeypatch):
+        # every affordability walk, the unaffordable fourth step's too,
+        # comes before the first subproblem runs, and each listed step
+        # runs once
+        problem = self._noisy_pennies()
+        cfg = _config(lam=5.0, outer_iterations=6)
+        _, full = run_ppawss(problem, np.zeros(4), cfg, BudgetCounter(10**6))
+        events = []
+
+        def walk(schedule, limit):
+            events.append("walk")
+            return sizes_within(schedule, limit)
+
+        def solve(*args, **kwargs):
+            events.append("solve")
+            return run_vs_ave(*args, **kwargs)
+
+        monkeypatch.setattr("svilab.ppawss.sizes_within", walk)
+        monkeypatch.setattr("svilab.ppawss.run_vs_ave", solve)
+        for limit, steps, walks in [(10**6, 6, 6),
+                                    (full.rows[2].calls + 1, 3, 4)]:
+            events.clear()
+            _, trace = run_ppawss(problem, np.zeros(4), cfg,
+                                  BudgetCounter(limit))
+            assert events == ["walk"] * walks + ["solve"] * steps
+            assert trace.truncated == (steps < 6)
 
     def test_truncated_prefix_identical_to_full_run(self):
         problem = self._noisy_pennies()

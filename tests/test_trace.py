@@ -31,19 +31,15 @@ class TestRunTrace:
         trace.add(TraceRow(outer_k=2, inner_k=0, calls=6))
         assert trace.final.outer_k == 2
 
-    def test_missing_names_an_unrecorded_last_iteration(self):
-        trace = RunTrace("vs_ave", 0)
-        assert not trace.missing(0)
-        assert trace.missing(1)
-        trace.add(TraceRow(outer_k=2, inner_k=0, calls=6))
-        assert not trace.missing(2)
-        assert trace.missing(3)
-
 
 class TestRecorder:
     def test_cadence(self):
-        assert [k for k in range(1, 8) if Recorder(every=3).due(k)] == [3, 6]
-        assert all(Recorder().due(k) for k in range(1, 5))
+        # a run's last iteration gets a row, on the cadence or off it
+        assert [k for k in range(1, 8) if Recorder(every=3).due(k, 7)] == \
+               [3, 6, 7]
+        assert [k for k in range(1, 7) if Recorder(every=3).due(k, 6)] == \
+               [3, 6]
+        assert all(Recorder().due(k, 4) for k in range(1, 5))
 
     def test_defaults_record_cheap_metrics_only(self):
         recorder = Recorder()

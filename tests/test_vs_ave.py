@@ -18,6 +18,7 @@ from svilab import (
 )
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.maps import AffineMap
+from svilab.metrics import evaluate_point
 from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise, batch_mean
 from svilab.ppawss import prox_subproblem
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
@@ -397,10 +398,17 @@ class TestFedRunBits:
         cfg = VsAveConfig(mu=1.0, lipschitz=50.0, rho=0.9, max_iterations=90)
         assert cfg.max_iterations > 2 * (BLOCK // 400)
         y0 = np.full(400, 0.5)
-        averaged, _ = run_vs_ave(prob, y0, cfg, None, seed=2)
+        recorder = Recorder(every=7)
+        averaged, trace = run_vs_ave(prob, y0, cfg, None, seed=2,
+                                     recorder=recorder)
         want = vs_ave_loop(prob, y0, cfg, (prob.oracle.stream(2, 0),
                                            prob.oracle.stream(2, 1)))
         assert np.array_equal(averaged, want)
+        # step 90 falls off the cadence and still gets a row, at the
+        # plain loop's average to the bit
+        assert [row.outer_k for row in trace.rows[-2:]] == [84, 90]
+        assert trace.final == evaluate_point(prob, want, recorder, 90, 0,
+                                             schedule_cost(90, cfg.rho))
 
     def test_matrix_noise_past_a_block_on_a_continued_pair(self):
         # a 40 x 40 game draws 1600 values per sample: batches of 11 or
