@@ -65,8 +65,7 @@ class _Scheme:
     module's globals, looked up as a cell runs. A ``flat`` row is sized
     to the budget once, and its cells are traced at about 200 rows. A
     ``taped`` runner takes a ``tape``: its batch sizes do not depend on
-    the row, so the rows of one trial seed can replay the batches the
-    first of them prepared.
+    the row, so one trial seed's rows are a group that shares a tape.
     """
 
     keys: dict
@@ -152,7 +151,8 @@ class ExperimentConfig:
     ``scheme_params`` maps scheme name to its resolved parameters with
     defaults filled; per-row values are tuples aligned with
     ``lipschitz``. ``solvers`` is :func:`validate_solver_configs` of the
-    config, built with it and so again by ``dataclasses.replace``.
+    config, built with it and so again by ``dataclasses.replace``. An
+    empty ``output_path`` raises :class:`ConfigError`.
     """
 
     kind: str
@@ -171,6 +171,9 @@ class ExperimentConfig:
     solvers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.output_path:
+            # run_experiment would write the cells into its base directory
+            raise ConfigError("output_path must name a directory")
         object.__setattr__(self, "solvers", validate_solver_configs(self))
 
 
@@ -460,15 +463,16 @@ def run_experiment(config, base_dir="."):
     Writes one trace CSV per cell plus ``summary.csv`` into the output
     directory. A row's seeds share its solver config, and a flat row's
     one list of batch sizes gives their step count and trace cadence.
-    Cells that would read the same prepared batches form a group: the
-    rows of one taped (extragradient) trial seed with one noise model,
-    oracle seed, dimension and list of batch sizes. A group's first
-    cell records a :class:`~svilab.oracle.Tape` of its batches, and the
-    others replay it and draw nothing. Groups run in parallel when the
-    environment variable ``SVILAB_THREADS`` is set above 1, with at most
-    one worker per group and per usable core. Outputs do not depend on
-    the schedule: every cell owns its file, and its samples are keyed by
-    its seed, whether it draws or replays them.
+    The cells of a taped (extragradient) scheme and trial seed form one
+    group, one cell per row; every other cell is a group of its own. A
+    group's first cell records a :class:`~svilab.oracle.Tape` of its
+    batches, and the others replay it and draw nothing: a config fixes
+    the noise, oracle seed, dimension, size rule and budget of every
+    row, and the tape refuses a replay of other batches. Groups run in
+    parallel when the environment variable ``SVILAB_THREADS`` is set
+    above 1, with at most one worker per group and per usable core.
+    Outputs do not depend on the schedule: every cell owns its file, and
+    its samples are keyed by its seed, whether it draws or replays them.
     """
     try:
         problems = [_build_problem(config, row)
@@ -487,17 +491,12 @@ def run_experiment(config, base_dir="."):
                 sizes = sizes_within(solver.schedule, config.budget)
                 solver = replace(solver, max_iterations=len(sizes))
                 recorder = Recorder(every=max(1, math.ceil(len(sizes) / 200)))
-            # a taped scheme's rows share a seed's batches where these
-            # agree; any other cell's key is its own
-            oracle = problem.oracle
-            batches = ((oracle.noise_model, oracle.rng_seed,
-                        problem.dimension, tuple(sizes))
-                       if record.taped else (row,))
             for seed in config.seeds:
                 paths.append(os.path.join(
                     out_dir, _cell_filename(scheme, lip_label, lam_label, seed)
                 ))
-                groups.setdefault((scheme, seed, *batches), []).append(
+                group = (scheme, seed) if record.taped else (scheme, seed, row)
+                groups.setdefault(group, []).append(
                     (record.runner, problem, solver, recorder, config.budget,
                      scheme, seed, paths[-1]))
     groups = list(groups.values())

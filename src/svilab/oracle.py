@@ -38,12 +38,13 @@ time. ``noise_sum`` then returns the noise part of one batch mean, the
 mean minus ``F(x)``: a Gaussian step's is its prepared row, and a
 payoff step's is formed at the iterate and divided by ``n``.
 :func:`batch_mean` adds ``F(x)`` to it.
-The bits do not move either: the chunk takes the values that
-step-by-step draws would take, in the same order, and forms each step's
-part with the same floating-point operations in the same order (an
-axis-0 sum adds its rows one after the other, so a part's sum from the
-carried row goes on where the group's sum stopped); a bare stream
-passed to ``noise_sum`` is read as a feed of one step.
+The bits do not move either: the chunk takes the values that feeds of
+one step each, ``Feed(noise, stream, (n,), dim)`` for every batch in
+turn, would take, in the same order, and forms each step's part with
+the same floating-point operations in the same order (an axis-0 sum
+adds its rows one after the other, so a part's sum from the carried row
+goes on where the group's sum stopped). A noise model reads a stream
+only through a feed.
 
 A run's two streams are independent, but :meth:`StochasticOracle.feeds`
 hands both feeds the run's one size list and prepares both on the run's
@@ -56,7 +57,9 @@ seed in the harness) can share them through a :class:`Tape`. The first
 run's feeds record each chunk they prepare, as owned, read-only arrays;
 the feeds of the others replay those chunks, so those runs draw nothing.
 A replayed part is the part the recording run read, so not a bit moves
-either.
+either. The tape's key and each replayed step's size are the one test
+of "the same batches": a replay that fails either raises
+:class:`ContractViolation`.
 """
 
 from __future__ import annotations
@@ -276,13 +279,6 @@ class Tape:
         self.streams = None
 
 
-def _prepared(noise, x, n, source):
-    # a bare stream is a feed of the one batch asked for
-    if type(source) is SampleStream:
-        source = Feed(noise, source, (n,), x.size)
-    return source.next(n)
-
-
 class BudgetCounter:
     """Mutable ledger of single-sample oracle evaluations.
 
@@ -323,11 +319,11 @@ class ZeroNoise:
         return 0.0
 
     def sampler(self, gen):
-        # its noise_sum reads no stream or feed, so it prepares nothing
+        # its noise_sum reads no feed, so it prepares nothing
         # and its streams are never read
         return None
 
-    def noise_sum(self, x, n, stream):
+    def noise_sum(self, x, n, feed):
         """Zeros: the noise part of every batch mean."""
         return np.zeros_like(x)
 
@@ -368,12 +364,12 @@ class AdditiveGaussian:
         parts /= counts
         return count, parts
 
-    def noise_sum(self, x, n, source):
+    def noise_sum(self, x, n, feed):
         """The noise part of the mean of ``n`` samples at ``x``,
         ``(sigma * sqrt(n) * z) / n``: the batch mean minus ``F(x)``.
-        It is the step's prepared row, which the caller only reads.
+        It is ``feed``'s next prepared row, which the caller only reads.
         """
-        return _prepared(self, x, n, source)
+        return feed.next(n)
 
 
 @dataclass(frozen=True)
@@ -470,12 +466,12 @@ class MatrixPerturbation:
                 e_sum += g_sum
         return e_sum
 
-    def noise_sum(self, z, n, source):
-        """The noise part of the mean of ``n`` samples at ``z``,
-        ``scale * (E^T y, -E x) / n`` for the batch's sum ``E``: the
-        batch mean minus ``F(z)``, as a fresh array.
+    def noise_sum(self, z, n, feed):
+        """The noise part of the mean of ``n`` samples at ``z``, the batch
+        mean minus ``F(z)``, as a fresh array: ``(S^T y, -S x) / n`` for
+        ``feed``'s next part ``S``, the batch's sum of ``scale * E``.
         """
-        e_sum = _prepared(self, z, n, source)
+        e_sum = feed.next(n)
         cols = self.cols
         out = np.empty(z.size)
         tail = out[cols:]
@@ -552,10 +548,10 @@ class StochasticOracle:
         return self.noise_model.variance_bound(self.mean_map.dimension)
 
 
-def batch_mean(oracle, x, n, stream, *, out=None):
-    """Average of ``n`` fresh samples ``G(x, xi_j)`` from ``stream``, a
-    :class:`SampleStream` or a :class:`Feed`: ``F(x)`` plus the noise
-    model's ``noise_sum``, the noise part of the mean.
+def batch_mean(oracle, x, n, feed, *, out=None):
+    """Average of ``n`` fresh samples ``G(x, xi_j)``, the next batch of
+    ``feed`` (a :class:`Feed`): ``F(x)`` plus the noise model's
+    ``noise_sum``, the noise part of the mean.
 
     The mean is written into ``out``, a float64 vector of ``x``'s size
     that does not overlap ``x``, and returned; without ``out`` it is a
@@ -570,7 +566,7 @@ def batch_mean(oracle, x, n, stream, *, out=None):
     # a call through __call__ itself: calling the instance with a keyword
     # goes through the type's call slot, which costs about 0.35 us more
     estimate = oracle.mean_map.__call__(x, out=out)
-    estimate += oracle.noise_model.noise_sum(x, count, stream)
+    estimate += oracle.noise_model.noise_sum(x, count, feed)
     return estimate
 
 

@@ -34,6 +34,7 @@ from svilab.ppawss import inner_iterations
 from svilab.problems import bimatrix_from_payoff
 from svilab.sets import Ball, Box, Product, Simplex
 from svilab.vs_ave import rate_q, sample_size, schedule_cost
+from feeds import one_step
 from qp_oracle import (
     project_ball_bruteforce,
     project_box_bruteforce,
@@ -213,8 +214,9 @@ def test_criterion_6_oracle_statistics(capsys):
     x = problem.feasible_set.project(np.full(d, 0.3))
     truth = problem.mean_map(x)
 
-    stream = oracle.stream(0, 11)
-    estimate = batch_mean(oracle, x, 200000, stream)
+    noise = oracle.noise_model
+    estimate = batch_mean(oracle, x, 200000,
+                          one_step(noise, oracle.stream(0, 11), 200000, d))
     bias = float(np.linalg.norm(estimate - truth))
     bias_bound = 4.0 * sigma * math.sqrt(d / 200000.0)
 
@@ -225,7 +227,7 @@ def test_criterion_6_oracle_statistics(capsys):
         sq = 0.0
         s = oracle.stream(0, 100 + n)
         for _ in range(reps):
-            est = batch_mean(oracle, x, n, s)
+            est = batch_mean(oracle, x, n, one_step(noise, s, n, d))
             err = est - truth
             sq += float(err @ err)
         v = sq / reps
@@ -236,13 +238,15 @@ def test_criterion_6_oracle_statistics(capsys):
                                 seed=3, with_reference=False)
     z = game.feasible_set.project(np.array([0.3, 0.7, 0.6, 0.4]))
     g_truth = game.mean_map(z)
-    g_est = batch_mean(game.oracle, z, 200000, game.oracle.stream(0, 12))
+    g_noise = game.oracle.noise_model
+    g_est = batch_mean(game.oracle, z, 200000,
+                       one_step(g_noise, game.oracle.stream(0, 12), 200000, 4))
     g_bias = float(np.linalg.norm(g_est - g_truth))
     var_bound = game.oracle.variance_bound
     s = game.oracle.stream(0, 13)
     sq = 0.0
     for _ in range(reps):
-        est = batch_mean(game.oracle, z, 1, s)
+        est = batch_mean(game.oracle, z, 1, one_step(g_noise, s, 1, 4))
         err = est - g_truth
         sq += float(err @ err)
     g_var = sq / reps

@@ -442,6 +442,15 @@ class TestRunExperiment:
         b = RunTrace.read_csv(tmp_path / "res" / "ppawss_L2_lam5_seed1.csv")
         assert a.final.saddle_gap != b.final.saddle_gap
 
+    def test_an_empty_output_path_is_refused(self, tmp_path):
+        # the dataclasses.replace form of a config, which parse_config's
+        # own "out must name a directory" check never sees
+        config = parse_config(BIMATRIX_CFG)
+        with pytest.raises(ConfigError, match="output_path must name a"):
+            run_experiment(replace(config, output_path=""),
+                           base_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
 
 ALL_SCHEMES_CFG = """\
 [problem]

@@ -29,6 +29,7 @@ from svilab.oracle import (
 )
 from svilab.problems import bimatrix_from_payoff
 
+from feeds import one_step
 from plain_loops import payoff_sum
 
 
@@ -177,31 +178,41 @@ class TestBatchMean:
         oracle = StochasticOracle(f, ZeroNoise(), rng_seed=0)
         x = np.array([0.3, 0.7])
         for n in (1, 5, 100):
-            est = batch_mean(oracle, x, n, oracle.stream(0, 0))
+            est = batch_mean(oracle, x, n,
+                             one_step(oracle.noise_model, oracle.stream(0, 0),
+                                      n, 2))
             assert np.array_equal(est, f(x))
 
     def test_rejects_empty_batch(self):
         oracle = gaussian_oracle()
         with pytest.raises(ContractViolation):
-            batch_mean(oracle, np.zeros(4), 0, oracle.stream(0, 0))
+            batch_mean(oracle, np.zeros(4), 0,
+                       one_step(oracle.noise_model, oracle.stream(0, 0), 0,
+                                4))
 
     @pytest.mark.parametrize("n", [2.5, 2.0, np.array(2.0)])
     def test_rejects_a_batch_size_that_is_not_an_integer(self, n):
         # the count drawn and the divisor must be the same number
         oracle = gaussian_oracle()
         with pytest.raises(TypeError):
-            batch_mean(oracle, np.zeros(4), n, oracle.stream(0, 0))
+            batch_mean(oracle, np.zeros(4), n,
+                       one_step(oracle.noise_model, oracle.stream(0, 0), n,
+                                4))
 
     def test_deterministic_given_stream(self):
         oracle = gaussian_oracle(seed=3)
-        a = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
-        b = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
+        a, b = (batch_mean(oracle, np.ones(4), 7,
+                           one_step(oracle.noise_model, oracle.stream(0, 0),
+                                    7, 4))
+                for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_trials_partition_randomness(self):
         oracle = gaussian_oracle(seed=3)
-        a = batch_mean(oracle, np.ones(4), 7, oracle.stream(0, 0))
-        b = batch_mean(oracle, np.ones(4), 7, oracle.stream(1, 0))
+        a, b = (batch_mean(oracle, np.ones(4), 7,
+                           one_step(oracle.noise_model, oracle.stream(trial, 0),
+                                    7, 4))
+                for trial in (0, 1))
         assert not np.array_equal(a, b)
 
 
@@ -209,7 +220,9 @@ class TestGaussianNoise:
     def test_unbiased(self):
         oracle = gaussian_oracle(sigma=1.0, seed=1)
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        est = batch_mean(oracle, x, 10**5, oracle.stream(0, 0))
+        est = batch_mean(oracle, x, 10**5,
+                         one_step(oracle.noise_model, oracle.stream(0, 0),
+                                  10**5, 4))
         err = est - oracle.mean_map(x)
         # each coordinate is N(0, sigma^2/n); allow 4 standard errors
         assert np.all(np.abs(err) <= 4.0 / np.sqrt(10**5))
@@ -221,8 +234,9 @@ class TestGaussianNoise:
         base = None
         for n in (1, 4, 16, 64):
             draws = np.array(
-                [batch_mean(oracle, x, n, stream) - oracle.mean_map(x)
-                 for _ in range(2000)]
+                [batch_mean(oracle, x, n,
+                            one_step(oracle.noise_model, stream, n, 4))
+                 - oracle.mean_map(x) for _ in range(2000)]
             )
             total_var = float(draws.var(axis=0).sum())
             if base is None:
@@ -236,8 +250,9 @@ class TestGaussianNoise:
         stream = oracle.stream(0, 0)
         x = np.zeros(4)
         draws = np.array(
-            [batch_mean(oracle, x, 4, stream) - oracle.mean_map(x)
-             for _ in range(10**4)]
+            [batch_mean(oracle, x, 4,
+                        one_step(oracle.noise_model, stream, 4, 4))
+             - oracle.mean_map(x) for _ in range(10**4)]
         )
         assert float(draws.var(axis=0).sum()) == pytest.approx(1.0, rel=0.1)
 
@@ -257,7 +272,9 @@ class TestMatrixPerturbation:
     def test_unbiased(self):
         oracle = self.make_oracle(scale=0.5, seed=5)
         z = np.array([0.2, 0.3, 0.5, 0.6, 0.4])
-        est = batch_mean(oracle, z, 10**5, oracle.stream(0, 0))
+        est = batch_mean(oracle, z, 10**5,
+                         one_step(oracle.noise_model, oracle.stream(0, 0),
+                                  10**5, 5))
         err = est - oracle.mean_map(z)
         # entries of E have sd 1/sqrt(3); generous CLT envelope
         assert np.all(np.abs(err) <= 4.0 * 0.5 / np.sqrt(3 * 10**5))
@@ -270,7 +287,9 @@ class TestMatrixPerturbation:
         per_n = {}
         for n in (1, 4):
             draws = np.array(
-                [batch_mean(oracle, z, n, stream) - mean for _ in range(4000)]
+                [batch_mean(oracle, z, n,
+                            one_step(oracle.noise_model, stream, n, 5))
+                 - mean for _ in range(4000)]
             )
             per_n[n] = float(draws.var(axis=0).sum())
         assert per_n[4] == pytest.approx(per_n[1] / 4.0, rel=0.2)
@@ -281,7 +300,9 @@ class TestMatrixPerturbation:
         stream = oracle.stream(0, 0)
         mean = oracle.mean_map(z)
         draws = np.array(
-            [batch_mean(oracle, z, 1, stream) - mean for _ in range(4000)]
+            [batch_mean(oracle, z, 1,
+                        one_step(oracle.noise_model, stream, 1, 5))
+             - mean for _ in range(4000)]
         )
         assert float(draws.var(axis=0).sum()) <= oracle.variance_bound
 
@@ -290,7 +311,9 @@ class TestMatrixPerturbation:
         oracle = self.make_oracle(scale=1.0, seed=8)
         z = np.array([0.5, 0.25, 0.25, 0.5, 0.5])
         n = 262144 // 6 + 100
-        est = batch_mean(oracle, z, n, oracle.stream(0, 0))
+        est = batch_mean(oracle, z, n,
+                         one_step(oracle.noise_model, oracle.stream(0, 0), n,
+                                  5))
         err = est - oracle.mean_map(z)
         assert np.all(np.abs(err) <= 5.0 / np.sqrt(3 * n))
 
@@ -330,7 +353,8 @@ class TestMatrixPerturbationBits:
         got_stream = StochasticOracle(None, noise, rng_seed=3).stream(0, 1)
         want_stream = generator(3, 0, 1)
         for n in sizes:
-            got = noise.noise_sum(z, n, got_stream)
+            got = noise.noise_sum(z, n, one_step(noise, got_stream, n,
+                                                 z.size))
             want = reference_noise_sum(self.ROWS, self.COLS, self.SCALE, z, n,
                                        want_stream)
             assert np.array_equal(got, want), n
@@ -406,7 +430,8 @@ class TestAdditiveGaussianBits:
         for i in range(2 * BLOCK // dim + 3):
             n = sizes[i % len(sizes)]
             want = (self.SIGMA * np.sqrt(n)) * gen.standard_normal(dim) / n
-            assert np.array_equal(noise.noise_sum(x, n, stream), want), i
+            got = noise.noise_sum(x, n, one_step(noise, stream, n, dim))
+            assert np.array_equal(got, want), i
 
     @pytest.mark.parametrize("dim", [50, BLOCK + 3])
     def test_chunk_rows_are_the_means(self, dim):
@@ -479,7 +504,7 @@ def test_fed_batches_equal_per_step_noise_sums(case):
              Feed(noise, fed_stream, sizes[cut:], dim)]
     for step, n in enumerate(sizes):
         got = noise.noise_sum(z, n, feeds[step >= cut])
-        want = noise.noise_sum(z, n, plain_stream)
+        want = noise.noise_sum(z, n, one_step(noise, plain_stream, n, dim))
         assert np.array_equal(got, want), (step, n)
     assert np.array_equal(fed_stream.take(3), plain_stream.take(3))
 
@@ -498,7 +523,8 @@ def test_batch_mean_out_matches_fresh(noise, dim):
     for n in sizes:
         got = batch_mean(oracle, x, n, fed, out=out)
         assert got is out
-        assert np.array_equal(got, batch_mean(oracle, x, n, plain))
+        want = batch_mean(oracle, x, n, one_step(noise, plain, n, dim))
+        assert np.array_equal(got, want)
 
 
 class Recording:
@@ -620,7 +646,8 @@ class TestFeed:
         z = _point(80)
         for step, n in enumerate(PAST_BLOCK_SIZES):
             got = PAST_BLOCK_NOISE.noise_sum(z, n, feed)
-            want = PAST_BLOCK_NOISE.noise_sum(z, n, plain)
+            want = PAST_BLOCK_NOISE.noise_sum(
+                z, n, one_step(PAST_BLOCK_NOISE, plain, n, 80))
             assert np.array_equal(got, want), (step, n)
         # nothing was prepared past the last step
         assert stream.served == plain.served
@@ -634,7 +661,8 @@ class TestFeed:
         for sizes in (PAST_BLOCK_SIZES[:6], PAST_BLOCK_SIZES[6:]):
             feed = Feed(PAST_BLOCK_NOISE, stream, sizes, 80)
             for n in sizes:
-                want = PAST_BLOCK_NOISE.noise_sum(z, n, plain)
+                want = PAST_BLOCK_NOISE.noise_sum(
+                    z, n, one_step(PAST_BLOCK_NOISE, plain, n, 80))
                 got = PAST_BLOCK_NOISE.noise_sum(z, n, feed)
                 assert np.array_equal(got, want), n
         assert np.array_equal(stream.take(3), plain.take(3))
@@ -747,7 +775,8 @@ def test_zero_d_batch_size_divides_as_an_int(n):
     # divide by the double a Python int rounds to
     oracle = gaussian_oracle(sigma=0.9, seed=8)
     x = np.array([0.1, -0.2, 0.3, 0.4])
-    want = batch_mean(oracle, x, n, oracle.stream(0, 0))
-    got = batch_mean(oracle, x, np.array(n, dtype=np.int64),
-                     oracle.stream(0, 0))
+    want, got = (batch_mean(oracle, x, size,
+                            one_step(oracle.noise_model, oracle.stream(0, 0),
+                                     n, 4))
+                 for size in (n, np.array(n, dtype=np.int64)))
     assert np.array_equal(got, want)

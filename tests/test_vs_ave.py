@@ -25,6 +25,7 @@ from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.sets import Box
 from svilab.vs_ave import rate_q, sample_size, schedule_cost
 
+from feeds import one_step
 from plain_loops import vs_ave_loop
 from qp_oracle import contains
 
@@ -212,10 +213,12 @@ class TestRunDeterministic:
         gamma, Gamma = 1.0, 1.0
         for k in range(iters):
             n_k = max(1, math.floor(rho ** (-k)))
-            est_y = batch_mean(oracle, y, n_k, s_y)
+            est_y = batch_mean(oracle, y, n_k,
+                               one_step(oracle.noise_model, s_y, n_k, 3))
             presum = presum + gamma * (y - est_y / mu)
             x = project(presum / Gamma)
-            est_x = batch_mean(oracle, x, n_k, s_x)
+            est_x = batch_mean(oracle, x, n_k,
+                               one_step(oracle.noise_model, s_x, n_k, 3))
             y = project(x - est_x / lip)
             gamma = (mu / (mu + lip)) * Gamma
             Gamma = Gamma + gamma

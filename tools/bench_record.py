@@ -13,7 +13,10 @@ plain wall time of the solve next to its reference seconds. One more
 run per workload, with ``--trace 1`` and seed ``RUNS + 1``, gives the
 cost of each layer (``PER_LAYER``: projection, ``noise_sum``,
 ``batch_mean``, a map call, a VS-Ave iteration, a PPAWSS outer step and
-the reference solve). It then times one run of the non-slow test suite
+the reference solve) and the run's sample count, ``oracle.samples``:
+the work the run did, which depends on ``--seconds`` but not on the
+seed, so two records show whether their runs did the same work. It
+then times one run of the non-slow test suite
 (``python3 -m pytest -q -m "not slow"``) and one run of criterion 5,
 ``table1.cfg`` at budget 1e6 (``python3 -m pytest -q
 tests/test_acceptance.py -k criterion_5``), in plain wall seconds.
@@ -68,6 +71,7 @@ PER_LAYER = (
     "vs_ave.us_per_iter",
     "ppawss.outer_step_s",
     "problems.reference_solve_s",
+    "oracle.samples",
 )
 # "plain pass: solve <wall> wall s = <reference> reference s"
 _SOLVE_LINE = re.compile(r"^plain pass: solve (\S+) wall s = (\S+) reference s$",
