@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .extragradient import (ExtragradientConfig, check_stepsize,
                             max_stepsize, run_extragradient)
-from .oracle import BudgetCounter, Tape
+from .oracle import BudgetCounter
 from .ppawss import PpawssConfig, run_ppawss
 from .problems import BimatrixSpec, make_affine_strongly_monotone, make_bimatrix
 from .schedule import sizes_within
@@ -80,6 +80,10 @@ class _Scheme:
         return next(k for k, (tag, _) in self.keys.items() if tag == "float_list")
 
 
+# the length of a row's solver config: the budget, not this, ends its runs
+_UNCAPPED = 2**31
+
+
 def _vs_ave_solver(config, params, row):
     if not (config.kind == "affine" and config.mu > 0):
         raise ConfigError("vs_ave requires a strongly monotone problem"
@@ -88,13 +92,13 @@ def _vs_ave_solver(config, params, row):
     rho = (params["rho"][row] if params["rho"]
            else rate_q(lip / config.mu, params["q_rule"]) ** 1.001)
     return VsAveConfig(mu=config.mu, lipschitz=lip, rho=rho,
-                       max_iterations=2**31, min_batch=params["min_batch"])
+                       max_iterations=_UNCAPPED, min_batch=params["min_batch"])
 
 
 def _ppawss_solver(config, params, row):
     return PpawssConfig(lam=params["lambda"][row], eta=params["eta"],
                         alpha=params["alpha"], beta=params["beta"],
-                        outer_iterations=2**31, min_inner=params["min_inner"])
+                        outer_iterations=_UNCAPPED, min_inner=params["min_inner"])
 
 
 def _extragradient_solver(config, params, row):
@@ -106,7 +110,7 @@ def _extragradient_solver(config, params, row):
         stepsize = 0.99 * max_stepsize(lip)
     return ExtragradientConfig(
         stepsize=stepsize, theta=params["theta"], mu_shift=params["mu_shift"],
-        b=params["b"], averaged=params["averaged"])
+        b=params["b"], averaged=params["averaged"], max_iterations=_UNCAPPED)
 
 
 def _one_step(solver, lipschitz):
@@ -414,9 +418,10 @@ _CELL_RE = re.compile(
 
 def _run_group(jobs):
     """Run the cells of one group in order, each writing its trace CSV.
-    With more than one, the first records a tape of its prepared batches
-    and the others replay it; the tape goes with the group."""
-    shared = {"tape": Tape()} if len(jobs) > 1 else {}
+    With more than one, the first records its prepared batches in a tape,
+    an empty dict, and the others replay it; the tape goes with the
+    group."""
+    shared = {"tape": {}} if len(jobs) > 1 else {}
     for runner, problem, solver, recorder, budget, scheme, seed, path in jobs:
         start = problem.feasible_set.project(np.zeros(problem.dimension))
         # looked up by name, so a wrapper set on this module's global runs
@@ -465,10 +470,11 @@ def run_experiment(config, base_dir="."):
     one list of batch sizes gives their step count and trace cadence.
     The cells of a taped (extragradient) scheme and trial seed form one
     group, one cell per row; every other cell is a group of its own. A
-    group's first cell records a :class:`~svilab.oracle.Tape` of its
-    batches, and the others replay it and draw nothing: a config fixes
-    the noise, oracle seed, dimension, size rule and budget of every
-    row, and the tape refuses a replay of other batches. Groups run in
+    group's first cell records its batches in a tape
+    (:meth:`~svilab.oracle.StochasticOracle.feeds`), and the others
+    replay it and draw nothing: a config fixes the noise, oracle seed,
+    dimension, size rule and budget of every row, and the tape refuses
+    a replay of other batches. Groups run in
     parallel when the environment variable ``SVILAB_THREADS`` is set
     above 1, with at most one worker per group and per usable core.
     Outputs do not depend on the schedule: every cell owns its file, and

@@ -9,7 +9,7 @@ the noise away through a diminishing stepsize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,15 @@ class ExtragradientConfig:
     the start of a run, where the problem's Lipschitz constant is known.
     ``mu_shift`` offsets the batch schedule (it is unrelated to strong
     monotonicity) and must exceed 1 so the logarithm is positive.
+    ``max_iterations``, keyword-only, is the run's length, sized before
+    its first draw; it alone bounds a run without a budget.
     """
 
     stepsize: float
     theta: float = 1.0
     mu_shift: float = 2.001
     b: float = 1e-3
-    max_iterations: int = 2**31
+    max_iterations: int = field(kw_only=True)
     averaged: bool = False
 
     def __post_init__(self):
@@ -127,11 +129,11 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     feeds of :meth:`StochasticOracle.feeds`, which prepares both streams
     on this thread.
 
-    ``tape`` (:class:`~svilab.oracle.Tape`) shares those prepared
-    batches among runs of the same seed, noise and batch sizes, whose
-    stepsizes may differ: a blank tape records this run's, and a
-    recorded one is replayed, so the run draws nothing and every bit is
-    what the run would draw.
+    ``tape``, a dict (:meth:`~svilab.oracle.StochasticOracle.feeds`),
+    shares those prepared batches among runs of the same seed, noise and
+    batch sizes, whose stepsizes may differ: an empty tape records this
+    run's, and a recorded one is replayed, so the run draws nothing and
+    every bit is what the run would draw.
     """
     budget = ledger(budget)
     oracle = problem.oracle

@@ -53,13 +53,13 @@ thread and loads no executor.
 
 Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
-seed in the harness) can share them through a :class:`Tape`. The first
-run's feeds record each chunk they prepare, as owned, read-only arrays;
-the feeds of the others replay those chunks, so those runs draw nothing.
-A replayed part is the part the recording run read, so not a bit moves
-either. The tape's key and each replayed step's size are the one test
-of "the same batches": a replay that fails either raises
-:class:`ContractViolation`.
+seed in the harness) can share them through a tape, a dict that
+:meth:`StochasticOracle.feeds` fills. The first run's feeds record each
+chunk they prepare, as owned, read-only arrays; the feeds of the others
+replay those chunks, so those runs draw nothing. A replayed part is the
+part the recording run read, so not a bit moves either. The tape's key
+and each replayed step's size are the one test of "the same batches":
+a replay that fails either raises :class:`ContractViolation`.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ __all__ = [
     "generator",
     "SampleStream",
     "Feed",
-    "Tape",
     "BudgetCounter",
     "ZeroNoise",
     "AdditiveGaussian",
@@ -195,8 +194,9 @@ class Feed:
     A feed with a ``tape``, a list, appends each chunk it prepares to it
     as ``(sizes, parts)``, the parts copied if they view a stream block
     or a summing buffer, and read-only. A feed without a stream replays
-    such a ``tape``: it serves the recorded chunks in order, reads no
-    stream and prepares nothing.
+    such a list: it serves the recorded chunks in order, reads no stream
+    and prepares nothing. :meth:`StochasticOracle.feeds` keeps a run's
+    two lists in its tape.
     """
 
     __slots__ = ("_noise", "_stream", "_sizes", "_at", "_dim", "_chunk",
@@ -253,30 +253,6 @@ def _owned(parts):
         parts = parts.copy()
     parts.flags.writeable = False
     return parts
-
-
-class Tape:
-    """The prepared chunks of one run's two streams, for the runs that
-    would read the same batches.
-
-    Handed blank to :meth:`StochasticOracle.feeds`, a tape records each
-    stream's chunks as its feed prepares them. It is registered, with
-    the run's ``key`` (noise model, dimension, the two stream keys and
-    the length of the run's size list), only once the run has served
-    every step of that list, so a run that raises leaves it blank. A
-    registered tape is replayed: the run's feeds serve its chunks and
-    read no stream, so the run draws nothing, and every part has the
-    bits the recording run read. A replay whose key differs raises
-    :class:`ContractViolation`, and so does a step of another size
-    (:meth:`Feed.next`). ``streams`` holds the two streams' lists of
-    ``(sizes, parts)``, each ``parts`` an owned, read-only array.
-    """
-
-    __slots__ = ("key", "streams")
-
-    def __init__(self):
-        self.key = None
-        self.streams = None
 
 
 class BudgetCounter:
@@ -516,32 +492,41 @@ class StochasticOracle:
         both for the run's list of batch sizes ``sizes`` and both
         prepared on the calling thread.
 
-        With a :class:`Tape`, a blank tape records the two feeds'
-        chunks and is registered when the run leaves the block having
-        served every step of ``sizes``; a registered tape of the same
-        key is replayed instead."""
+        A ``tape``, a dict, shares those batches among the runs that
+        would read the same ones. Its key is the run's noise model,
+        dimension, two stream keys and the length of ``sizes``; its
+        value, the two streams' lists of ``(sizes, parts)`` chunks, each
+        ``parts`` an owned, read-only array. An empty tape records: it
+        gets its one entry only once the run leaves the block having
+        served every step of ``sizes``, so a run that raises or stops
+        early leaves it empty. A tape holding the run's key is replayed:
+        the feeds serve its chunks and read no stream, so the run draws
+        nothing, and every part has the bits the recording run read. A
+        tape recorded under another key raises
+        :class:`ContractViolation`, and so does a replayed step of
+        another size (:meth:`Feed.next`)."""
         noise, dim = self.noise_model, self.mean_map.dimension
         if tape is None:
             records = (None, None)
         else:
             key = (noise, dim, streams[0].key, streams[1].key, len(sizes))
-            if tape.key is not None:
-                if key != tape.key:
+            if tape:
+                if key not in tape:
                     raise ContractViolation(
-                        f"a tape recorded for {tape.key} cannot replay"
-                        f" {key}")
+                        f"a tape recorded for {next(iter(tape))} cannot"
+                        f" replay {key}")
                 yield tuple(Feed(noise, None, (), dim, chunks)
-                            for chunks in tape.streams)
+                            for chunks in tape[key])
                 return
             records = ([], [])
         fed = tuple(Feed(noise, stream, sizes, dim, chunks)
                     for stream, chunks in zip(streams, records))
         yield fed
-        # registered only if each feed prepared and served every step
+        # recorded only if each feed prepared and served every step
         if tape is not None and all(
                 feed._at == len(sizes) and next(feed._chunk, None) is None
                 for feed in fed):
-            tape.key, tape.streams = key, records
+            tape[key] = records
 
     @property
     def variance_bound(self):

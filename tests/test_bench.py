@@ -278,7 +278,7 @@ class TestSolverDerivation:
             (VsAveConfig(mu=1.0, lipschitz=10.0, rho=0.75,
                          max_iterations=2**31),
              lambda k: sample_size(k, 0.75, 1)),
-            (ExtragradientConfig(stepsize=0.1),
+            (ExtragradientConfig(stepsize=0.1, max_iterations=2**31),
              lambda k: eg_sample_size(k, 1.0, 2.001, 1e-3)),
         ]
         for solver, size in schedules:

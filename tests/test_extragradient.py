@@ -18,11 +18,10 @@ from svilab import (
     make_affine_strongly_monotone,
     run_extragradient,
 )
-import svilab.bench
 from svilab.bench import parse_config, run_experiment
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
-from svilab.oracle import BLOCK, StochasticOracle, Tape
+from svilab.oracle import BLOCK, StochasticOracle
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.schedule import sizes_within
 
@@ -62,15 +61,31 @@ class TestSampleSize:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError, match="stepsize must be positive"):
-            ExtragradientConfig(stepsize=0.0)
+            ExtragradientConfig(stepsize=0.0, max_iterations=1)
         with pytest.raises(ConfigError, match="theta must be positive"):
-            ExtragradientConfig(stepsize=0.1, theta=0.0)
+            ExtragradientConfig(stepsize=0.1, theta=0.0, max_iterations=1)
         with pytest.raises(ConfigError, match="mu_shift must be > 1"):
-            ExtragradientConfig(stepsize=0.1, mu_shift=1.0)
+            ExtragradientConfig(stepsize=0.1, mu_shift=1.0, max_iterations=1)
         with pytest.raises(ConfigError, match="b must be positive"):
-            ExtragradientConfig(stepsize=0.1, b=0.0)
+            ExtragradientConfig(stepsize=0.1, b=0.0, max_iterations=1)
         with pytest.raises(ConfigError):
             ExtragradientConfig(stepsize=0.1, max_iterations=0)
+
+    def test_a_config_without_a_length_is_refused(self):
+        # a run without a budget would size every step of a default
+        # length before its first draw
+        with pytest.raises(TypeError, match="max_iterations"):
+            ExtragradientConfig(stepsize=0.1)
+
+    def test_a_run_without_a_budget_runs_its_length(self):
+        game = bimatrix_from_payoff(PENNIES, noise_scale=0.1, seed=0,
+                                    with_reference=False)
+        cfg = ExtragradientConfig(stepsize=0.2, max_iterations=20)
+        _, trace = run_extragradient(game, np.zeros(4), cfg, None)
+        assert [row.outer_k for row in trace.rows] == list(range(1, 21))
+        assert not trace.truncated
+        assert trace.final.calls == 2 * sum(
+            eg_sample_size(k, 1.0, 2.001, 1e-3) for k in range(20))
 
     def test_stepsize_bound_checked_at_run(self, pennies_problem):
         # L = 2 so the bound is 1/(2 sqrt(6)) = 0.204...
@@ -254,13 +269,13 @@ class TestPastABlock:
         watched = ThreadCounting(PAST_BLOCK.feasible_set)
         problem = ProblemInstance(oracle=PAST_BLOCK.oracle,
                                   feasible_set=watched)
-        tape = Tape() if recording else None
+        tape = {} if recording else None
         before = threading.active_count()
         point, _ = run_extragradient(problem, np.zeros(80), PAST_BLOCK_CFG,
                                      None, seed=3, recorder=None, tape=tape)
         assert watched.counts == [before] * 101
         if recording:
-            assert tape.key is not None
+            assert len(tape) == 1
         assert np.array_equal(point, extragradient_loop(
             PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
 
@@ -312,23 +327,26 @@ with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 
 
 class Taps:
-    """Wraps ``StochasticOracle.stream`` and ``svilab.bench.Tape`` to
-    keep every stream made and count the tapes made."""
+    """Wraps ``StochasticOracle.stream`` and ``StochasticOracle.feeds``
+    to keep every stream made and every distinct tape handed to a run's
+    feeds."""
 
     def __init__(self, monkeypatch):
-        self.streams, self.tapes = [], 0
-        stream = StochasticOracle.stream
+        # each tape is kept, so no id is reused while the spy counts
+        self.streams, self.tapes = [], {}
+        stream, feeds = StochasticOracle.stream, StochasticOracle.feeds
 
         def kept(oracle, seed, stream_id):
             self.streams.append(stream(oracle, seed, stream_id))
             return self.streams[-1]
 
-        def counted():
-            self.tapes += 1
-            return Tape()
+        def seen(oracle, streams, sizes, tape=None):
+            if tape is not None:
+                self.tapes[id(tape)] = tape
+            return feeds(oracle, streams, sizes, tape)
 
         monkeypatch.setattr(StochasticOracle, "stream", kept)
-        monkeypatch.setattr(svilab.bench, "Tape", counted)
+        monkeypatch.setattr(StochasticOracle, "feeds", seen)
         monkeypatch.delenv("SVILAB_THREADS", raising=False)
 
     def served(self):
@@ -349,7 +367,7 @@ class TestTape:
         solver = config.solvers["extragradient", 0]
         sizes = sizes_within(solver.schedule, config.budget)
         assert max(sizes) * 200 > BLOCK
-        assert taps.tapes == 2
+        assert len(taps.tapes) == 2
         assert taps.served() == {(777, seed, stream): sum(sizes) * 200
                                  for seed in (0, 1) for stream in (0, 1)}
         # and each row's CSVs are those of the row run alone
@@ -362,7 +380,7 @@ class TestTape:
                 name = f"extragradient_L{lip}_lamna_seed{seed}.csv"
                 assert (out / name).read_bytes() == (
                     tmp_path / "all" / name).read_bytes(), name
-        assert taps.tapes == 2
+        assert len(taps.tapes) == 2
 
     @pytest.mark.parametrize("text", [
         TABLE1_CFG.replace("7.05, 70.5, 705", "7.05"),
@@ -375,22 +393,22 @@ class TestTape:
                                                          monkeypatch):
         taps = Taps(monkeypatch)
         run_experiment(parse_config(text, {"out": str(tmp_path)}))
-        assert taps.tapes == 0 and taps.streams
+        assert taps.tapes == {} and taps.streams
 
     def test_a_recording_run_that_raises_registers_nothing(self):
         failing = ProblemInstance(
             oracle=PAST_BLOCK.oracle,
             feasible_set=ThreadCounting(PAST_BLOCK.feasible_set, fail_at=61))
-        tape = Tape()
+        tape = {}
         with pytest.raises(RuntimeError, match="projection failed"):
             run_extragradient(failing, np.zeros(80), PAST_BLOCK_CFG, None,
                               seed=3, recorder=None, tape=tape)
-        assert tape.key is None and tape.streams is None
+        assert tape == {}
         # the tape then records a whole run, which a run at another
         # stepsize replays with the bits it would draw
         point, _ = run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG,
                                      None, seed=3, recorder=None, tape=tape)
-        assert tape.key is not None
+        assert len(tape) == 1
         assert np.array_equal(point, extragradient_loop(
             PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
         other = replace(PAST_BLOCK_CFG, stepsize=PAST_BLOCK_CFG.stepsize / 2)
@@ -402,7 +420,7 @@ class TestTape:
             PAST_BLOCK, np.zeros(80), other, seed=3)[1])
 
     def test_a_replay_of_other_batch_sizes_raises(self):
-        tape = Tape()
+        tape = {}
         run_extragradient(PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, None,
                           seed=3, recorder=None, tape=tape)
         # the same step count of other sizes: the first larger batch
@@ -416,3 +434,5 @@ class TestTape:
             with pytest.raises(ContractViolation, match="cannot replay"):
                 run_extragradient(PAST_BLOCK, np.zeros(80), cfg, None,
                                   seed=seed, recorder=None, tape=tape)
+        # a refused replay adds no entry
+        assert len(tape) == 1

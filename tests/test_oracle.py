@@ -22,7 +22,6 @@ from svilab.oracle import (
     Feed,
     MatrixPerturbation,
     StochasticOracle,
-    Tape,
     ZeroNoise,
     batch_mean,
     generator,
@@ -685,8 +684,9 @@ class TestFeed:
 
 
 class TestTape:
-    """A tape records the chunks of a run's two feeds, and the feeds of a
-    run with the same key replay them without reading a stream."""
+    """A tape, a dict, records the chunks of a run's two feeds under the
+    run's key, and the feeds of a run with the same key replay them
+    without reading a stream."""
 
     # chunks within a block, batches past a block and batches summed in
     # several groups
@@ -699,7 +699,7 @@ class TestTape:
         return self.ORACLE.stream(seed, 0), self.ORACLE.stream(seed, 1)
 
     def _record(self):
-        tape, streams = Tape(), self._streams()
+        tape, streams = {}, self._streams()
         with self.ORACLE.feeds(streams, self.SIZES, tape) as feeds:
             for n in self.SIZES:
                 for feed, stream in zip(feeds, streams):
@@ -710,7 +710,9 @@ class TestTape:
 
     def test_replay_serves_the_recorded_parts_and_reads_no_stream(self):
         tape = self._record()
-        assert tape.key is not None
+        # keyed by the noise model, dimension, stream keys and step count
+        assert list(tape) == [(self.NOISE, 80, (4, 1, 0), (4, 1, 1),
+                               len(self.SIZES))]
         plain = [Feed(self.NOISE, stream, self.SIZES, 80)
                  for stream in self._streams()]
         replayed = self._streams()
@@ -725,7 +727,8 @@ class TestTape:
     def test_parts_are_owned_and_read_only(self):
         # a chunk that views a stream block (1, 3) or a summing buffer
         # (a batch past a block) is copied: the tape keeps neither alive
-        for chunks in self._record().streams:
+        (streams,) = self._record().values()
+        for chunks in streams:
             assert [n for sizes, _ in chunks for n in sizes] == self.SIZES
             for sizes, parts in chunks:
                 assert parts.base is None and not parts.flags.writeable
@@ -749,10 +752,12 @@ class TestTape:
             feed.next(1)
             with pytest.raises(ContractViolation, match="holds 3 samples"):
                 feed.next(4)
+        # a refused replay adds no entry
+        assert len(tape) == 1
 
     @pytest.mark.parametrize("served", [0, 5, 11])
     def test_a_run_that_stops_early_registers_nothing(self, served):
-        tape = Tape()
+        tape = {}
         with pytest.raises(RuntimeError, match="stopped"):
             with self.ORACLE.feeds(self._streams(), self.SIZES,
                                    tape) as feeds:
@@ -760,13 +765,13 @@ class TestTape:
                     for feed in feeds:
                         feed.next(n)
                 raise RuntimeError("stopped")
-        assert tape.key is None and tape.streams is None
+        assert tape == {}
         # nor does one that returns before its last step
         with self.ORACLE.feeds(self._streams(), self.SIZES, tape) as feeds:
             for n in self.SIZES[:served]:
                 for feed in feeds:
                     feed.next(n)
-        assert tape.key is None and tape.streams is None
+        assert tape == {}
 
 
 @pytest.mark.parametrize("n", [2, 3, 2**31 + 1, 2**53 + 1, 2**62 - 1])
