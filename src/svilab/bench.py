@@ -5,9 +5,9 @@ plus one ``[scheme.<name>]`` section per solver. Each scheme is declared
 once, in ``_SCHEMES``: its keys, solver config, first step, runner and
 trace cadence. Values that vary per problem row (lambda, rho, stepsize)
 accept comma lists zipped with the ``lipschitz`` list. Every (problem,
-scheme, seed) cell runs the steps a fresh budget counter pays for, with
-samples keyed by its seed, and writes one trace CSV; the summary
-aggregates final metrics per cell.
+scheme, seed) cell is planned before any draw (:func:`plan_experiment`)
+and runs the steps a fresh budget counter pays for, with samples keyed
+by its seed, into one trace CSV; the summary aggregates final metrics.
 """
 
 from __future__ import annotations
@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
+from . import ppawss
 from .errors import ConfigError
 from .extragradient import (ExtragradientConfig, check_stepsize,
                             max_stepsize, run_extragradient)
@@ -30,7 +33,8 @@ from .schedule import sizes_within
 from .trace import Recorder, RunTrace
 from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 
-__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "summarize"]
+__all__ = ["ExperimentConfig", "parse_config", "plan_experiment",
+           "run_experiment", "summarize"]
 
 # key -> (type tag, default); REQUIRED means no default
 _REQUIRED = object()
@@ -62,10 +66,10 @@ class _Scheme:
     builds the uncapped solver config of a row, shared by its seeds,
     and ``first_step(solver, lipschitz)`` the config whose schedule is
     the row's first step. ``runner`` names the solver among this
-    module's globals, looked up as a cell runs. A ``flat`` row is sized
-    to the budget once, and its cells are traced at about 200 rows. A
-    ``taped`` runner takes a ``tape``: its batch sizes do not depend on
-    the row, so one trial seed's rows are a group that shares a tape.
+    module's globals, looked up as a cell runs. The plan sizes a
+    ``flat`` row once, to the budget, and traces its cells at about 200
+    rows. A ``taped`` runner takes a ``tape``: its batch sizes do not
+    depend on the row, so one trial seed's rows are a group that shares a tape.
     """
 
     keys: dict
@@ -403,32 +407,75 @@ def _build_problem(config, row):
 
 def _row_label(config, row):
     # a row's lambda names its cells when the config runs PPAWSS
-    ppawss = config.scheme_params.get("ppawss")
-    lam = f"{ppawss['lambda'][row]:g}" if ppawss else "na"
+    params = config.scheme_params.get("ppawss")
+    lam = f"{params['lambda'][row]:g}" if params else "na"
     return f"{config.lipschitz[row]:g}", lam
 
 
-def _cell_filename(scheme, lip_label, lam_label, seed):
-    return f"{scheme}_L{lip_label}_lam{lam_label}_seed{seed}.csv"
-
+# a cell's file name, as plan_experiment gives it
 _CELL_RE = re.compile(
     r"^(?P<scheme>[a-z_]+)_L(?P<lip>[^_]+)_lam(?P<lam>[^_]+)_seed(?P<seed>\d+)\.csv$"
 )
 
 
-def _run_group(jobs):
-    """Run the cells of one group in order, each writing its trace CSV.
+Cell = namedtuple("Cell", "scheme row seed path group problem solver recorder"
+                         " budget run calls outer inner")
+
+
+def plan_experiment(config, problems, base_dir="."):
+    """The cells of ``config`` in the order they run, each a ``Cell``
+    with its ``scheme``, ``row`` and ``seed``; its trace CSV's ``path``
+    under ``base_dir``; its ``group``, shared by a taped scheme's cells
+    of one trial seed and unique otherwise; its row's ``problem`` (from
+    ``problems``, built once per row), ``solver`` config (a flat one
+    re-sized to its run) and ``recorder``; the ``budget``; and its
+    ``run``, shared by the row's seeds: a flat row's batch sizes within
+    the budget, or a PPAWSS row's :func:`~svilab.ppawss.plan_subproblems`
+    on its map's own Lipschitz constant, as :func:`run_ppawss` reads it.
+    ``calls``, ``outer`` and ``inner`` are what its last trace row will
+    read. Planning makes no draw and builds no problem."""
+    out_dir = os.path.join(base_dir, config.output_path)
+    groups = {}
+    for row, problem in enumerate(problems):
+        lip_label, lam_label = _row_label(config, row)
+        for scheme in config.schemes:
+            record = _SCHEMES[scheme]
+            solver, recorder = config.solvers[scheme, row], Recorder()
+            if record.flat:
+                run = sizes_within(solver.schedule, config.budget)
+                solver = replace(solver, max_iterations=len(run))
+                recorder = Recorder(every=max(1, math.ceil(len(run) / 200)))
+                priced = 2 * sum(run), len(run), 0
+            else:
+                run = ppawss.plan_subproblems(
+                    solver, problem.mean_map.lipschitz, config.budget)
+                priced = (sum(calls for _, calls in run), len(run),
+                          run[-1][0].max_iterations if run else 0)
+            for seed in config.seeds:
+                path = os.path.join(out_dir, f"{scheme}_L{lip_label}"
+                                    f"_lam{lam_label}_seed{seed}.csv")
+                group = (scheme, seed) if record.taped else (scheme, seed, row)
+                groups.setdefault(group, []).append(Cell(
+                    scheme, row, seed, path, group, problem, solver, recorder,
+                    config.budget, run, *priced))
+    return [cell for cells in groups.values() for cell in cells]
+
+
+def _run_group(cells):
+    """Run one group's planned cells in order, each writing its trace CSV.
     With more than one, the first records its prepared batches in a tape,
     an empty dict, and the others replay it; the tape goes with the
     group."""
-    shared = {"tape": {}} if len(jobs) > 1 else {}
-    for runner, problem, solver, recorder, budget, scheme, seed, path in jobs:
+    shared = {"tape": {}} if len(cells) > 1 else {}
+    for cell in cells:
+        problem = cell.problem
         start = problem.feasible_set.project(np.zeros(problem.dimension))
         # looked up by name, so a wrapper set on this module's global runs
-        _, trace = globals()[runner](
-            problem, start, solver, BudgetCounter(budget), scheme=scheme,
-            seed=seed, recorder=recorder, **shared)
-        trace.write_csv(path)
+        _, trace = globals()[_SCHEMES[cell.scheme].runner](
+            problem, start, cell.solver, BudgetCounter(cell.budget),
+            scheme=cell.scheme, seed=cell.seed, recorder=cell.recorder,
+            **shared)
+        trace.write_csv(cell.path)
 
 
 def _usable_cores():
@@ -465,12 +512,10 @@ def _worker_count(raw, groups):
 def run_experiment(config, base_dir="."):
     """Run the full scheme x row x seed matrix; returns the summary text.
 
-    Writes one trace CSV per cell plus ``summary.csv`` into the output
-    directory. A row's seeds share its solver config, and a flat row's
-    one list of batch sizes gives their step count and trace cadence.
-    The cells of a taped (extragradient) scheme and trial seed form one
-    group, one cell per row; every other cell is a group of its own. A
-    group's first cell records its batches in a tape
+    Builds each row's problem once, plans the cells
+    (:func:`plan_experiment`), runs the plan's groups and writes
+    ``summary.csv`` next to the cells' trace CSVs. A taped group's first
+    cell records its batches in a tape
     (:meth:`~svilab.oracle.StochasticOracle.feeds`), and the others
     replay it and draw nothing: a config fixes the noise, oracle seed,
     dimension, size rule and budget of every row, and the tape refuses
@@ -486,27 +531,11 @@ def run_experiment(config, base_dir="."):
     except ValueError as exc:
         # the problem constructors check the [problem] values
         raise ConfigError(str(exc)) from exc
-    out_dir = os.path.join(base_dir, config.output_path)
-    groups, paths = {}, []
-    for row, problem in enumerate(problems):
-        lip_label, lam_label = _row_label(config, row)
-        for scheme in config.schemes:
-            record = _SCHEMES[scheme]
-            solver, recorder = config.solvers[scheme, row], Recorder()
-            if record.flat:
-                sizes = sizes_within(solver.schedule, config.budget)
-                solver = replace(solver, max_iterations=len(sizes))
-                recorder = Recorder(every=max(1, math.ceil(len(sizes) / 200)))
-            for seed in config.seeds:
-                paths.append(os.path.join(
-                    out_dir, _cell_filename(scheme, lip_label, lam_label, seed)
-                ))
-                group = (scheme, seed) if record.taped else (scheme, seed, row)
-                groups.setdefault(group, []).append(
-                    (record.runner, problem, solver, recorder, config.budget,
-                     scheme, seed, paths[-1]))
-    groups = list(groups.values())
+    plan = plan_experiment(config, problems, base_dir)
+    # the plan lists each group's cells together
+    groups = [list(cells) for _, cells in groupby(plan, lambda c: c.group)]
     workers = _worker_count(os.environ.get("SVILAB_THREADS"), len(groups))
+    out_dir = os.path.join(base_dir, config.output_path)
     os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         # imported here: a serial run never loads multiprocessing
@@ -517,7 +546,8 @@ def run_experiment(config, base_dir="."):
     else:
         for group in groups:
             _run_group(group)
-    return summarize(paths, summary_csv=os.path.join(out_dir, "summary.csv"))
+    return summarize([cell.path for cell in plan],
+                     summary_csv=os.path.join(out_dir, "summary.csv"))
 
 
 def _final_metric(trace):

@@ -27,6 +27,7 @@ from .vs_ave import VsAveConfig, rate_q, run_vs_ave
 __all__ = [
     "PpawssConfig",
     "inner_iterations",
+    "plan_subproblems",
     "prox_subproblem",
     "relaxation_step",
     "run_ppawss",
@@ -133,15 +134,32 @@ def relaxation_step(u_k, z_k, eta):
     return eta * np.asarray(z_k) + (1.0 - eta) * np.asarray(u_k)
 
 
+def plan_subproblems(config, lipschitz, limit):
+    """The ``(inner_config, calls)`` pair of each outer step, for a map
+    of Lipschitz constant ``lipschitz``, that ``limit`` oracle calls pay
+    for in full, up to the first they cannot. Each step's walk
+    (:func:`~svilab.schedule.sizes_within`) computes the sizes its inner
+    run reads, and keeps no list of them."""
+    plan = []
+    for k in range(config.outer_iterations):
+        inner_config = config.subproblem(k, lipschitz)
+        sizes = sizes_within(inner_config.schedule, limit)
+        if len(sizes) < inner_config.max_iterations:
+            break
+        plan.append((inner_config, 2 * sum(sizes)))
+        limit -= plan[-1][1]
+    return plan
+
+
 def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
                recorder=Recorder()):
     """Run the outer loop for ``config.outer_iterations`` steps.
 
     Returns ``(u_K, trace)``. Before its first draw the run lists the
-    subproblems ``budget`` pays for in full, in order, up to the first
-    it cannot: a run that stops there sets ``trace.truncated``, returns
-    the last completed iterate and draws nothing more. Each inner step
-    charges ``budget`` before its first draw. ``recorder`` picks the
+    subproblems ``budget`` pays for (:func:`plan_subproblems` on the
+    map's own L): a run that stops short sets ``trace.truncated``,
+    returns the last completed iterate and draws nothing more. Each
+    inner step charges ``budget`` before its first draw. ``recorder`` picks the
     completed outer iterations that get a row (``inner_k`` records that
     step's inner iteration count, ``calls`` what the run has charged so
     far). ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
@@ -150,22 +168,13 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     """
     budget = ledger(budget)
     u = problem.feasible_set.project(np.asarray(u0, dtype=np.float64))
-    lip = problem.mean_map.lipschitz
-    plan, left = [], budget.remaining
-    for k in range(config.outer_iterations):
-        inner_config = config.subproblem(k, lip)
-        # the inner run sizes itself from the sizes this walk computes
-        sizes = sizes_within(inner_config.schedule, left)
-        if len(sizes) < inner_config.max_iterations:
-            break
-        plan.append(inner_config)
-        left -= 2 * sum(sizes)
-    del sizes  # else the last walk's list stays alive through the run
+    plan = plan_subproblems(config, problem.mean_map.lipschitz,
+                            budget.remaining)
     steps = len(plan)
     trace = RunTrace(scheme, seed, steps < config.outer_iterations)
     streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
     consumed_before = budget.consumed
-    for k, inner_config in enumerate(plan, 1):
+    for k, (inner_config, _) in enumerate(plan, 1):
         sub = prox_subproblem(problem, u, config.lam)
         z, _ = run_vs_ave(sub, u, inner_config, budget,
                           streams=streams, recorder=None)

@@ -1,11 +1,19 @@
 """Tests for config parsing, experiment runs, and summaries."""
 
+import importlib
+import itertools
 import math
 import os
+import re
+import sys
+import tempfile
 from dataclasses import replace
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svilab import (
     BudgetCounter,
@@ -20,12 +28,15 @@ from svilab import (
     run_vs_ave,
     summarize,
 )
-from svilab.bench import _worker_count
+from svilab import bench
+from svilab.bench import _worker_count, plan_experiment
+from svilab.oracle import StochasticOracle
 from svilab.extragradient import eg_sample_size
 from svilab.schedule import sizes_within
 from svilab.trace import Recorder, RunTrace, TraceRow
 from svilab.vs_ave import sample_size
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "golden")
 AFFINE_CFG = """\
 [problem]
 kind = affine
@@ -503,30 +514,154 @@ def test_seed_keys_the_run(scheme, tmp_path):
     assert cell.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
+def _callers(monkeypatch, name):
+    """Wrap ``name`` and record the function that calls it and its
+    arguments, as ``(caller, args)`` pairs."""
+    module, attr = name.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), attr)
+    calls = []
+
+    def spy(*args):
+        calls.append((sys._getframe(1).f_code.co_name, args))
+        return real(*args)
+
+    monkeypatch.setattr(name, spy)
+    return calls
+
+
 def test_a_row_is_planned_once_for_all_its_seeds(tmp_path, monkeypatch):
-    """The harness builds each (scheme, row)'s solver config once and
-    walks a flat row's batch sizes once, however many seeds share it."""
+    """The harness builds each (scheme, row)'s solver config once, and
+    its plan walks a flat row's batch sizes once and plans a PPAWSS
+    row's subproblems once, however many seeds share the row."""
     text = ALL_SCHEMES_CFG.replace("lipschitz = 2.0", "lipschitz = 2.0, 4.0")
-    walks = []
-
-    def counted(schedule, limit):
-        walks.append(limit)
-        return sizes_within(schedule, limit)
-
-    monkeypatch.setattr("svilab.bench.sizes_within", counted)
+    walks = _callers(monkeypatch, "svilab.bench.sizes_within")
+    plans = _callers(monkeypatch, "svilab.ppawss.plan_subproblems")
     for seeds in ("3", "3,4,5"):
         config = parse_config(text.replace(
             "seeds = 3", f"seeds = {seeds}\nout = {tmp_path}/{len(seeds)}"))
         assert set(config.solvers) == {
             (scheme, row) for scheme in config.schemes for row in (0, 1)}
         # the config walks a first step per (scheme, row) as it is built
-        assert walks == [math.inf] * 6
+        assert walks == [("validate_solver_configs", (ANY, math.inf))] * 6
         walks.clear()
         run_experiment(config)
-        # and the run the budget per flat (vs_ave, extragradient) row,
-        # for one seed as for three
-        assert walks == [config.budget] * 4
+        # and the plan the budget per flat (vs_ave, extragradient) row,
+        # and the subproblems per PPAWSS row, for one seed as for three
+        assert walks == [("plan_experiment", (ANY, config.budget))] * 4
+        assert [caller for caller, _ in plans] == (
+            ["plan_experiment"] * 2 + ["run_ppawss"] * 2 * len(config.seeds))
         walks.clear()
+        plans.clear()
+
+
+SCHEMES_OF_KIND = {"affine": ("vs_ave", "ppawss", "extragradient"),
+                   "bimatrix": ("ppawss", "extragradient")}
+KIND_KEYS = {"affine": "mu = 1.0", "bimatrix": "m = 2"}
+
+
+@st.composite
+def small_configs(draw, kind, schemes):
+    """A config of ``kind`` running ``schemes`` on 1-2 rows and 1-3 seeds,
+    at a budget from its dearest first step up to 1e5."""
+    lips = draw(st.lists(st.sampled_from([2.0, 4.0, 7.05]), min_size=1,
+                         max_size=2, unique=True))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3,
+                          unique=True))
+    lams = draw(st.lists(st.sampled_from([1.0, 5.0]), min_size=len(lips),
+                         max_size=len(lips)))
+    sections = {scheme: "" for scheme in schemes}
+    if "ppawss" in schemes:
+        sections["ppawss"] = f"lambda = {', '.join(map(str, lams))}\n"
+    text = (f"[problem]\nkind = {kind}\nn = 3\n{KIND_KEYS[kind]}\n"
+            f"lipschitz = {', '.join(map(str, lips))}\nnoise = 0.5\n"
+            f"[run]\nbudget = {{}}\nseeds = {','.join(map(str, seeds))}\n"
+            + "".join(f"[scheme.{scheme}]\n{keys}"
+                      for scheme, keys in sections.items()))
+    budget = draw(st.integers(1, 10**5))
+    while True:
+        try:
+            return parse_config(text.format(budget))
+        except ConfigError as exc:
+            # below the first step: take that step's cost, the least
+            # budget that can pay for it
+            budget = int(re.search(r"it costs (\d+)", str(exc)).group(1))
+
+
+@pytest.mark.parametrize("kind, schemes", [
+    (kind, schemes) for kind, allowed in SCHEMES_OF_KIND.items()
+    for size in range(1, len(allowed) + 1)
+    for schemes in itertools.combinations(allowed, size)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_the_plan_is_what_the_cells_run(kind, schemes, data):
+    """Every cell's last trace row reads the calls and outer steps its
+    plan priced, and a PPAWSS cell's inner count is that of its last
+    planned subproblem; the plan's paths are the cells' files, and
+    planning draws nothing."""
+    config = data.draw(small_configs(kind, schemes))
+    problems = [bench._build_problem(config, row)
+                for row in range(len(config.lipschitz))]
+
+    def no_draw(*args):
+        raise AssertionError("planning drew a sample")
+
+    with tempfile.TemporaryDirectory() as base:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StochasticOracle, "stream", no_draw)
+            plan = plan_experiment(config, problems, base)
+        run_experiment(config, base)
+        out = os.path.join(base, config.output_path)
+        assert sorted(os.listdir(out)) == sorted(
+            [os.path.basename(cell.path) for cell in plan] + ["summary.csv"])
+        assert len(plan) == (len(config.schemes) * len(config.lipschitz)
+                             * len(config.seeds))
+        for cell in plan:
+            assert os.path.dirname(cell.path) == out
+            final = RunTrace.read_csv(cell.path).final
+            assert (final.calls, final.outer_k) == (cell.calls, cell.outer)
+            if cell.scheme == "ppawss":
+                assert final.inner_k == cell.inner == \
+                    cell.run[-1][0].max_iterations
+            else:
+                assert final.inner_k == cell.inner == 0
+
+
+def _golden_bimatrix():
+    with open(os.path.join(GOLDEN, "bimatrix.cfg"), encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    return config, [bench._build_problem(config, row) for row in (0, 1)]
+
+
+def test_the_golden_plan_prices_the_golden_final_rows():
+    config, problems = _golden_bimatrix()
+    priced = {(cell.scheme, cell.row, cell.seed):
+              (cell.calls, cell.outer, cell.inner)
+              for cell in plan_experiment(config, problems)}
+    for seed in config.seeds:
+        assert priced["ppawss", 0, seed] == (15484, 7, 243)
+        assert priced["ppawss", 1, seed] == (19240, 6, 439)
+    for (scheme, row, seed), (calls, outer, inner) in priced.items():
+        lip, lam = bench._row_label(config, row)
+        final = RunTrace.read_csv(os.path.join(
+            GOLDEN, "bimatrix", f"{scheme}_L{lip}_lam{lam}_seed{seed}.csv")).final
+        assert (final.calls, final.outer_k, final.inner_k) == (calls, outer,
+                                                               inner)
+
+
+def test_one_function_and_one_constant_price_ppawss(tmp_path, monkeypatch):
+    """The plan and run_ppawss both price a PPAWSS row through
+    plan_subproblems, on the built map's own Lipschitz constant, which
+    for golden row 0 is not the configured one."""
+    config, problems = _golden_bimatrix()
+    lip = problems[0].mean_map.lipschitz
+    assert lip != config.lipschitz[0]  # 2.9999999999999987 against 3.0
+    plans = _callers(monkeypatch, "svilab.ppawss.plan_subproblems")
+    run_experiment(config, str(tmp_path))
+    row0 = [(caller, args[1]) for caller, args in plans
+            if args[0] == config.solvers["ppawss", 0]]
+    # == on these floats compares their bits
+    assert sorted(row0) == ([("plan_experiment", lip)]
+                            + [("run_ppawss", lip)] * len(config.seeds))
 
 
 def _write_cell(path, scheme, seed, value, metric="natural_residual",
@@ -598,8 +733,7 @@ def test_a_run_is_a_prefix_of_a_run_with_a_larger_budget(name, tmp_path):
     """Every row that a golden cell records at its budget B, it records
     with the same bytes at 4B: no schedule, start point or cadence may
     depend on the budget within the rows both runs share."""
-    golden = os.path.join(os.path.dirname(__file__), "fixtures", "golden")
-    with open(os.path.join(golden, f"{name}.cfg"), encoding="utf-8") as fh:
+    with open(os.path.join(GOLDEN, f"{name}.cfg"), encoding="utf-8") as fh:
         config = parse_config(fh.read())
     rows = {}
     for factor in (1, 4):

@@ -15,7 +15,8 @@ from svilab import (
 from svilab.errors import ContractViolation
 from svilab.maps import AffineMap
 from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise
-from svilab.ppawss import inner_iterations, prox_subproblem, relaxation_step
+from svilab.ppawss import (inner_iterations, plan_subproblems,
+                           prox_subproblem, relaxation_step)
 from svilab.problems import ProblemInstance, bimatrix_from_payoff
 from svilab.sets import Box
 from svilab.schedule import sizes_within
@@ -178,6 +179,22 @@ class TestBudgetAccounting:
         calls = [row.calls for row in trace.rows]
         assert all(a < b for a, b in zip(calls, calls[1:]))
 
+    def test_plan_prices_each_subproblem_by_its_schedule(self):
+        # each pair is outer step k's config and its schedule's cost,
+        # and the plan stops at the first subproblem the limit cannot pay
+        cfg = _config(lam=5.0, outer_iterations=6)
+        lip = self._noisy_pennies().mean_map.lipschitz
+        costs = [schedule_cost(sub.max_iterations, sub.rho)
+                 for sub in (cfg.subproblem(k, lip) for k in range(6))]
+        for limit in (costs[0], sum(costs[:3]) + costs[3] - 1, 10**6):
+            plan = plan_subproblems(cfg, lip, limit)
+            steps = len(plan)
+            assert plan == [(cfg.subproblem(k, lip), costs[k])
+                            for k in range(steps)]
+            assert steps == 6 or sum(costs[:steps + 1]) > limit
+        assert len(plan) == 6
+        assert plan_subproblems(cfg, lip, costs[0] - 1) == []
+
     def test_unaffordable_subproblem_not_started(self):
         problem = self._noisy_pennies()
         cfg = _config(lam=5.0, outer_iterations=6)
@@ -196,22 +213,30 @@ class TestBudgetAccounting:
 
     def test_subproblems_are_planned_before_the_first_draw(self,
                                                            monkeypatch):
-        # every affordability walk, the unaffordable fourth step's too,
-        # comes before the first subproblem runs, and each listed step
-        # runs once
+        # plan_subproblems makes every affordability walk, the
+        # unaffordable fourth step's too, before the first subproblem
+        # runs, and each listed step runs once
         problem = self._noisy_pennies()
         cfg = _config(lam=5.0, outer_iterations=6)
         _, full = run_ppawss(problem, np.zeros(4), cfg, BudgetCounter(10**6))
-        events = []
+        events, planning = [], []
+
+        def plan(*args):
+            planning.append(True)
+            try:
+                return plan_subproblems(*args)
+            finally:
+                planning.pop()
 
         def walk(schedule, limit):
-            events.append("walk")
+            events.append("planned walk" if planning else "walk")
             return sizes_within(schedule, limit)
 
         def solve(*args, **kwargs):
             events.append("solve")
             return run_vs_ave(*args, **kwargs)
 
+        monkeypatch.setattr("svilab.ppawss.plan_subproblems", plan)
         monkeypatch.setattr("svilab.ppawss.sizes_within", walk)
         monkeypatch.setattr("svilab.ppawss.run_vs_ave", solve)
         for limit, steps, walks in [(10**6, 6, 6),
@@ -219,7 +244,7 @@ class TestBudgetAccounting:
             events.clear()
             _, trace = run_ppawss(problem, np.zeros(4), cfg,
                                   BudgetCounter(limit))
-            assert events == ["walk"] * walks + ["solve"] * steps
+            assert events == ["planned walk"] * walks + ["solve"] * steps
             assert trace.truncated == (steps < 6)
 
     def test_truncated_prefix_identical_to_full_run(self):
