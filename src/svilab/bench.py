@@ -5,9 +5,10 @@ plus one ``[scheme.<name>]`` section per solver. Each scheme is declared
 once, in ``_SCHEMES``: its keys, solver config, first step, runner and
 trace cadence. Values that vary per problem row (lambda, rho, stepsize)
 accept comma lists zipped with the ``lipschitz`` list. Every (problem,
-scheme, seed) cell is planned before any draw (:func:`plan_experiment`)
-and runs the steps a fresh budget counter pays for, with samples keyed
-by its seed, into one trace CSV; the summary aggregates final metrics.
+scheme, seed) cell is planned, in the group it runs in, before any draw
+(:func:`plan_experiment`) and runs the steps a fresh budget counter
+pays for, with samples keyed by its seed, into its own trace CSV; the
+summary aggregates final metrics into a table and ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import re
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -412,30 +412,33 @@ def _row_label(config, row):
     return f"{config.lipschitz[row]:g}", lam
 
 
-# a cell's file name, as plan_experiment gives it
-_CELL_RE = re.compile(
-    r"^(?P<scheme>[a-z_]+)_L(?P<lip>[^_]+)_lam(?P<lam>[^_]+)_seed(?P<seed>\d+)\.csv$"
-)
+# a cell's file name, as plan_experiment gives it: its row's labels
+_CELL_RE = re.compile(r"^[a-z_]+_L([^_]+)_lam([^_]+)_seed\d+\.csv$")
 
 
-Cell = namedtuple("Cell", "scheme row seed path group problem solver recorder"
+Cell = namedtuple("Cell", "scheme row seed path problem solver recorder"
                          " budget run calls outer inner")
 
 
 def plan_experiment(config, problems, base_dir="."):
-    """The cells of ``config`` in the order they run, each a ``Cell``
-    with its ``scheme``, ``row`` and ``seed``; its trace CSV's ``path``
-    under ``base_dir``; its ``group``, shared by a taped scheme's cells
-    of one trial seed and unique otherwise; its row's ``problem`` (from
-    ``problems``, built once per row), ``solver`` config (a flat one
-    re-sized to its run) and ``recorder``; the ``budget``; and its
-    ``run``, shared by the row's seeds: a flat row's batch sizes within
-    the budget, or a PPAWSS row's :func:`~svilab.ppawss.plan_subproblems`
-    on its map's own Lipschitz constant, as :func:`run_ppawss` reads it.
-    ``calls``, ``outer`` and ``inner`` are what its last trace row will
-    read. Planning makes no draw and builds no problem."""
+    """The cells of ``config`` in groups, in the order they run.
+
+    A group is one trial seed's cells of a taped scheme, one per row in
+    row order, or else a single cell. Each ``Cell`` has its ``scheme``,
+    ``row`` and ``seed``; its trace CSV's ``path`` under ``base_dir``;
+    its row's ``problem`` (from ``problems``, built once per row),
+    ``solver`` config (a flat one re-sized to its run) and
+    ``recorder``; the ``budget``; and its ``run``, shared by the row's
+    seeds: a flat row's batch sizes within the budget, or a PPAWSS
+    row's :func:`~svilab.ppawss.plan_subproblems` on its map's own
+    Lipschitz constant, as :func:`run_ppawss` reads it. ``calls``,
+    ``outer`` and ``inner`` are what its last trace row will read.
+    Planning makes no draw and builds no problem; it raises
+    :class:`ConfigError` when two cells would write one path, which
+    :func:`parse_config` rules out but ``dataclasses.replace`` does not.
+    """
     out_dir = os.path.join(base_dir, config.output_path)
-    groups = {}
+    groups, paths = {}, set()
     for row, problem in enumerate(problems):
         lip_label, lam_label = _row_label(config, row)
         for scheme in config.schemes:
@@ -454,18 +457,21 @@ def plan_experiment(config, problems, base_dir="."):
             for seed in config.seeds:
                 path = os.path.join(out_dir, f"{scheme}_L{lip_label}"
                                     f"_lam{lam_label}_seed{seed}.csv")
-                group = (scheme, seed) if record.taped else (scheme, seed, row)
-                groups.setdefault(group, []).append(Cell(
-                    scheme, row, seed, path, group, problem, solver, recorder,
+                if path in paths:
+                    raise ConfigError(f"two cells would write {path}")
+                paths.add(path)
+                key = (scheme, seed) if record.taped else (scheme, seed, row)
+                groups.setdefault(key, []).append(Cell(
+                    scheme, row, seed, path, problem, solver, recorder,
                     config.budget, run, *priced))
-    return [cell for cells in groups.values() for cell in cells]
+    return list(groups.values())
 
 
 def _run_group(cells):
     """Run one group's planned cells in order, each writing its trace CSV.
-    With more than one, the first records its prepared batches in a tape,
-    an empty dict, and the others replay it; the tape goes with the
-    group."""
+    With more than one, that is a taped scheme's cells: the first
+    records its prepared batches in a tape, an empty dict, and the
+    others replay it; the tape goes with the group."""
     shared = {"tape": {}} if len(cells) > 1 else {}
     for cell in cells:
         problem = cell.problem
@@ -512,18 +518,19 @@ def _worker_count(raw, groups):
 def run_experiment(config, base_dir="."):
     """Run the full scheme x row x seed matrix; returns the summary text.
 
-    Builds each row's problem once, plans the cells
-    (:func:`plan_experiment`), runs the plan's groups and writes
-    ``summary.csv`` next to the cells' trace CSVs. A taped group's first
-    cell records its batches in a tape
+    Builds each row's problem once, plans the groups of cells
+    (:func:`plan_experiment`), runs them and summarises their trace
+    CSVs in run order, writing ``summary.csv`` next to them. A taped
+    group's first cell records its batches in a tape
     (:meth:`~svilab.oracle.StochasticOracle.feeds`), and the others
     replay it and draw nothing: a config fixes the noise, oracle seed,
     dimension, size rule and budget of every row, and the tape refuses
     a replay of other batches. Groups run in
     parallel when the environment variable ``SVILAB_THREADS`` is set
     above 1, with at most one worker per group and per usable core.
-    Outputs do not depend on the schedule: every cell owns its file, and
-    its samples are keyed by its seed, whether it draws or replays them.
+    Outputs do not depend on the schedule: every cell owns its file,
+    which the plan checks, and its samples are keyed by its seed,
+    whether it draws or replays them.
     """
     try:
         problems = [_build_problem(config, row)
@@ -531,9 +538,7 @@ def run_experiment(config, base_dir="."):
     except ValueError as exc:
         # the problem constructors check the [problem] values
         raise ConfigError(str(exc)) from exc
-    plan = plan_experiment(config, problems, base_dir)
-    # the plan lists each group's cells together
-    groups = [list(cells) for _, cells in groupby(plan, lambda c: c.group)]
+    groups = plan_experiment(config, problems, base_dir)
     workers = _worker_count(os.environ.get("SVILAB_THREADS"), len(groups))
     out_dir = os.path.join(base_dir, config.output_path)
     os.makedirs(out_dir, exist_ok=True)
@@ -546,7 +551,7 @@ def run_experiment(config, base_dir="."):
     else:
         for group in groups:
             _run_group(group)
-    return summarize([cell.path for cell in plan],
+    return summarize([cell.path for group in groups for cell in group],
                      summary_csv=os.path.join(out_dir, "summary.csv"))
 
 
@@ -607,26 +612,21 @@ def _quartiles(values):
 def summarize(csv_paths, summary_csv=None):
     """Aggregate trace CSVs into an aligned text table.
 
-    One row per (L, lambda) label pair, one column per scheme showing
-    the median final metric with the interquartile range over seeds;
-    cells containing budget-truncated runs are flagged with ``*``.
-    When ``summary_csv`` is given the same data is written there in
-    machine-readable form.
+    One row per (L, lambda) label pair, read from a cell's file name
+    (``na`` for a name the harness does not write), one column per
+    scheme, read from its trace, showing the median final metric with
+    the interquartile range over seeds; cells containing
+    budget-truncated runs are flagged with ``*``. When ``summary_csv``
+    is given each cell that is not ``-`` is written there as a line of
+    the same pass, in machine-readable form.
     """
     cells = {}
     for path in csv_paths:
         trace = RunTrace.read_csv(path)
         match = _CELL_RE.match(os.path.basename(path))
-        if match:
-            label = (match.group("lip"), match.group("lam"))
-            scheme = match.group("scheme")
-        else:
-            label = ("na", "na")
-            scheme = trace.scheme
-        metric, value = _final_metric(trace)
-        cells.setdefault((label, scheme), []).append(
-            (metric, value, trace.truncated)
-        )
+        label = match.groups() if match else ("na", "na")
+        cells.setdefault((label, trace.scheme), []).append(
+            (*_final_metric(trace), trace.truncated))
 
     def sort_key(label):
         lip, lam = label
@@ -640,13 +640,15 @@ def summarize(csv_paths, summary_csv=None):
         {scheme for _, scheme in cells},
         key=lambda s: (list(_SCHEMES).index(s) if s in _SCHEMES else 99, s),
     )
-    summary_rows = []
-    display = {}
+    table = [["L", "lambda"] + [f"{s} (median final)" for s in schemes]]
+    csv_lines = ["L,lam,scheme,metric,median,q25,q75,n_seeds,any_truncated"]
     for label in labels:
+        row = list(label)
+        table.append(row)
         for scheme in schemes:
             entries = cells.get((label, scheme))
             if entries is None:
-                display[(label, scheme)] = "-"
+                row.append("-")
                 continue
             metrics = {metric for metric, _, _ in entries}
             if len(metrics) > 1:
@@ -658,40 +660,16 @@ def summarize(csv_paths, summary_csv=None):
             med, q25, q75 = _quartiles([value for _, value, _ in entries])
             truncated = any(flag for _, _, flag in entries)
             star = "*" if truncated else ""
-            display[(label, scheme)] = (
-                f"{med:.4e} (iqr {q75 - q25:.1e}){star}"
-            )
-            summary_rows.append({
-                "L": label[0], "lam": label[1], "scheme": scheme,
-                "metric": metric, "median": med, "q25": q25, "q75": q75,
-                "n_seeds": len(entries), "any_truncated": truncated,
-            })
+            row.append(f"{med:.4e} (iqr {q75 - q25:.1e}){star}")
+            csv_lines.append(
+                f"{label[0]},{label[1]},{scheme},{metric},{med!r},{q25!r},"
+                f"{q75!r},{len(entries)},{str(truncated).lower()}")
 
-    headers = ["L", "lambda"] + [f"{s} (median final)" for s in schemes]
-    table_rows = [
-        [label[0], label[1]] + [display[(label, s)] for s in schemes]
-        for label in labels
-    ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table_rows))
-        if table_rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table_rows:
-        lines.append("  ".join(str(c).ljust(widths[i])
-                               for i, c in enumerate(row)))
-    text = "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths))
+             for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     if summary_csv is not None:
         with open(summary_csv, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("L,lam,scheme,metric,median,q25,q75,n_seeds,any_truncated\n")
-            for row in summary_rows:
-                fh.write(
-                    f"{row['L']},{row['lam']},{row['scheme']},{row['metric']},"
-                    f"{row['median']!r},{row['q25']!r},{row['q75']!r},"
-                    f"{row['n_seeds']},{str(row['any_truncated']).lower()}\n"
-                )
-    return text
+            fh.write("\n".join(csv_lines) + "\n")
+    return "\n".join(lines)

@@ -7,16 +7,12 @@ written with ``repr`` so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 
 from .errors import ContractViolation
 
 __all__ = ["CSV_HEADER", "Recorder", "TraceRow", "RunTrace"]
-
-CSV_HEADER = (
-    "scheme,seed,outer_k,inner_k,calls,natural_residual,gap,"
-    "yosida_sq,saddle_gap,dist_ref_sq,truncated"
-)
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,13 @@ class TraceRow:
     dist_ref_sq: float = None
 
 
-def _fmt(v):
-    return "" if v is None else repr(v)
+# a trace CSV's columns: the run's scheme and seed, a row's fields in
+# order (its counts, then its metrics) and the run's flag
+_FIELDS = tuple(f.name for f in fields(TraceRow))
+CSV_HEADER = ",".join(("scheme", "seed", *_FIELDS, "truncated"))
+_values = attrgetter(*_FIELDS)
+# a row's counts are its required fields, which a dataclass lists first
+_COUNTS = sum(f.default is MISSING for f in fields(TraceRow))
 
 
 class RunTrace:
@@ -97,11 +98,9 @@ class RunTrace:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in self.rows:
-                fh.write(
-                    f"{self.scheme},{self.seed},{r.outer_k},{r.inner_k},{r.calls},"
-                    f"{_fmt(r.natural_residual)},{_fmt(r.gap)},{_fmt(r.yosida_sq)},"
-                    f"{_fmt(r.saddle_gap)},{_fmt(r.dist_ref_sq)},{flag}\n"
-                )
+                values = ",".join(["" if v is None else repr(v)
+                                   for v in _values(r)])
+                fh.write(f"{self.scheme},{self.seed},{values},{flag}\n")
 
     @staticmethod
     def read_csv(path):
@@ -120,20 +119,20 @@ class RunTrace:
         if not lines:
             raise ContractViolation(f"{path}: no data rows")
         rows = [line.split(",") for line in lines]
-        run = rows[0][:2] + rows[0][10:]
+        run = rows[0][:2] + rows[0][-1:]
         for line, parts in zip(lines, rows):
-            if len(parts) != 11 or parts[10] not in ("true", "false"):
+            if len(parts) != len(_FIELDS) + 3 or parts[-1] not in ("true", "false"):
                 raise ContractViolation(f"{path}: malformed row {line!r}")
-            if parts[:2] + parts[10:] != run:
+            if parts[:2] + parts[-1:] != run:
                 raise ContractViolation(f"{path}: row {line!r} disagrees with"
                                         " the first on scheme, seed or flag")
         try:
             trace = RunTrace(run[0], int(run[1]), run[2] == "true")
             for parts in rows:
                 trace.add(TraceRow(
-                    int(parts[2]), int(parts[3]), int(parts[4]),
-                    *(None if p == "" else float(p) for p in parts[5:10]),
-                ))
+                    *map(int, parts[2:2 + _COUNTS]),
+                    *[None if p == "" else float(p)
+                      for p in parts[2 + _COUNTS:-1]]))
         except ValueError as exc:
             raise ContractViolation(f"{path}: non-numeric field: {exc}") from None
         return trace

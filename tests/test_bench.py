@@ -596,8 +596,9 @@ def small_configs(draw, kind, schemes):
 def test_the_plan_is_what_the_cells_run(kind, schemes, data):
     """Every cell's last trace row reads the calls and outer steps its
     plan priced, and a PPAWSS cell's inner count is that of its last
-    planned subproblem; the plan's paths are the cells' files, and
-    planning draws nothing."""
+    planned subproblem; the plan's paths are the cells' files, planning
+    draws nothing, and a group is one trial seed's extragradient cells
+    of every row, in row order, or else a single cell."""
     config = data.draw(small_configs(kind, schemes))
     problems = [bench._build_problem(config, row)
                 for row in range(len(config.lipschitz))]
@@ -608,8 +609,15 @@ def test_the_plan_is_what_the_cells_run(kind, schemes, data):
     with tempfile.TemporaryDirectory() as base:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(StochasticOracle, "stream", no_draw)
-            plan = plan_experiment(config, problems, base)
+            groups = plan_experiment(config, problems, base)
         run_experiment(config, base)
+        for group in groups:
+            head = group[0]
+            rows = (range(len(config.lipschitz))
+                    if head.scheme == "extragradient" else [head.row])
+            assert [(cell.scheme, cell.seed, cell.row) for cell in group] == [
+                (head.scheme, head.seed, row) for row in rows]
+        plan = [cell for group in groups for cell in group]
         out = os.path.join(base, config.output_path)
         assert sorted(os.listdir(out)) == sorted(
             [os.path.basename(cell.path) for cell in plan] + ["summary.csv"])
@@ -626,9 +634,13 @@ def test_the_plan_is_what_the_cells_run(kind, schemes, data):
                 assert final.inner_k == cell.inner == 0
 
 
+def _golden_config(name):
+    with open(os.path.join(GOLDEN, f"{name}.cfg"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _golden_bimatrix():
-    with open(os.path.join(GOLDEN, "bimatrix.cfg"), encoding="utf-8") as fh:
-        config = parse_config(fh.read())
+    config = parse_config(_golden_config("bimatrix"))
     return config, [bench._build_problem(config, row) for row in (0, 1)]
 
 
@@ -636,7 +648,8 @@ def test_the_golden_plan_prices_the_golden_final_rows():
     config, problems = _golden_bimatrix()
     priced = {(cell.scheme, cell.row, cell.seed):
               (cell.calls, cell.outer, cell.inner)
-              for cell in plan_experiment(config, problems)}
+              for group in plan_experiment(config, problems)
+              for cell in group}
     for seed in config.seeds:
         assert priced["ppawss", 0, seed] == (15484, 7, 243)
         assert priced["ppawss", 1, seed] == (19240, 6, 439)
@@ -664,6 +677,34 @@ def test_one_function_and_one_constant_price_ppawss(tmp_path, monkeypatch):
                             + [("run_ppawss", lip)] * len(config.seeds))
 
 
+def test_two_cells_of_one_seed_may_not_share_a_file(tmp_path, monkeypatch):
+    """A repeated seed would give two cells of a row one path and one
+    group. dataclasses.replace skips parse_config's check of the seeds,
+    so the plan refuses it, before any draw and before the output
+    directory is made."""
+    config = replace(parse_config(_golden_config("affine")), seeds=(0, 0))
+    monkeypatch.setattr(StochasticOracle, "stream", None)
+    path = re.escape(os.path.join(str(tmp_path), "affine",
+                                  "vs_ave_L10_lam2_seed0.csv"))
+    with pytest.raises(ConfigError, match=f"^two cells would write {path}$"):
+        run_experiment(config, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_two_rows_of_one_label_may_not_share_a_file(tmp_path, monkeypatch):
+    """Two rows of one label would write a seed's extragradient cells
+    to one file, which dataclasses.replace does not check either."""
+    text = re.sub(r"\[scheme\.ppawss\][^[]*", "", _golden_config("bimatrix"))
+    config = replace(parse_config(text), lipschitz=(3.0, 3.0))
+    assert config.schemes == ("extragradient",)
+    monkeypatch.setattr(StochasticOracle, "stream", None)
+    path = re.escape(os.path.join(str(tmp_path), "bimatrix",
+                                  "extragradient_L3_lamna_seed0.csv"))
+    with pytest.raises(ConfigError, match=f"^two cells would write {path}$"):
+        run_experiment(config, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def _write_cell(path, scheme, seed, value, metric="natural_residual",
                 truncated=False):
     trace = RunTrace(scheme, seed)
@@ -675,6 +716,9 @@ def _write_cell(path, scheme, seed, value, metric="natural_residual",
 
 
 class TestSummarize:
+    def test_no_cells(self):
+        assert summarize([]) == "L  lambda\n-  ------"
+
     def test_single_cell(self, tmp_path):
         path = _write_cell(tmp_path / "vs_ave_L2_lamna_seed0.csv",
                            "vs_ave", 0, 0.125)
