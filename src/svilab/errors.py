@@ -29,8 +29,8 @@ class BudgetExhausted(SvilabError):
 
     The charge is refused wholesale; ``consumed`` reflects the counter
     state before it, ``requested`` its size. Solvers size their runs to
-    the budget and charge each step before its first draw, so inside a
-    solver this signals a broken invariant.
+    the budget and charge their planned cost once, before their first
+    draw, so inside a solver this signals a broken invariant.
     """
 
     def __init__(self, consumed, requested, limit):

@@ -120,10 +120,12 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
     As in the other solvers, the run length is fixed before the first
     draw, so no step is started that the budget cannot finish, and
     ``trace.truncated`` is set when fewer than ``max_iterations`` steps
-    run. Each step charges ``budget`` ``2 * N_k`` before its first draw,
-    and a row's ``calls`` is what the run has charged. ``budget=None``
-    means no cap (:func:`~svilab.oracle.ledger`). ``seed`` keys the two
-    sample streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
+    run. The run charges ``budget`` its planned cost, ``2 * sum(N_k)``
+    over those steps, once, before its first draw, so a run that raises
+    mid-way has already charged its whole run; a row's ``calls`` is the
+    cost of the steps completed so far. ``budget=None`` means no cap
+    (:func:`~svilab.oracle.ledger`). ``seed`` keys the two sample
+    streams, ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
     The run sizes itself once: the list of sizes the budget pays for
     (:func:`~svilab.schedule.sizes_within`) drives its loop and both
     feeds of :meth:`StochasticOracle.feeds`, which prepares both streams
@@ -143,14 +145,15 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
         check_stepsize(config.stepsize, lip)
     z = feasible_set.project(np.asarray(z0, dtype=np.float64))
     average = z.copy()
-    consumed_before = budget.consumed
     sizes = sizes_within(config.schedule, budget.remaining)
+    budget.charge(2 * sum(sizes))
+    calls = 0
     steps = len(sizes)
     trace = RunTrace(scheme, seed, steps < config.max_iterations)
     streams = (oracle.stream(seed, 0), oracle.stream(seed, 1))
     with oracle.feeds(streams, sizes, tape) as (feed, feed_half):
         for k, n_k in enumerate(sizes, 1):
-            budget.charge(2 * n_k)
+            calls += 2 * n_k
             estimate = batch_mean(oracle, z, n_k, feed)
             z_half = feasible_set.project(z - config.stepsize * estimate)
             estimate_half = batch_mean(oracle, z_half, n_k, feed_half)
@@ -160,5 +163,5 @@ def run_extragradient(problem, z0, config, budget, *, scheme="extragradient",
             if recorder is not None and recorder.due(k, steps):
                 trace.add(evaluate_point(
                     problem, average if config.averaged else z, recorder, k,
-                    0, budget.consumed - consumed_before))
+                    0, calls))
     return (average if config.averaged else z), trace

@@ -3,8 +3,9 @@
 A :class:`StochasticOracle` pairs a mean map ``F`` with a noise model so
 that single samples ``G(x, xi)`` are unbiased (``E[G(x, xi)] = F(x)``)
 with variance bounded uniformly over the feasible set. It is problem
-data: a run charges its own :class:`BudgetCounter` for each step before
-drawing, and :func:`batch_mean` only averages.
+data: a run charges its own :class:`BudgetCounter` its planned cost
+once, before its first draw (so a run that raises mid-way has already
+charged its whole run), and :func:`batch_mean` only averages.
 
 Randomness is counter-based: a run's streams draw from Philox generators
 keyed by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
@@ -259,15 +260,29 @@ class BudgetCounter:
     """Mutable ledger of single-sample oracle evaluations.
 
     ``consumed`` only ever grows and never exceeds ``limit``, a positive
-    integer or ``math.inf``. A request that would overshoot raises
-    :class:`BudgetExhausted` and leaves the counter untouched.
+    whole number or ``math.inf``; any other limit (a fraction, zero, a
+    negative number, ``-math.inf``, nan) raises ``ValueError`` naming
+    it. A whole float such as ``1e6`` is kept as the int it equals.
+    :meth:`charge` takes an integer (``operator.index``), so a fraction
+    raises ``TypeError`` rather than being rounded. A request that would
+    overshoot raises :class:`BudgetExhausted` and leaves the counter
+    untouched. A solver charges it once per run, its planned cost,
+    before its first draw.
     """
 
     def __init__(self, limit):
         if limit != math.inf:
-            limit = int(limit)
-        if not limit > 0:
-            raise ValueError("budget limit must be positive")
+            whole = limit
+            if isinstance(whole, float) and whole.is_integer():
+                whole = int(whole)
+            try:
+                whole = operator.index(whole)
+            except TypeError:
+                whole = 0
+            if whole < 1:
+                raise ValueError("budget limit must be a positive whole"
+                                 f" number or math.inf; got {limit!r}")
+            limit = whole
         self.limit = limit
         self.consumed = 0
 
@@ -276,7 +291,7 @@ class BudgetCounter:
         return self.limit - self.consumed
 
     def charge(self, n):
-        n = int(n)
+        n = operator.index(n)
         if n < 0:
             raise ContractViolation("cannot charge a negative sample count")
         if self.consumed + n > self.limit:
@@ -542,8 +557,8 @@ def batch_mean(oracle, x, n, feed, *, out=None):
     that does not overlap ``x``, and returned; without ``out`` it is a
     fresh array. Either way the caller may overwrite it. ``n`` is an
     integer or a 0-d integer array; anything else raises TypeError.
-    Charges nothing: the solver pays for a step's batches before drawing
-    the first of them.
+    Charges nothing: the solver pays for its whole run before its first
+    draw.
     """
     count = operator.index(n)
     if count < 1:

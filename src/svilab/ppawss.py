@@ -159,12 +159,15 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     subproblems ``budget`` pays for (:func:`plan_subproblems` on the
     map's own L): a run that stops short sets ``trace.truncated``,
     returns the last completed iterate and draws nothing more. Each
-    inner step charges ``budget`` before its first draw. ``recorder`` picks the
-    completed outer iterations that get a row (``inner_k`` records that
-    step's inner iteration count, ``calls`` what the run has charged so
-    far). ``budget=None`` means no cap (:func:`~svilab.oracle.ledger`).
-    ``seed`` keys the stream pair all subproblems continue,
-    ``problem.oracle.stream(seed, 0)`` and ``(seed, 1)``.
+    subproblem's inner run charges ``budget`` its planned cost once,
+    before its first draw, so a run that raises mid-way has already
+    charged the subproblem it was in. ``recorder`` picks the completed
+    outer iterations that get a row (``inner_k`` records that step's
+    inner iteration count, ``calls`` the planned cost of the subproblems
+    completed so far). ``budget=None`` means no cap
+    (:func:`~svilab.oracle.ledger`). ``seed`` keys the stream pair all
+    subproblems continue, ``problem.oracle.stream(seed, 0)`` and
+    ``(seed, 1)``.
     """
     budget = ledger(budget)
     u = problem.feasible_set.project(np.asarray(u0, dtype=np.float64))
@@ -173,14 +176,14 @@ def run_ppawss(problem, u0, config, budget, *, scheme="ppawss", seed=0,
     steps = len(plan)
     trace = RunTrace(scheme, seed, steps < config.outer_iterations)
     streams = (problem.oracle.stream(seed, 0), problem.oracle.stream(seed, 1))
-    consumed_before = budget.consumed
-    for k, (inner_config, _) in enumerate(plan, 1):
+    calls = 0
+    for k, (inner_config, cost) in enumerate(plan, 1):
         sub = prox_subproblem(problem, u, config.lam)
         z, _ = run_vs_ave(sub, u, inner_config, budget,
                           streams=streams, recorder=None)
+        calls += cost
         u = relaxation_step(u, z, config.eta)
         if recorder is not None and recorder.due(k, steps):
             trace.add(evaluate_point(problem, u, recorder, k,
-                                     inner_config.max_iterations,
-                                     budget.consumed - consumed_before))
+                                     inner_config.max_iterations, calls))
     return u, trace

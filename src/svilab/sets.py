@@ -31,6 +31,17 @@ __all__ = ["Box", "Ball", "Simplex", "Product"]
 _ZERO = np.array(0.0)
 _FLOAT64 = np.dtype(np.float64)
 
+# numpy's clip ufunc, looked up once: np.clip is the same ufunc behind a
+# Python wrapper that costs more than the clip of a short vector. On
+# numpy 2 it lives in numpy._core, and touching numpy.core there warns
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    try:
+        from numpy.core.umath import clip as _clip
+    except ImportError:
+        _clip = np.clip
+
 
 def _vector(v, dim=None):
     """Return ``v`` as a 1-D float64 array of length ``dim``."""
@@ -135,7 +146,18 @@ def _project_simplices(v, out, slices):
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box ``{x : lo <= x <= hi}``."""
+    """Axis-aligned box ``{x : lo <= x <= hi}``.
+
+    ``project`` is one call of numpy's ``clip`` ufunc, after the entry
+    check of a squared norm (see :func:`_require_finite`), so non-finite
+    input raises before anything is written. For finite input the clip
+    gives the bits of ``np.minimum(np.maximum(v, lo), hi)`` in one pass
+    over the vector instead of two. The one exception seen (numpy 2.4)
+    is the sign of a zero: a one-entry box projected in place
+    (``out=v``) settles a tie of ``-0.0`` with a ``+0.0`` bound as
+    ``-0.0``, where that pair gives ``+0.0``. No solver projects in
+    place.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -162,8 +184,7 @@ class Box:
     def _project(self, v, out):
         if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
-        np.maximum(v, self.lo, out=out)
-        np.minimum(out, self.hi, out=out)
+        _clip(v, self.lo, self.hi, out)
 
 
 @dataclass(frozen=True, eq=False)

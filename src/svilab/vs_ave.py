@@ -151,9 +151,11 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     the budget cannot both pay for is not started, so a run that stops
     early draws nothing past its last completed step. When the budget
     or a schedule overflow ends the run before ``max_iterations``,
-    ``trace.truncated`` is set. Each step charges ``budget`` its cost
-    ``2 * N_k`` before its first draw, and a row's ``calls`` is what the
-    run has charged. ``budget=None`` means no cap
+    ``trace.truncated`` is set. The run charges ``budget`` its planned
+    cost, ``2 * sum(N_k)`` over those steps, once, before its first
+    draw, so a run that raises mid-way has already charged its whole
+    run; a row's ``calls`` is the cost of the steps completed so far.
+    ``budget=None`` means no cap
     (:func:`~svilab.oracle.ledger`). ``recorder`` sets the trace rows,
     evaluated at the running average; ``None`` records nothing.
 
@@ -192,14 +194,15 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     # theirs each step
     neg_mu, neg_lip = np.array(-mu), np.array(-lip)
     gamma_0d, Gamma_0d = np.array(gamma), np.array(Gamma)
-    consumed_before = budget.consumed
     sizes = sizes_within(config.schedule, budget.remaining)
+    budget.charge(2 * sum(sizes))
+    calls = 0
     steps = len(sizes)
     trace = RunTrace(scheme, seed, steps < config.max_iterations)
     # Gamma_k < 2 rho^(1-k) < 2**63 by the rate condition: no rescale needed
     with oracle.feeds(streams, sizes) as (feed_y, feed_x):
         for k, n_k in enumerate(sizes, 1):
-            budget.charge(2 * n_k)
+            calls += 2 * n_k
             batch_mean(oracle, point, n_k, feed_y, out=est)
             est /= neg_mu
             est += point
@@ -219,6 +222,5 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
             ysum += est
             if recorder is not None and recorder.due(k, steps):
                 trace.add(evaluate_point(problem, ysum / Gamma_0d, recorder,
-                                         k, 0,
-                                         budget.consumed - consumed_before))
+                                         k, 0, calls))
     return ysum / Gamma, trace

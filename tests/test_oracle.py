@@ -170,6 +170,29 @@ class TestBudgetCounter:
         with pytest.raises(ContractViolation):
             BudgetCounter(5).charge(-1)
 
+    @pytest.mark.parametrize("limit", [2.5, 0.5, -math.inf, math.nan, -3, 0.0,
+                                       "10", None])
+    def test_limit_must_be_a_positive_whole_number(self, limit):
+        with pytest.raises(ValueError, match="positive whole number") as exc:
+            BudgetCounter(limit)
+        assert repr(limit) in str(exc.value)
+
+    @pytest.mark.parametrize("limit, kept", [(7, 7), (1e6, 10**6),
+                                             (np.int64(5), 5),
+                                             (math.inf, math.inf)])
+    def test_whole_limits_are_kept(self, limit, kept):
+        counter = BudgetCounter(limit)
+        assert counter.limit == kept and type(counter.limit) is type(kept)
+
+    def test_fractional_charge_is_refused(self):
+        # a fraction is not floored into a smaller charge
+        b = BudgetCounter(10)
+        with pytest.raises(TypeError):
+            b.charge(2.7)
+        assert b.consumed == 0
+        b.charge(np.int64(3))
+        assert b.consumed == 3 and type(b.consumed) is int
+
 
 class TestBatchMean:
     def test_zero_noise_is_exact(self):

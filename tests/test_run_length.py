@@ -1,7 +1,9 @@
 """Every solver fixes its run length from the budget before its first
-draw, so the ledger holds exactly the cost of the completed steps."""
+draw, so the ledger holds exactly the cost of the completed steps, and
+charges that planned cost once, before its first draw."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from svilab import (
     run_vs_ave,
 )
 from svilab.extragradient import eg_sample_size
-from svilab.ppawss import inner_iterations
+from svilab.ppawss import inner_iterations, plan_subproblems
+from svilab.schedule import sizes_within
 from svilab.problems import bimatrix_from_payoff
 from svilab.vs_ave import sample_size, schedule_cost
 
@@ -68,3 +71,27 @@ def test_ledger_is_the_cost_of_completed_steps(scheme, data):
     if completed < len(costs):
         assert sum(costs[:completed + 1]) > limit
 
+
+
+@pytest.mark.parametrize("scheme", ["vs_ave", "ppawss", "extragradient"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_each_run_charges_its_plan_once(scheme, data):
+    # a flat run charges 2 * sum(sizes) once; PPAWSS charges once per
+    # subproblem it completes, through that subproblem's inner run
+    run, problem, config, costs = _case(scheme)
+    limit = data.draw(st.integers(1, sum(costs) + 10), label="limit")
+    if scheme == "ppawss":
+        plan = plan_subproblems(config, problem.mean_map.lipschitz, limit)
+        expected = [cost for _, cost in plan]
+    else:
+        expected = [2 * sum(sizes_within(config.schedule, limit))]
+    budget = BudgetCounter(limit)
+    with mock.patch.object(BudgetCounter, "charge", autospec=True,
+                           side_effect=BudgetCounter.charge) as charge:
+        _, trace = run(problem, np.zeros(problem.dimension), config, budget)
+    assert [c.args for c in charge.call_args_list] == [
+        (budget, cost) for cost in expected]
+    assert budget.consumed == sum(expected)
+    if trace.rows:
+        assert trace.final.calls == sum(expected)

@@ -375,6 +375,88 @@ class TestBox:
         assert np.array_equal(got, [np.sign(big), 0.5, -np.sign(big)])
 
 
+# finite magnitudes whose squares overflow, so the entry check's squared
+# norm is inf and only the exact isfinite test passes them
+HUGE = st.floats(1e154, 1.7976931348623157e308).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+BOUND = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(-1e6, 1e6), HUGE)
+
+
+@st.composite
+def box_inputs(draw):
+    """(lo, hi, v): bounds with signed zeros and huge entries among them,
+    and a v whose entries are signed zeros, the entry's bounds, huge
+    entries or any finite float. Up to 40 entries, so both the vector
+    body and the tail of numpy's loops are reached."""
+    dim = draw(st.integers(1, 40))
+    lo, hi, v = [], [], []
+    for _ in range(dim):
+        a, b = sorted([draw(BOUND), draw(BOUND)])
+        if not a < b:  # equal, or a pair of zeros of either sign
+            if b < 1.0:
+                b = float(np.nextafter(b, np.inf))
+            else:
+                a = float(np.nextafter(a, -np.inf))
+        lo.append(a)
+        hi.append(b)
+        v.append(draw(st.one_of(
+            st.sampled_from([0.0, -0.0, a, b, -a, -b]), HUGE,
+            st.floats(allow_nan=False, allow_infinity=False))))
+    return np.array(lo), np.array(hi), np.array(v)
+
+
+class TestBoxClip:
+    """A box projection is one clip with the bits of the maximum and
+    minimum pair, in a fresh array, a caller's buffer or in place (one
+    signed-zero case in place aside, below)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_inputs())
+    @example((np.array([0.0, -0.0, -1.0]), np.array([1.0, 1.0, 0.0]),
+              np.array([-0.0, 0.0, -0.0])))
+    @example((np.array([-1e308]), np.array([1e308]), np.array([1.7e308])))
+    def test_bits_of_maximum_then_minimum(self, case):
+        lo, hi, v = case
+        box = Box(lo, hi)
+        want = np.minimum(np.maximum(v, lo), hi)
+        assert_bit_identical(box.project(v), want)
+        assert_bit_identical(box.project(v, out=np.empty(v.size)), want)
+        inplace = v.copy()
+        assert box.project(inplace, out=inplace) is inplace
+        if v.size > 1:
+            assert_bit_identical(inplace, want)
+        else:
+            # see test_one_entry_in_place_zero_tie
+            assert np.array_equal(inplace, want)
+
+    def test_one_entry_in_place_zero_tie(self):
+        # numpy 2.4's clip of a one-entry vector written in place (and of
+        # bounds with stride 0, which a Box never has) settles a tie of
+        # -0.0 with a +0.0 bound as -0.0, where the maximum and minimum
+        # pair gives the bound's +0.0. The value is the same point; only
+        # the sign bit of that zero differs. No solver projects in place
+        v = np.array([-0.0])
+        want = np.minimum(np.maximum(v, 0.0), 1.0)
+        got = Box([0.0], [1.0]).project(v, out=v)
+        assert np.array_equal(got, want) and not np.signbit(want[0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(box_inputs(), st.data())
+    def test_non_finite_raises_before_writing(self, case, data):
+        lo, hi, v = case
+        position = data.draw(st.integers(0, v.size - 1), label="position")
+        v[position] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                label="bad")
+        box = Box(lo, hi)
+        out = np.full(v.size, 7.0)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            box.project(v, out=out)
+        assert np.array_equal(out, np.full(v.size, 7.0))
+        with pytest.raises(ContractViolation, match="non-finite"):
+            box.project(v, out=v)
+
+
 class TestOut:
     """project(v, out=buf) writes the bits project(v) returns into buf."""
 
