@@ -17,6 +17,19 @@ give the same bits. The maps here all take ``out``, and so must any
 other map that is the base of a ``ShiftedMap`` or the mean map of a
 :class:`~svilab.oracle.StochasticOracle`: those pass it ``out=``,
 ``None`` included.
+
+A solver passes the same point and output buffers on every step of a
+run, so some maps keep what they build from them between calls that
+pass ``out``. A ``BimatrixMap`` keeps the two halves of the last input
+and of the last ``out`` it split, each as one tuple ``(array, head,
+tail)``; a call whose array is that tuple's first entry reuses its
+views, which follow the array's contents. A ``ShiftedMap`` keeps its
+scratch vector in a tuple with the caller's last ``out``. A call with
+``out=None`` allocates as if nothing were kept and leaves what is kept
+alone. Each kept tuple is replaced whole and read once per call, so
+threads that share a map may miss it but never use views or scratch of
+another thread's arrays; scratch kept with ``out`` is shared exactly
+when ``out`` is.
 """
 
 from __future__ import annotations
@@ -31,6 +44,17 @@ __all__ = ["AffineMap", "BimatrixMap", "ShiftedMap"]
 
 # slack allowed between declared and spectral (mu, L) metadata
 _META_TOL = 1e-9
+_FLOAT64 = np.dtype(np.float64)
+# what a map keeps before its first call: no array is its first entry
+_NOTHING = (object(), None, None)
+
+
+def _halves(z, n):
+    # (z, z[:n], z[n:]) as kept between calls; a list or an array of
+    # another dtype is converted first, as ndarray.dot would convert it
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT64:
+        z = np.asarray(z, dtype=np.float64)
+    return z, z[:n], z[n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +132,9 @@ class BimatrixMap:
 
     For ``z = (x, y)`` returns ``(A^T y, -A x)``. Skew by construction,
     so ``mu = 0`` and ``lipschitz`` equals the spectral norm of ``A``.
+    ``A^T y`` is formed as ``y.dot(A)``, which gives the bits of
+    ``A.T.dot(y)`` without a transposed view. A call with ``out`` keeps
+    the halves of its input and of ``out`` (see the module docstring).
     """
 
     payoff: np.ndarray
@@ -122,12 +149,14 @@ class BimatrixMap:
         object.__setattr__(self, "_lip", float(np.linalg.norm(A, 2)))
         # -A x equals -(A x) bit for bit (negation is exact), so the
         # negated matrix saves negating every result
-        object.__setattr__(self, "_at", A.T)
         object.__setattr__(self, "_neg", -A)
         # the column count and the dimension as Python ints, read on
         # every call
         object.__setattr__(self, "_n", A.shape[1])
         object.__setattr__(self, "_dim", A.shape[0] + A.shape[1])
+        # the halves of the last input and of the last output split
+        object.__setattr__(self, "_z", _NOTHING)
+        object.__setattr__(self, "_out", _NOTHING)
 
     @property
     def n(self):
@@ -154,7 +183,7 @@ class BimatrixMap:
         """Matrix ``[[0, A^T], [-A, 0]]`` of the map, built on each access."""
         n = self.n
         out = np.zeros((self.dimension, self.dimension))
-        out[:n, n:] = self._at
+        out[:n, n:] = self.payoff.T
         out[n:, :n] = self._neg
         return out
 
@@ -165,10 +194,24 @@ class BimatrixMap:
     def __call__(self, z, *, out=None):
         n = self._n
         if out is None:
+            # a fresh result keeps nothing
+            zs = _halves(z, n)
             out = np.empty(self._dim)
+            outs = out, out[:n], out[n:]
+        else:
+            # each kept tuple is read once and replaced whole, so a
+            # thread never mixes its arrays' views with another's
+            zs = self._z
+            if z is not zs[0]:
+                zs = _halves(z, n)
+                object.__setattr__(self, "_z", zs)
+            outs = self._out
+            if out is not outs[0]:
+                outs = out, out[:n], out[n:]
+                object.__setattr__(self, "_out", outs)
         # ndarray.dot is np.dot without its dispatch wrapper
-        self._at.dot(z[n:], out[:n])
-        self._neg.dot(z[:n], out[n:])
+        zs[2].dot(self.payoff, outs[1])
+        self._neg.dot(zs[1], outs[2])
         return out
 
 
@@ -179,7 +222,8 @@ class ShiftedMap:
     The shift raises the monotonicity modulus by ``1/lam`` and the
     Lipschitz constant by the same amount. Used to form proximal
     subproblems. The base is called as ``base(x, out=out)``, so it must
-    take ``out`` (see the module docstring).
+    take ``out`` (see the module docstring). The scratch vector of
+    ``x - center`` is kept with the last ``out`` a caller passed.
     """
 
     base: object
@@ -201,6 +245,8 @@ class ShiftedMap:
         object.__setattr__(self, "center", c)
         # a 0-d divisor: numpy converts a Python float operand on each call
         object.__setattr__(self, "_lam", np.array(self.lam))
+        # the caller's last out and the scratch vector kept with it
+        object.__setattr__(self, "_scratch", _NOTHING)
 
     @property
     def dimension(self):
@@ -224,9 +270,17 @@ class ShiftedMap:
         return self.base.offset - self.center / self.lam
 
     def __call__(self, x, *, out=None):
+        if out is None:
+            tmp = None
+        else:
+            kept = self._scratch
+            if out is not kept[0]:
+                kept = out, np.empty(self.center.size)
+                object.__setattr__(self, "_scratch", kept)
+            tmp = kept[1]
         # through __call__ itself, as batch_mean calls a map
         out = self.base.__call__(x, out=out)
-        tmp = x - self.center
+        tmp = np.subtract(x, self.center, tmp)
         tmp /= self._lam
         out += tmp
         return out

@@ -13,7 +13,16 @@ The input check is cheap for a solver's own buffers: a ``v`` that is
 exactly an ``ndarray`` of dtype float64 and of the set's shape goes
 straight to the projection, since ``np.asarray`` would return it as it
 is. Any other input (a list, another dtype, a subclass, another shape)
-is converted and checked as before, with the same errors."""
+is converted and checked as before, with the same errors.
+
+A solver projects into the same ``out`` on every step of a run, so a
+:class:`Simplex` or a :class:`Product` of simplices keeps the vector of
+its blocks' thresholds in one tuple with the last ``out`` a caller
+passed, and reuses it while the caller passes that ``out``; a call
+without ``out`` allocates it as if nothing were kept. The tuple is
+replaced whole and read once per call, and the thresholds are scratch
+of the call that writes ``out``, so they are shared between threads
+exactly when ``out`` is."""
 
 from __future__ import annotations
 
@@ -68,16 +77,31 @@ def _require_finite(v):
 
 def _projection(self, v, *, out=None):
     # every set's public project: validate, then one pass into out, or
-    # into a fresh array. A set's _project(v, out) writes the projection
-    # of v into out and checks finiteness itself. An exact float64
-    # ndarray of the set's shape is what _vector would return unchanged.
+    # into a fresh array. A set's _project(v, out, kept) writes the
+    # projection of v into out and checks finiteness itself; kept says
+    # whether out is the caller's, so that scratch may be kept with it.
+    # An exact float64 ndarray of the set's shape is what _vector would
+    # return unchanged.
     if (type(v) is not np.ndarray or v.dtype is not _FLOAT64
             or v.shape != self._shape):
         v = _vector(v, self.dimension)
-    if out is None:
+    kept = out is not None
+    if not kept:
         out = np.empty(v.size)
-    self._project(v, out)
+    self._project(v, out, kept)
     return out
+
+
+def _taus(owner, v, out, kept):
+    # the thresholds vector of a simplex pass: the one kept with the
+    # caller's out, replaced whole when out changes, or a fresh one
+    if not kept:
+        return np.empty(v.size)
+    memo = owner._taus
+    if out is not memo[0]:
+        memo = out, np.empty(v.size)
+        object.__setattr__(owner, "_taus", memo)
+    return memo[1]
 
 
 def _threshold(u):
@@ -96,11 +120,11 @@ def _threshold(u):
     return s, tau
 
 
-def _project_simplices(v, out, slices):
+def _project_simplices(v, out, slices, taus):
     # Project v block by block onto the simplices whose coordinates are
     # the slices, in one pass: one tolist, each block's sort and
-    # threshold pass on its list slice, each block's tau written into a
-    # tau vector of the call, then one subtract and one clip over the
+    # threshold pass on its list slice, each block's tau written into
+    # taus, a vector of v's size, then one subtract and one clip over the
     # whole vector. Per element that is the subtraction and clip of a
     # block on its own, so the bits are the same. The threshold search
     # runs over Python floats: for the short blocks used throughout
@@ -110,7 +134,6 @@ def _project_simplices(v, out, slices):
     # the test and the threshold at the last passing index), so results
     # are bit-identical.
     vals = v.tolist()
-    taus = np.empty(len(vals))
     shifted = []
     for sl in slices:
         u = vals[sl]  # a fresh list: sorted() would copy it once more
@@ -181,7 +204,7 @@ class Box:
 
     project = _projection
 
-    def _project(self, v, out):
+    def _project(self, v, out, kept):
         if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         _clip(v, self.lo, self.hi, out)
@@ -210,7 +233,7 @@ class Ball:
 
     project = _projection
 
-    def _project(self, v, out):
+    def _project(self, v, out, kept):
         if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         d = v - self.center
@@ -251,6 +274,8 @@ class Simplex:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "_shape", (self.dim,))
         object.__setattr__(self, "_slices", (slice(0, self.dim),))
+        # the caller's last out and the thresholds vector kept with it
+        object.__setattr__(self, "_taus", (None, None))
 
     @property
     def dimension(self):
@@ -258,8 +283,8 @@ class Simplex:
 
     project = _projection
 
-    def _project(self, v, out):
-        _project_simplices(v, out, self._slices)
+    def _project(self, v, out, kept):
+        _project_simplices(v, out, self._slices, _taus(self, v, out, kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +327,8 @@ class Product:
         # the output from its slice of the input
         object.__setattr__(self, "_parts", tuple(
             (sl, b._project) for sl, b in zip(slices, self.blocks)))
+        # the caller's last out and the thresholds vector kept with it
+        object.__setattr__(self, "_taus", (None, None))
 
     @property
     def dimension(self):
@@ -309,9 +336,12 @@ class Product:
 
     project = _projection
 
-    def _project(self, v, out):
+    def _project(self, v, out, kept):
         if self._simplices:
-            _project_simplices(v, out, self._slices)
+            _project_simplices(v, out, self._slices,
+                               _taus(self, v, out, kept))
             return
+        # a block's slice of out is a new view on every call: nothing to
+        # keep scratch with
         for sl, block in self._parts:
-            block(v[sl], out[sl])
+            block(v[sl], out[sl], False)

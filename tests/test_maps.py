@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svilab.errors import ContractViolation
 from svilab.maps import AffineMap, BimatrixMap, ShiftedMap
@@ -225,17 +229,68 @@ def _maps():
             ShiftedMap(saddle, 3500.0, rng.standard_normal(8))]
 
 
+# a call: (input, out, fresh) with the input a pool index or "list" (a
+# plain list of fresh values), out a pool index or None, and fresh
+# whether new values are written into the input buffer in place first
+_POOL = 3
+_calls = st.lists(st.tuples(st.sampled_from([0, 1, 2, "list"]),
+                            st.sampled_from([0, 1, 2, None]),
+                            st.booleans()),
+                  min_size=1, max_size=12)
+
+
 @pytest.mark.parametrize("f", _maps(), ids=lambda f: type(f).__name__)
-def test_out_matches_fresh(f):
-    """F(x, out=buf) writes the bits F(x) returns into buf, whether buf
-    and x are the same arrays as on the call before or new ones."""
-    rng = np.random.default_rng(f.dimension)
-    kept_x, kept_out = np.empty(f.dimension), np.empty(f.dimension)
-    for i in range(40):
-        x = kept_x if i % 2 else np.empty(f.dimension)
-        out = kept_out if i % 3 else np.empty(f.dimension)
-        x[:] = rng.standard_normal(f.dimension)
-        want = f(x)
-        got = f(x, out=out)
-        assert got is out
+@settings(max_examples=60, deadline=None)
+@given(calls=_calls, seed=st.integers(0, 2**32 - 1))
+def test_out_matches_fresh(f, calls, seed):
+    """F(x, out=buf) writes into buf the bits that a twin map, which
+    has seen no call, returns for a fresh copy of x: buffers that are
+    reused, swapped between input and output, written in place between
+    calls, left out (out=None) or replaced by a list. No buffer but
+    out is written."""
+    twin = copy.deepcopy(f)
+    rng = np.random.default_rng(seed)
+    pool = [rng.standard_normal(f.dimension) for _ in range(_POOL)]
+    for source, target, fresh in calls:
+        if source == "list":
+            x = rng.standard_normal(f.dimension).tolist()
+        else:
+            x = pool[source]
+            if fresh:
+                x[:] = rng.standard_normal(f.dimension)
+        if target == source:
+            target = None  # out must not overlap x
+        want = twin(np.array(x, dtype=np.float64))
+        before = [buf.copy() for buf in pool]
+        if target is None:
+            got = f(x)
+            assert all(got is not buf for buf in pool)
+        else:
+            got = f(x, out=pool[target])
+            assert got is pool[target]
         assert np.array_equal(got, want)
+        for i, buf in enumerate(pool):
+            if i != target:
+                assert np.array_equal(buf, before[i]), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 25), cols=st.integers(1, 25),
+       exponent=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_vector_matrix_dot_is_the_transposed_product(rows, cols, exponent,
+                                                     seed):
+    """y.dot(M, out) gives the bits of M.T.dot(y, out): the maps and the
+    payoff noise form A^T y without a transposed view."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    m = scale * rng.standard_normal((rows, cols))
+    y = scale * rng.standard_normal(rows)
+    got, want = np.empty(cols), np.empty(cols)
+    assert y.dot(m, got) is got
+    m.T.dot(y, want)
+    assert np.array_equal(got, want)
+    # as the maps call it: halves of longer vectors
+    z = np.concatenate([rng.standard_normal(cols), y])
+    out = np.empty(cols + rows)
+    z[cols:].dot(m, out[:cols])
+    assert np.array_equal(out[:cols], want)

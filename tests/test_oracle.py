@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from svilab import (BudgetCounter, ExtragradientConfig, PpawssConfig,
                     VsAveConfig, make_affine_strongly_monotone,
                     run_extragradient, run_ppawss, run_vs_ave)
 from svilab.errors import BudgetExhausted, ContractViolation
-from svilab.maps import AffineMap
+from svilab.maps import AffineMap, BimatrixMap, ShiftedMap
 from svilab.oracle import (
     BLOCK,
     PART,
@@ -547,6 +548,69 @@ def test_batch_mean_out_matches_fresh(noise, dim):
         assert got is out
         want = batch_mean(oracle, x, n, one_step(noise, plain, n, dim))
         assert np.array_equal(got, want)
+
+
+def _payoff_oracles():
+    rng = np.random.default_rng(12)
+    saddle = BimatrixMap(rng.standard_normal((3, 5)))
+    noise = MatrixPerturbation(3, 5, 0.5)
+    return [StochasticOracle(saddle, noise, rng_seed=3),
+            StochasticOracle(ShiftedMap(saddle, 7.0, rng.standard_normal(8)),
+                             noise, rng_seed=3)]
+
+
+@pytest.mark.parametrize("oracle", _payoff_oracles(),
+                         ids=["bimatrix", "shifted"])
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=12,
+                      max_size=12),
+       calls=st.lists(st.tuples(st.sampled_from([0, 1]),
+                                st.sampled_from([0, 1, 2, "list"]),
+                                st.sampled_from([0, 1, 2, None]),
+                                st.booleans()),
+                      min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_feeds_with_reused_buffers_match_fresh(oracle, sizes, calls,
+                                                   seed):
+    """batch_mean with payoff noise on the two feeds of one run, in any
+    order, equals the fresh batch mean a twin oracle, which has kept
+    nothing, forms from a fresh copy of the point on the same batches:
+    buffers reused, swapped between point and output, written in place
+    between calls, left out (out=None) or replaced by a list. No buffer
+    but out is written."""
+    twin = copy.deepcopy(oracle)
+    rng = np.random.default_rng(seed)
+    dim = oracle.mean_map.dimension
+    pool = [rng.uniform(0.0, 1.0, dim) for _ in range(3)]
+    taken = [0, 0]
+    with oracle.feeds((oracle.stream(5, 0), oracle.stream(5, 1)),
+                      sizes) as fed, \
+            twin.feeds((twin.stream(5, 0), twin.stream(5, 1)),
+                       sizes) as plain:
+        assert fed[0].out is fed[1].out
+        for which, source, sink, fresh in calls:
+            n = sizes[taken[which]]
+            taken[which] += 1
+            if source == "list":
+                x = rng.uniform(0.0, 1.0, dim).tolist()
+            else:
+                x = pool[source]
+                if fresh:
+                    x[:] = rng.uniform(0.0, 1.0, dim)
+            if sink == source:
+                sink = None  # out must not overlap x
+            want = batch_mean(twin, np.array(x), n, plain[which])
+            before = [buf.copy() for buf in pool]
+            if sink is None:
+                got = batch_mean(oracle, x, n, fed[which])
+                assert all(got is not buf for buf in pool)
+            else:
+                got = batch_mean(oracle, x, n, fed[which], out=pool[sink])
+                assert got is pool[sink]
+            assert np.array_equal(got, want)
+            for i, buf in enumerate(pool):
+                if i != sink:
+                    assert np.array_equal(buf, before[i]), i
 
 
 class Recording:

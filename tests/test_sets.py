@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -477,6 +479,45 @@ class TestOut:
             got = target.project(v, out=out)
             assert got is out
             assert np.array_equal(got, want)
+
+    # a call: (input, out, fresh) with the input a pool index or "list",
+    # out a pool index (the input's own included: in place) or None, and
+    # fresh whether new values are written into the input first
+    CALLS = st.lists(st.tuples(st.sampled_from([0, 1, 2, "list"]),
+                               st.sampled_from([0, 1, 2, None]),
+                               st.booleans()),
+                     min_size=1, max_size=12)
+
+    @pytest.mark.parametrize("target", SETS, ids=lambda s: type(s).__name__)
+    @settings(max_examples=60, deadline=None)
+    @given(calls=CALLS, seed=st.integers(0, 2**32 - 1))
+    def test_reused_buffers_match_fresh(self, target, calls, seed):
+        """Each projection equals the one a twin set, which has kept
+        nothing, returns for a fresh copy of the input, whatever buffers
+        the calls before used, and writes no buffer but out."""
+        twin = copy.deepcopy(target)
+        rng = np.random.default_rng(seed)
+        dim = target.dimension
+        pool = [rng.normal(scale=3.0, size=dim) for _ in range(3)]
+        for source, sink, fresh in calls:
+            if source == "list":
+                v = rng.normal(scale=3.0, size=dim).tolist()
+            else:
+                v = pool[source]
+                if fresh:
+                    v[:] = rng.normal(scale=3.0, size=dim)
+            want = twin.project(np.array(v))
+            before = [buf.copy() for buf in pool]
+            if sink is None:
+                got = target.project(v)
+                assert all(got is not buf for buf in pool)
+            else:
+                got = target.project(v, out=pool[sink])
+                assert got is pool[sink]
+            assert np.array_equal(got, want)
+            for i, buf in enumerate(pool):
+                if i != sink:
+                    assert np.array_equal(buf, before[i]), i
 
 
 class TestBall:
