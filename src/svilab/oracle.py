@@ -37,9 +37,9 @@ drawn ``PART`` values at a time into one buffer whose first row carries
 the group's sum so far, so only 512 KB of drawn values are held at a
 time. ``noise_sum`` then returns the noise part of one batch mean, the
 mean minus ``F(x)``: a Gaussian step's is its prepared row, and a
-payoff step's is formed at the iterate and divided by ``n``, in the
-run's one noise vector (:attr:`Feed.out`). :func:`batch_mean` adds
-``F(x)`` to it at once.
+payoff step's is formed at the iterate and divided by ``n``, in a
+noise vector that the feed keeps for the run (:attr:`Feed.scratch`).
+:func:`batch_mean` adds ``F(x)`` to it at once.
 The bits do not move either: the chunk takes the values that feeds of
 one step each, ``Feed(noise, stream, (n,), dim)`` for every batch in
 turn, would take, in the same order, and forms each step's part with
@@ -51,7 +51,8 @@ only through a feed.
 A run's two streams are independent, but :meth:`StochasticOracle.feeds`
 hands both feeds the run's one size list and prepares both on the run's
 own thread, one chunk at a time as the run reaches it: a run starts no
-thread and loads no executor.
+thread and loads no executor. A run's noise scratch lives on its feeds,
+which only its thread reads: a noise model keeps nothing between calls.
 
 Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted, ContractViolation
-from .maps import _NOTHING, _halves
+from .maps import _halves
 
 __all__ = [
     "generator",
@@ -201,18 +202,16 @@ class Feed:
     and prepares nothing. :meth:`StochasticOracle.feeds` keeps a run's
     two lists in its tape.
 
-    ``out`` is the vector of ``dim`` entries that a noise model writes a
-    step's finished noise part into (``MatrixPerturbation``), kept for
-    the whole run: :meth:`StochasticOracle.feeds` hands its two feeds
-    one such vector, and a feed made without one allocates its own. A
-    run reads its feeds on its own thread, so the vector is never
-    written by two threads at once.
+    ``scratch`` is the noise model's: what it builds for the run between
+    calls, such as ``MatrixPerturbation``'s noise vector. One run reads
+    a feed, on one thread, so no other run sees it. It starts as
+    ``(None,)``, a tuple whose first entry is no point.
     """
 
     __slots__ = ("_noise", "_stream", "_sizes", "_at", "_dim", "_chunk",
-                 "_tape", "out")
+                 "_tape", "scratch")
 
-    def __init__(self, noise, stream, sizes, dim, tape=None, out=None):
+    def __init__(self, noise, stream, sizes, dim, tape=None):
         self._noise = noise
         self._stream = stream
         self._sizes = sizes
@@ -220,7 +219,7 @@ class Feed:
         self._dim = dim
         self._chunk = iter(())
         self._tape = iter(tape) if stream is None else tape
-        self.out = np.empty(dim) if out is None else out
+        self.scratch = (None,)
 
     def next(self, n):
         """The prepared part of the next step's batch, which must hold
@@ -381,11 +380,8 @@ class MatrixPerturbation:
     entries i.i.d. uniform on [-1, 1], so the sampled map at z = (x, y)
     gains the term ``scale * (E^T y, -E x)``.
 
-    Like :class:`~svilab.maps.BimatrixMap`, it keeps the halves of the
-    last point and of the last output vector it split, each as one
-    tuple ``(array, head, tail)`` that is read once per call and
-    replaced whole, so threads that share the model may miss it but
-    never use another thread's views.
+    The model keeps nothing between calls: the halves of a run's point
+    and its noise vector live on the run's feed (:attr:`Feed.scratch`).
     """
 
     rows: int
@@ -405,9 +401,6 @@ class MatrixPerturbation:
         object.__setattr__(self, "_chunk",
                            max(1, 262144 // (self.rows * self.cols)))
         object.__setattr__(self, "_scale", np.array(self.scale))
-        # the halves of the last point and of the last output split
-        object.__setattr__(self, "_z", _NOTHING)
-        object.__setattr__(self, "_out", _NOTHING)
 
     def variance_bound(self, dim):
         # E|E_ij|^2 = 1/3; on the product of simplices |x|, |y| <= 1
@@ -480,26 +473,25 @@ class MatrixPerturbation:
         """The noise part of the mean of ``n`` samples at ``z``, the batch
         mean minus ``F(z)``: ``(S^T y, -S x) / n`` for ``feed``'s next
         part ``S``, the batch's sum of ``scale * E``. It is written into
-        and returned as ``feed.out``, the run's noise vector, which the
-        run's next ``noise_sum`` overwrites: the caller reads it at once.
+        and returned as the feed's noise vector, which the feed's next
+        ``noise_sum`` overwrites: the caller reads it at once.
         """
         e_sum = feed.next(n)
-        out = feed.out
         cols = self.cols
-        zs = self._z
-        if z is not zs[0]:
-            zs = _halves(z, cols)
-            object.__setattr__(self, "_z", zs)
-        outs = self._out
-        if out is not outs[0]:
-            outs = out, out[:cols], out[cols:]
-            object.__setattr__(self, "_out", outs)
-        tail = outs[2]
+        # the feed's point and noise vector with their halves: the vector
+        # made on the feed's first call, the point split when it changes
+        kept = feed.scratch
+        if z is not kept[0]:
+            if kept[-1] is None:
+                out = np.empty(self.rows + cols)
+                kept = None, None, None, out[:cols], out[cols:], out
+            kept = feed.scratch = (*_halves(z, cols), *kept[3:])
+        _, head, tail, out_head, out_tail, out = kept
         # ndarray.dot is np.dot without its dispatch wrapper; y.dot(S)
         # gives the bits of S.T.dot(y) without a transposed view
-        zs[2].dot(e_sum, outs[1])
-        e_sum.dot(zs[1], tail)
-        np.negative(tail, out=tail)
+        tail.dot(e_sum, out_head)
+        e_sum.dot(head, out_tail)
+        np.negative(out_tail, out=out_tail)
         if n > 1:
             out /= n
         return out
@@ -551,8 +543,6 @@ class StochasticOracle:
         :class:`ContractViolation`, and so does a replayed step of
         another size (:meth:`Feed.next`)."""
         noise, dim = self.noise_model, self.mean_map.dimension
-        # the run's one noise vector, written by whichever feed serves
-        out = np.empty(dim)
         if tape is None:
             records = (None, None)
         else:
@@ -562,11 +552,11 @@ class StochasticOracle:
                     raise ContractViolation(
                         f"a tape recorded for {next(iter(tape))} cannot"
                         f" replay {key}")
-                yield tuple(Feed(noise, None, (), dim, chunks, out)
+                yield tuple(Feed(noise, None, (), dim, chunks)
                             for chunks in tape[key])
                 return
             records = ([], [])
-        fed = tuple(Feed(noise, stream, sizes, dim, chunks, out)
+        fed = tuple(Feed(noise, stream, sizes, dim, chunks)
                     for stream, chunks in zip(streams, records))
         yield fed
         # recorded only if each feed prepared and served every step

@@ -10,12 +10,16 @@ the harness and the PPAWSS outer loop price a schedule the same way.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import ScheduleOverflow
 
 __all__ = ["Schedule", "sizes_within"]
+
+# held while a walk reads or computes a size past those it found known
+_extending = threading.Lock()
 
 
 class Schedule(NamedTuple):
@@ -41,23 +45,27 @@ def sizes_within(schedule, limit):
 
     The walk of every schedule: it computes each size of a rule once,
     so a budget test and the run that follows it, or a run and a
-    shorter run of its rule, share one computation.
+    shorter run of its rule, share one computation. A walk reads the
+    sizes it finds known, which never change, without a lock, and takes
+    one for each size past them, so walks on threads add each size once.
     """
     size_of, params, length = schedule
     known = _sizes(size_of, params)
+    have = min(length, len(known))
     spent = 0
     # the sizes an earlier walk computed, then new ones, kept for later
-    for k, n_k in zip(range(length), known):
+    for k, n_k in zip(range(have), known):
         spent += 2 * n_k
         if spent > limit:
             return known[:k]
-    for k in range(len(known), length):
-        try:
-            n_k = size_of(k, *params)
-        except ScheduleOverflow:
-            return known[:k]
-        known.append(n_k)
-        spent += 2 * n_k
+    for k in range(have, length):
+        with _extending:
+            if k == len(known):
+                try:
+                    known.append(size_of(k, *params))
+                except ScheduleOverflow:
+                    return known[:k]
+        spent += 2 * known[k]
         if spent > limit:
             return known[:k]
     return known[:length]

@@ -41,15 +41,12 @@ _ZERO = np.array(0.0)
 _FLOAT64 = np.dtype(np.float64)
 
 # numpy's clip ufunc, looked up once: np.clip is the same ufunc behind a
-# Python wrapper that costs more than the clip of a short vector. On
-# numpy 2 it lives in numpy._core, and touching numpy.core there warns
+# Python wrapper that costs more than the clip of a short vector. numpy 2
+# has it in numpy._core (numpy.core warns there), 1.24-1.26 in numpy.core
 try:
     from numpy._core.umath import clip as _clip
 except ImportError:
-    try:
-        from numpy.core.umath import clip as _clip
-    except ImportError:
-        _clip = np.clip
+    from numpy.core.umath import clip as _clip
 
 
 def _vector(v, dim=None):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,13 @@ def pennies_problem():
 def affine_problem():
     """Strongly monotone affine instance with a known interior root."""
     return make_affine_strongly_monotone(n=6, mu=0.7, lipschitz=3.0, sigma=0.0, seed=11)
+
+
+@pytest.fixture
+def fast_switching():
+    """The interpreter switches threads as often as it can during the
+    test: a thread test's races get the most chances to show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)

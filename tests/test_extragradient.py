@@ -2,7 +2,6 @@
 
 import math
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -279,6 +278,7 @@ class TestPastABlock:
         assert np.array_equal(point, extragradient_loop(
             PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
 
+    @pytest.mark.usefixtures("fast_switching")
     def test_runs_in_threads_keep_their_bits(self):
         # four runs at once on two cores, each filling its own streams,
         # while the interpreter switches threads as often as it can. Each
@@ -287,17 +287,11 @@ class TestPastABlock:
                            theta=1.0 + i / 100) for i in range(4)]
         want = [extragradient_loop(PAST_BLOCK, np.zeros(80), cfg, seed=i)[1]
                 for i, cfg in enumerate(configs)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                runs = [pool.submit(run_extragradient, PAST_BLOCK,
-                                    np.zeros(80), cfg, None, seed=i,
-                                    recorder=None)
-                        for i, cfg in enumerate(configs)]
-                got = [run.result(timeout=120)[0] for run in runs]
-        finally:
-            sys.setswitchinterval(interval)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(run_extragradient, PAST_BLOCK, np.zeros(80),
+                                cfg, None, seed=i, recorder=None)
+                    for i, cfg in enumerate(configs)]
+            got = [run.result(timeout=120)[0] for run in runs]
         for i in range(4):
             assert np.array_equal(got[i], want[i]), i
 

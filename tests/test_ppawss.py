@@ -1,7 +1,6 @@
 """Tests for the proximal-point outer loop."""
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -333,12 +332,13 @@ def test_fed_subproblems_equal_bare_stream_loop():
     assert np.array_equal(u, ppawss_loop(game, np.zeros(30), cfg, seed=4))
 
 
+@pytest.mark.usefixtures("fast_switching")
 def test_runs_in_threads_share_one_problem_and_keep_their_bits():
-    # four runs at once on one bimatrix problem: its map, noise model and
-    # product set, each keeping views and scratch of the arrays it saw
-    # last, are shared, while the interpreter switches threads as often
-    # as it can. Seeds and budgets differ, so the runs' buffers and the
-    # subproblems they are in at any moment differ too
+    # four runs at once on one bimatrix problem: its map and product
+    # set, each keeping views and scratch of the arrays it saw last, and
+    # its noise model are shared, while the interpreter switches threads
+    # as often as it can. Seeds and budgets differ, so the runs' buffers
+    # and the subproblems they are in at any moment differ too
     payoff = np.random.default_rng(7).normal(size=(10, 20))
     game = bimatrix_from_payoff(payoff, noise_scale=0.1, seed=7,
                                 with_reference=False)
@@ -350,13 +350,8 @@ def test_runs_in_threads_share_one_problem_and_keep_their_bits():
                           seed=i, recorder=None)[0]
 
     want = [run(i) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            runs = [pool.submit(run, i) for i in range(4)]
-            got = [r.result(timeout=120) for r in runs]
-    finally:
-        sys.setswitchinterval(interval)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [pool.submit(run, i) for i in range(4)]
+        got = [r.result(timeout=120) for r in runs]
     for i in range(4):
         assert np.array_equal(got[i], want[i]), i

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -86,6 +89,35 @@ def test_sizes_within_is_the_longest_affordable_prefix(case, more, cut):
     larger.append(-1)
     assert sizes_within(schedule, limit) == sizes[:-1]
     assert sizes_within(schedule, limit + more) == larger[:-1]
+
+
+def _slow_size(k, base):
+    # a size rule slow enough that two walks of it overlap
+    time.sleep(5e-4)
+    return base + k
+
+
+@pytest.mark.usefixtures("fast_switching")
+def test_walks_on_threads_extend_a_cold_list_once():
+    # two threads walk a rule no walk has seen, at once: each must get the
+    # rule's sizes, and the list kept for later must hold each size once
+    _sizes.cache_clear()
+    schedule = Schedule(_slow_size, (3,), 200)
+    want = [3 + k for k in range(200)]
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def walk(i):
+        start.wait()
+        got[i] = sizes_within(schedule, 10**9)
+
+    threads = [threading.Thread(target=walk, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert got == [want, want]
+    assert _sizes(_slow_size, (3,)) == want
 
 
 @settings(max_examples=20, deadline=None)

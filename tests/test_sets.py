@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qp_oracle import (
     random_point,
 )
 from svilab.errors import ContractViolation
-from svilab.sets import Ball, Box, Product, Simplex
+from svilab.sets import Ball, Box, Product, Simplex, _clip
+from turns import take_turns
 
 
 def finite_vec(dim, lo=-10.0, hi=10.0):
@@ -291,6 +293,41 @@ class TestProductOfSimplices:
             assert_bit_identical(part, shifted_reference(b))
             start += b.size
 
+    # four threads project through one product at once, each into its
+    # own out, so the thresholds vector the product keeps with the last
+    # out changes hands all the time; each result must have the bits of
+    # a fresh projection, which keeps nothing
+    SHARED = Product([Simplex(3)] * 4)
+
+    def _check_threads(self, run):
+        rng = np.random.default_rng(8)
+        inputs = [rng.normal(size=(300, 12)) for _ in range(4)]
+
+        def work(rows):
+            out = np.empty(12)
+            return lambda: [self.SHARED.project(v, out=out).copy()
+                            for v in rows]
+
+        got = run([work(rows) for rows in inputs])
+        for rows, results in zip(inputs, got):
+            for v, result in zip(rows, results):
+                assert_bit_identical(
+                    result, Product([Simplex(3)] * 4).project(v))
+
+    @pytest.mark.usefixtures("fast_switching")
+    def test_threads_sharing_one_product_keep_their_bits(self):
+        def run(works):
+            with ThreadPoolExecutor(max_workers=len(works)) as pool:
+                runs = [pool.submit(work) for work in works]
+                return [r.result(timeout=60) for r in runs]
+        self._check_threads(run)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_threads_taking_turns_on_one_product_keep_their_bits(self, seed):
+        # the same, handed over at seeded points (see turns.py): the race
+        # of a memo updated entry by entry shows on any machine
+        self._check_threads(lambda works: take_turns(works, seed))
+
     @pytest.mark.parametrize("v, want", OFF_SIMPLEX)
     def test_off_simplex_bits_kept(self, v, want):
         product = Product(Simplex(v.size), Simplex(3))
@@ -338,6 +375,11 @@ class TestEntryCheck:
 
 
 class TestBox:
+    def test_clip_is_the_ufunc(self):
+        # numpy 1.24-1.26 and 2 each hold the clip ufunc in one of the
+        # two modules sets.py imports it from
+        assert isinstance(_clip, np.ufunc)
+
     def test_clips_componentwise(self):
         b = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
         got = b.project(np.array([3.0, -5.0]))
