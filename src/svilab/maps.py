@@ -18,18 +18,18 @@ other map that is the base of a ``ShiftedMap`` or the mean map of a
 :class:`~svilab.oracle.StochasticOracle`: those pass it ``out=``,
 ``None`` included.
 
-A solver passes the same point and output buffers on every step of a
-run, so some maps keep what they build from them between calls that
-pass ``out``. A ``BimatrixMap`` keeps the two halves of the last input
-and of the last ``out`` it split, each as one tuple ``(array, head,
-tail)``; a call whose array is that tuple's first entry reuses its
-views, which follow the array's contents. A ``ShiftedMap`` keeps its
-scratch vector in a tuple with the caller's last ``out``. A call with
-``out=None`` allocates as if nothing were kept and leaves what is kept
-alone. Each kept tuple is replaced whole and read once per call, so
-threads that share a map may miss it but never use views or scratch of
-another thread's arrays; scratch kept with ``out`` is shared exactly
-when ``out`` is.
+A map keeps nothing between calls, so one map serves any number of runs
+and threads. A run that passes the same point and output buffers on
+every step may keep what a map builds from them on the run's own
+:class:`~svilab.oracle.Feed`: :func:`~svilab.oracle.batch_mean` calls
+the mean map as ``F(x, out=buf, feed=feed)``, so the mean map of a
+``StochasticOracle`` must take ``feed`` too, and a ``ShiftedMap`` passes
+the ``feed`` it is given on to its base. A ``BimatrixMap`` called with
+both ``out`` and ``feed`` keeps the halves of ``x`` and of ``out`` in
+``feed.views`` and reuses them while the run passes those two arrays;
+the other maps here ignore ``feed``, and a ``ShiftedMap`` allocates its
+one temporary, ``x - center``, on each call. A feed belongs to one run
+of one oracle, so no other caller sees what is kept on it.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ __all__ = ["AffineMap", "BimatrixMap", "ShiftedMap"]
 # slack allowed between declared and spectral (mu, L) metadata
 _META_TOL = 1e-9
 _FLOAT64 = np.dtype(np.float64)
-# what a map keeps before its first call: no array is its first entry
-_NOTHING = (object(), None, None)
 
 
 def _halves(z, n):
-    # (z, z[:n], z[n:]) as kept between calls; a list or an array of
-    # another dtype is converted first, as ndarray.dot would convert it
+    # (z, z[:n], z[n:]), the views a run may keep on its feed; a list or
+    # an array of another dtype is converted first, as ndarray.dot would
+    # convert it
     if type(z) is not np.ndarray or z.dtype is not _FLOAT64:
         z = np.asarray(z, dtype=np.float64)
     return z, z[:n], z[n:]
@@ -119,7 +118,7 @@ class AffineMap:
     def dimension(self):
         return self.offset.size
 
-    def __call__(self, x, *, out=None):
+    def __call__(self, x, *, out=None, feed=None):
         # ndarray.dot is the same product as matmul, with less dispatch
         out = self.matrix.dot(x, out)
         out += self.offset
@@ -133,8 +132,9 @@ class BimatrixMap:
     For ``z = (x, y)`` returns ``(A^T y, -A x)``. Skew by construction,
     so ``mu = 0`` and ``lipschitz`` equals the spectral norm of ``A``.
     ``A^T y`` is formed as ``y.dot(A)``, which gives the bits of
-    ``A.T.dot(y)`` without a transposed view. A call with ``out`` keeps
-    the halves of its input and of ``out`` (see the module docstring).
+    ``A.T.dot(y)`` without a transposed view. A call with ``out`` and a
+    run's ``feed`` reuses the halves of its input and of ``out`` that the
+    feed keeps (see the module docstring).
     """
 
     payoff: np.ndarray
@@ -154,9 +154,6 @@ class BimatrixMap:
         # every call
         object.__setattr__(self, "_n", A.shape[1])
         object.__setattr__(self, "_dim", A.shape[0] + A.shape[1])
-        # the halves of the last input and of the last output split
-        object.__setattr__(self, "_z", _NOTHING)
-        object.__setattr__(self, "_out", _NOTHING)
 
     @property
     def n(self):
@@ -191,27 +188,23 @@ class BimatrixMap:
     def offset(self):
         return np.zeros(self.dimension)
 
-    def __call__(self, z, *, out=None):
+    def __call__(self, z, *, out=None, feed=None):
         n = self._n
-        if out is None:
-            # a fresh result keeps nothing
-            zs = _halves(z, n)
-            out = np.empty(self._dim)
-            outs = out, out[:n], out[n:]
+        if out is None or feed is None:
+            _, head, tail = _halves(z, n)
+            if out is None:
+                out = np.empty(self._dim)
+            out_head, out_tail = out[:n], out[n:]
         else:
-            # each kept tuple is read once and replaced whole, so a
-            # thread never mixes its arrays' views with another's
-            zs = self._z
-            if z is not zs[0]:
-                zs = _halves(z, n)
-                object.__setattr__(self, "_z", zs)
-            outs = self._out
-            if out is not outs[0]:
-                outs = out, out[:n], out[n:]
-                object.__setattr__(self, "_out", outs)
+            # the feed's views, split again when the run passes other
+            # arrays
+            kept = feed.views
+            if z is not kept[0] or out is not kept[3]:
+                kept = feed.views = (*_halves(z, n), out, out[:n], out[n:])
+            _, head, tail, out, out_head, out_tail = kept
         # ndarray.dot is np.dot without its dispatch wrapper
-        zs[2].dot(self.payoff, outs[1])
-        self._neg.dot(zs[1], outs[2])
+        tail.dot(self.payoff, out_head)
+        self._neg.dot(head, out_tail)
         return out
 
 
@@ -222,8 +215,8 @@ class ShiftedMap:
     The shift raises the monotonicity modulus by ``1/lam`` and the
     Lipschitz constant by the same amount. Used to form proximal
     subproblems. The base is called as ``base(x, out=out)``, so it must
-    take ``out`` (see the module docstring). The scratch vector of
-    ``x - center`` is kept with the last ``out`` a caller passed.
+    take ``out``, and with the ``feed`` of a call that passes one (see
+    the module docstring).
     """
 
     base: object
@@ -245,8 +238,6 @@ class ShiftedMap:
         object.__setattr__(self, "center", c)
         # a 0-d divisor: numpy converts a Python float operand on each call
         object.__setattr__(self, "_lam", np.array(self.lam))
-        # the caller's last out and the scratch vector kept with it
-        object.__setattr__(self, "_scratch", _NOTHING)
 
     @property
     def dimension(self):
@@ -269,18 +260,14 @@ class ShiftedMap:
     def offset(self):
         return self.base.offset - self.center / self.lam
 
-    def __call__(self, x, *, out=None):
-        if out is None:
-            tmp = None
+    def __call__(self, x, *, out=None, feed=None):
+        # through __call__ itself, as batch_mean calls a map; a base that
+        # takes no feed still serves the calls that pass none
+        if feed is None:
+            out = self.base.__call__(x, out=out)
         else:
-            kept = self._scratch
-            if out is not kept[0]:
-                kept = out, np.empty(self.center.size)
-                object.__setattr__(self, "_scratch", kept)
-            tmp = kept[1]
-        # through __call__ itself, as batch_mean calls a map
-        out = self.base.__call__(x, out=out)
-        tmp = np.subtract(x, self.center, tmp)
+            out = self.base.__call__(x, out=out, feed=feed)
+        tmp = x - self.center
         tmp /= self._lam
         out += tmp
         return out

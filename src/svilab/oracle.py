@@ -51,8 +51,10 @@ only through a feed.
 A run's two streams are independent, but :meth:`StochasticOracle.feeds`
 hands both feeds the run's one size list and prepares both on the run's
 own thread, one chunk at a time as the run reaches it: a run starts no
-thread and loads no executor. A run's noise scratch lives on its feeds,
-which only its thread reads: a noise model keeps nothing between calls.
+thread and loads no executor. A run's scratch lives on its feeds, which
+only its thread reads: the mean map's views of the run's buffers and the
+noise model's vectors. The map and the noise model keep nothing between
+calls.
 
 Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
@@ -202,14 +204,18 @@ class Feed:
     and prepares nothing. :meth:`StochasticOracle.feeds` keeps a run's
     two lists in its tape.
 
-    ``scratch`` is the noise model's: what it builds for the run between
-    calls, such as ``MatrixPerturbation``'s noise vector. One run reads
-    a feed, on one thread, so no other run sees it. It starts as
-    ``(None,)``, a tuple whose first entry is no point.
+    A run's scratch lives on its feeds, which one run reads on one
+    thread, so no other run sees it; the problem's map, set, noise model
+    and oracle keep nothing between calls. ``scratch`` is the noise
+    model's: what it builds for the run between calls, such as
+    ``MatrixPerturbation``'s noise vector. ``views`` is the mean map's:
+    the views a ``BimatrixMap`` keeps of the run's point and output
+    buffers (:mod:`svilab.maps`). Each starts as a tuple whose first
+    entry is no point.
     """
 
     __slots__ = ("_noise", "_stream", "_sizes", "_at", "_dim", "_chunk",
-                 "_tape", "scratch")
+                 "_tape", "scratch", "views")
 
     def __init__(self, noise, stream, sizes, dim, tape=None):
         self._noise = noise
@@ -220,6 +226,7 @@ class Feed:
         self._chunk = iter(())
         self._tape = iter(tape) if stream is None else tape
         self.scratch = (None,)
+        self.views = (None, None, None, None)
 
     def next(self, n):
         """The prepared part of the next step's batch, which must hold
@@ -504,8 +511,9 @@ class StochasticOracle:
     Problem data only: the run that samples it supplies the seed of its
     streams and charges its own ledger. An ``rng_seed`` that is not a
     stream key (:func:`generator`) raises :class:`ContractViolation`.
-    ``mean_map`` must take ``out`` as the maps of :mod:`svilab.maps` do:
-    :func:`batch_mean` calls it as ``mean_map(x, out=...)``.
+    ``mean_map`` must take ``out`` and ``feed`` as the maps of
+    :mod:`svilab.maps` do: :func:`batch_mean` calls it as
+    ``mean_map(x, out=..., feed=...)``.
     """
 
     mean_map: object
@@ -572,8 +580,9 @@ class StochasticOracle:
 
 def batch_mean(oracle, x, n, feed, *, out=None):
     """Average of ``n`` fresh samples ``G(x, xi_j)``, the next batch of
-    ``feed`` (a :class:`Feed`): ``F(x)`` plus the noise model's
-    ``noise_sum``, the noise part of the mean.
+    ``feed`` (a :class:`Feed`): ``F(x)``, which the mean map forms with
+    the views it keeps on ``feed``, plus the noise model's ``noise_sum``,
+    the noise part of the mean.
 
     The mean is written into ``out``, a float64 vector of ``x``'s size
     that does not overlap ``x``, and returned; without ``out`` it is a
@@ -587,7 +596,7 @@ def batch_mean(oracle, x, n, feed, *, out=None):
         raise ContractViolation(f"batch size must be >= 1, got {count}")
     # a call through __call__ itself: calling the instance with a keyword
     # goes through the type's call slot, which costs about 0.35 us more
-    estimate = oracle.mean_map.__call__(x, out=out)
+    estimate = oracle.mean_map.__call__(x, out=out, feed=feed)
     estimate += oracle.noise_model.noise_sum(x, count, feed)
     return estimate
 

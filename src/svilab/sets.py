@@ -15,14 +15,9 @@ straight to the projection, since ``np.asarray`` would return it as it
 is. Any other input (a list, another dtype, a subclass, another shape)
 is converted and checked as before, with the same errors.
 
-A solver projects into the same ``out`` on every step of a run, so a
-:class:`Simplex` or a :class:`Product` of simplices keeps the vector of
-its blocks' thresholds in one tuple with the last ``out`` a caller
-passed, and reuses it while the caller passes that ``out``; a call
-without ``out`` allocates it as if nothing were kept. The tuple is
-replaced whole and read once per call, and the thresholds are scratch
-of the call that writes ``out``, so they are shared between threads
-exactly when ``out`` is."""
+A set keeps nothing between calls: the scratch of a projection, such as
+the thresholds vector of a simplex pass, is allocated by the call that
+uses it, so one set may project for any number of runs and threads."""
 
 from __future__ import annotations
 
@@ -74,31 +69,16 @@ def _require_finite(v):
 
 def _projection(self, v, *, out=None):
     # every set's public project: validate, then one pass into out, or
-    # into a fresh array. A set's _project(v, out, kept) writes the
-    # projection of v into out and checks finiteness itself; kept says
-    # whether out is the caller's, so that scratch may be kept with it.
-    # An exact float64 ndarray of the set's shape is what _vector would
-    # return unchanged.
+    # into a fresh array. A set's _project(v, out) writes the projection
+    # of v into out and checks finiteness itself. An exact float64
+    # ndarray of the set's shape is what _vector would return unchanged.
     if (type(v) is not np.ndarray or v.dtype is not _FLOAT64
             or v.shape != self._shape):
         v = _vector(v, self.dimension)
-    kept = out is not None
-    if not kept:
+    if out is None:
         out = np.empty(v.size)
-    self._project(v, out, kept)
+    self._project(v, out)
     return out
-
-
-def _taus(owner, v, out, kept):
-    # the thresholds vector of a simplex pass: the one kept with the
-    # caller's out, replaced whole when out changes, or a fresh one
-    if not kept:
-        return np.empty(v.size)
-    memo = owner._taus
-    if out is not memo[0]:
-        memo = out, np.empty(v.size)
-        object.__setattr__(owner, "_taus", memo)
-    return memo[1]
 
 
 def _threshold(u):
@@ -117,11 +97,11 @@ def _threshold(u):
     return s, tau
 
 
-def _project_simplices(v, out, slices, taus):
+def _project_simplices(v, out, slices):
     # Project v block by block onto the simplices whose coordinates are
     # the slices, in one pass: one tolist, each block's sort and
-    # threshold pass on its list slice, each block's tau written into
-    # taus, a vector of v's size, then one subtract and one clip over the
+    # threshold pass on its list slice, each block's tau written into a
+    # tau vector of the call, then one subtract and one clip over the
     # whole vector. Per element that is the subtraction and clip of a
     # block on its own, so the bits are the same. The threshold search
     # runs over Python floats: for the short blocks used throughout
@@ -131,6 +111,7 @@ def _project_simplices(v, out, slices, taus):
     # the test and the threshold at the last passing index), so results
     # are bit-identical.
     vals = v.tolist()
+    taus = np.empty(len(vals))
     shifted = []
     for sl in slices:
         u = vals[sl]  # a fresh list: sorted() would copy it once more
@@ -201,7 +182,7 @@ class Box:
 
     project = _projection
 
-    def _project(self, v, out, kept):
+    def _project(self, v, out):
         if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         _clip(v, self.lo, self.hi, out)
@@ -230,7 +211,7 @@ class Ball:
 
     project = _projection
 
-    def _project(self, v, out, kept):
+    def _project(self, v, out):
         if not math.isfinite(np.vdot(v, v)):
             _require_finite(v)
         d = v - self.center
@@ -250,10 +231,11 @@ class Simplex:
     threshold keeps its last entry positive, then shift and clip.
 
     The cost is one C-level sort of the entries as Python floats, one
-    interpreted pass over them, and one shift and clip of the output.
-    That is fast for the blocks of at most 20 coordinates that every
-    shipped config, test and example uses (4.4 us at 20 on one vCPU of a
-    shared Xeon VM, numpy 2.4.6). A :class:`Product` of simplices does
+    interpreted pass over them, and one shift by a thresholds vector
+    that the call allocates, then a clip of the output. That is fast for
+    the blocks of at most 20 coordinates that every shipped config, test
+    and example uses (4.4 us at 20 on one vCPU of a shared Xeon VM,
+    numpy 2.4.6). A :class:`Product` of simplices does
     it for all its blocks in one pass (see there), and a lone simplex is
     that pass with one block. The interpreted pass grows with the
     dimension: it is slower than a fully vectorised sort/cumsum form
@@ -271,8 +253,6 @@ class Simplex:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "_shape", (self.dim,))
         object.__setattr__(self, "_slices", (slice(0, self.dim),))
-        # the caller's last out and the thresholds vector kept with it
-        object.__setattr__(self, "_taus", (None, None))
 
     @property
     def dimension(self):
@@ -280,8 +260,8 @@ class Simplex:
 
     project = _projection
 
-    def _project(self, v, out, kept):
-        _project_simplices(v, out, self._slices, _taus(self, v, out, kept))
+    def _project(self, v, out):
+        _project_simplices(v, out, self._slices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +275,10 @@ class Product:
     clip over the whole output, with the bits of each block projected on
     its own: 5.8 us for a 20 + 10 pair against 6.9 us block by block
     (medians of 21 interleaved timings, same machine as the Simplex
-    figure). A product with any other block hands each block its slice
-    of the input and of the output.
+    figure). The thresholds vector is the call's, as a lone simplex's
+    is, so the product keeps nothing between calls. A product with any
+    other block hands each block its slice of the input and of the
+    output.
     """
 
     blocks: tuple
@@ -324,8 +306,6 @@ class Product:
         # the output from its slice of the input
         object.__setattr__(self, "_parts", tuple(
             (sl, b._project) for sl, b in zip(slices, self.blocks)))
-        # the caller's last out and the thresholds vector kept with it
-        object.__setattr__(self, "_taus", (None, None))
 
     @property
     def dimension(self):
@@ -333,12 +313,9 @@ class Product:
 
     project = _projection
 
-    def _project(self, v, out, kept):
+    def _project(self, v, out):
         if self._simplices:
-            _project_simplices(v, out, self._slices,
-                               _taus(self, v, out, kept))
+            _project_simplices(v, out, self._slices)
             return
-        # a block's slice of out is a new view on every call: nothing to
-        # keep scratch with
         for sl, block in self._parts:
-            block(v[sl], out[sl], False)
+            block(v[sl], out[sl])

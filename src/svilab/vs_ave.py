@@ -173,7 +173,9 @@ def run_vs_ave(problem, y0, config, budget, *, streams=None, scheme="vs_ave",
     scratch between the batches. Each step writes into them through the
     ``out=`` of :func:`~svilab.oracle.batch_mean`, the map and the
     projection, with the operations of the allocating form in the same
-    order, so the bits are those of that form.
+    order, so the bits are those of that form. What the map and the
+    noise model keep of these buffers lives on the run's two feeds, so
+    the problem it shares with other runs keeps nothing of this run.
     """
     budget = ledger(budget)
     oracle = problem.oracle

@@ -1,5 +1,6 @@
 """Tests for the variance-reduced extragradient baseline."""
 
+import functools
 import math
 import os
 import threading
@@ -17,6 +18,7 @@ from svilab import (
     make_affine_strongly_monotone,
     run_extragradient,
 )
+from svilab import schedule
 from svilab.bench import parse_config, run_experiment
 from svilab.errors import ContractViolation, ScheduleOverflow
 from svilab.extragradient import eg_sample_size
@@ -26,6 +28,7 @@ from svilab.schedule import sizes_within
 
 from plain_loops import extragradient_loop
 from qp_oracle import contains
+from turns import take_turns
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -278,22 +281,40 @@ class TestPastABlock:
         assert np.array_equal(point, extragradient_loop(
             PAST_BLOCK, np.zeros(80), PAST_BLOCK_CFG, seed=3)[1])
 
+    # four runs, each filling its own streams. Each run has its own batch
+    # sizes (theta), so no two walk one size list
+    THREADED = [replace(PAST_BLOCK_CFG, max_iterations=30,
+                        theta=1.0 + i / 100) for i in range(4)]
+
+    def _threaded_want(self):
+        return [extragradient_loop(PAST_BLOCK, np.zeros(80), cfg, seed=i)[1]
+                for i, cfg in enumerate(self.THREADED)]
+
     @pytest.mark.usefixtures("fast_switching")
     def test_runs_in_threads_keep_their_bits(self):
-        # four runs at once on two cores, each filling its own streams,
-        # while the interpreter switches threads as often as it can. Each
-        # run has its own batch sizes (theta), so no two walk one size list
-        configs = [replace(PAST_BLOCK_CFG, max_iterations=30,
-                           theta=1.0 + i / 100) for i in range(4)]
-        want = [extragradient_loop(PAST_BLOCK, np.zeros(80), cfg, seed=i)[1]
-                for i, cfg in enumerate(configs)]
+        # the runs at once on two cores, while the interpreter switches
+        # threads as often as it can
+        want = self._threaded_want()
         with ThreadPoolExecutor(max_workers=4) as pool:
             runs = [pool.submit(run_extragradient, PAST_BLOCK, np.zeros(80),
                                 cfg, None, seed=i, recorder=None)
-                    for i, cfg in enumerate(configs)]
+                    for i, cfg in enumerate(self.THREADED)]
             got = [run.result(timeout=120)[0] for run in runs]
         for i in range(4):
             assert np.array_equal(got[i], want[i]), i
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_runs_taking_turns_keep_their_bits(self, seed):
+        # the same runs, handed over at seeded points (see turns.py), each
+        # walking its size rule cold
+        want = self._threaded_want()
+        schedule._sizes.cache_clear()
+        got = take_turns([functools.partial(
+            run_extragradient, PAST_BLOCK, np.zeros(80), cfg, None, seed=i,
+            recorder=None) for i, cfg in enumerate(self.THREADED)], seed,
+            (schedule._extending,))
+        for i in range(4):
+            assert np.array_equal(got[i][0], want[i]), i
 
 
 # table 1's three rows at a small budget: one 10 x 20 game per row, whose

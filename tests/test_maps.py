@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import types
 
 import numpy as np
 import pytest
@@ -229,13 +230,14 @@ def _maps():
             ShiftedMap(saddle, 3500.0, rng.standard_normal(8))]
 
 
-# a call: (input, out, fresh) with the input a pool index or "list" (a
-# plain list of fresh values), out a pool index or None, and fresh
-# whether new values are written into the input buffer in place first
+# a call: (input, out, fresh, fed) with the input a pool index or "list"
+# (a plain list of fresh values), out a pool index or None, fresh whether
+# new values are written into the input buffer in place first, and fed
+# whether the call passes the one feed of the example
 _POOL = 3
 _calls = st.lists(st.tuples(st.sampled_from([0, 1, 2, "list"]),
                             st.sampled_from([0, 1, 2, None]),
-                            st.booleans()),
+                            st.booleans(), st.booleans()),
                   min_size=1, max_size=12)
 
 
@@ -246,12 +248,15 @@ def test_out_matches_fresh(f, calls, seed):
     """F(x, out=buf) writes into buf the bits that a twin map, which
     has seen no call, returns for a fresh copy of x: buffers that are
     reused, swapped between input and output, written in place between
-    calls, left out (out=None) or replaced by a list. No buffer but
-    out is written."""
+    calls, left out (out=None) or replaced by a list, with or without a
+    run's feed, on which a map may keep views. No buffer but out is
+    written."""
     twin = copy.deepcopy(f)
     rng = np.random.default_rng(seed)
     pool = [rng.standard_normal(f.dimension) for _ in range(_POOL)]
-    for source, target, fresh in calls:
+    run_feed = types.SimpleNamespace(views=(None, None, None, None))
+    for source, target, fresh, fed in calls:
+        feed = run_feed if fed else None
         if source == "list":
             x = rng.standard_normal(f.dimension).tolist()
         else:
@@ -263,10 +268,10 @@ def test_out_matches_fresh(f, calls, seed):
         want = twin(np.array(x, dtype=np.float64))
         before = [buf.copy() for buf in pool]
         if target is None:
-            got = f(x)
+            got = f(x, feed=feed)
             assert all(got is not buf for buf in pool)
         else:
-            got = f(x, out=pool[target])
+            got = f(x, out=pool[target], feed=feed)
             assert got is pool[target]
         assert np.array_equal(got, want)
         for i, buf in enumerate(pool):

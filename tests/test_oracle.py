@@ -550,26 +550,6 @@ def test_batch_mean_out_matches_fresh(noise, dim):
         assert np.array_equal(got, want)
 
 
-def test_payoff_noise_model_keeps_no_run_state():
-    # a PPAWSS run and an extragradient run share one game; what they
-    # build for their noise stays on their feeds, so the model they share
-    # holds what a fresh one holds
-    game = bimatrix_from_payoff(np.random.default_rng(4).normal(size=(3, 5)),
-                                noise_scale=0.5, seed=2, with_reference=False)
-    run_ppawss(game, np.zeros(8),
-               PpawssConfig(lam=1.0, eta=1.0, alpha=1.001, beta=1.001,
-                            outer_iterations=3), BudgetCounter(5000),
-               recorder=None)
-    run_extragradient(game, np.zeros(8),
-                      ExtragradientConfig(stepsize=0.1, max_iterations=5),
-                      None, recorder=None)
-    noise = game.oracle.noise_model
-    fresh = vars(MatrixPerturbation(noise.rows, noise.cols, noise.scale))
-    assert vars(noise).keys() == fresh.keys()
-    for name, value in fresh.items():
-        assert np.array_equal(vars(noise)[name], value), name
-
-
 def _payoff_oracles():
     rng = np.random.default_rng(12)
     saddle = BimatrixMap(rng.standard_normal((3, 5)))

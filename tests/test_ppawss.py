@@ -1,5 +1,6 @@
 """Tests for the proximal-point outer loop."""
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,6 +14,7 @@ from svilab import (
     Recorder,
     run_ppawss,
 )
+from svilab import schedule
 from svilab.errors import ContractViolation
 from svilab.maps import AffineMap
 from svilab.oracle import BLOCK, StochasticOracle, ZeroNoise
@@ -24,6 +26,7 @@ from svilab.schedule import sizes_within
 from svilab.vs_ave import run_vs_ave, sample_size, schedule_cost
 
 from plain_loops import ppawss_loop
+from turns import take_turns
 
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -332,13 +335,11 @@ def test_fed_subproblems_equal_bare_stream_loop():
     assert np.array_equal(u, ppawss_loop(game, np.zeros(30), cfg, seed=4))
 
 
-@pytest.mark.usefixtures("fast_switching")
-def test_runs_in_threads_share_one_problem_and_keep_their_bits():
-    # four runs at once on one bimatrix problem: its map and product
-    # set, each keeping views and scratch of the arrays it saw last, and
-    # its noise model are shared, while the interpreter switches threads
-    # as often as it can. Seeds and budgets differ, so the runs' buffers
-    # and the subproblems they are in at any moment differ too
+def _threaded_runs():
+    # four runs on one bimatrix problem, whose map, product set and noise
+    # model they share. Seeds and budgets differ, so the runs' buffers
+    # and the subproblems they are in at any moment differ too; every
+    # subproblem's inner runs read one size rule
     payoff = np.random.default_rng(7).normal(size=(10, 20))
     game = bimatrix_from_payoff(payoff, noise_scale=0.1, seed=7,
                                 with_reference=False)
@@ -349,9 +350,31 @@ def test_runs_in_threads_share_one_problem_and_keep_their_bits():
         return run_ppawss(game, np.zeros(30), cfg, BudgetCounter(budgets[i]),
                           seed=i, recorder=None)[0]
 
+    return run
+
+
+@pytest.mark.usefixtures("fast_switching")
+def test_runs_in_threads_share_one_problem_and_keep_their_bits():
+    # the runs at once, while the interpreter switches threads as often
+    # as it can
+    run = _threaded_runs()
     want = [run(i) for i in range(4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         runs = [pool.submit(run, i) for i in range(4)]
         got = [r.result(timeout=120) for r in runs]
+    for i in range(4):
+        assert np.array_equal(got[i], want[i]), i
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_runs_taking_turns_on_a_cold_rule_keep_their_bits(seed):
+    # the same runs, handed over at seeded points (see turns.py), after
+    # the size cache is emptied: the runs' walks extend the one list of
+    # their rule while the others read it
+    run = _threaded_runs()
+    want = [run(i) for i in range(4)]
+    schedule._sizes.cache_clear()
+    got = take_turns([functools.partial(run, i) for i in range(4)], seed,
+                     (schedule._extending,))
     for i in range(4):
         assert np.array_equal(got[i], want[i]), i

@@ -294,9 +294,9 @@ class TestProductOfSimplices:
             start += b.size
 
     # four threads project through one product at once, each into its
-    # own out, so the thresholds vector the product keeps with the last
-    # out changes hands all the time; each result must have the bits of
-    # a fresh projection, which keeps nothing
+    # own out; each result must have the bits of a fresh projection: the
+    # product keeps nothing between calls, and each call's thresholds
+    # vector is its own
     SHARED = Product([Simplex(3)] * 4)
 
     def _check_threads(self, run):
@@ -324,8 +324,8 @@ class TestProductOfSimplices:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_threads_taking_turns_on_one_product_keep_their_bits(self, seed):
-        # the same, handed over at seeded points (see turns.py): the race
-        # of a memo updated entry by entry shows on any machine
+        # the same, handed over at seeded points (see turns.py): a race
+        # a few bytecodes wide shows on any machine
         self._check_threads(lambda works: take_turns(works, seed))
 
     @pytest.mark.parametrize("v, want", OFF_SIMPLEX)

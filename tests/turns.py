@@ -9,6 +9,11 @@ says, and a race whose window is a few bytecodes wide never shows.
 from one to another at returns from C functions (``np.empty``,
 ``list.sort``, ...), at points that a seeded ``random.Random`` picks, so
 one seed gives one interleaving.
+
+A thread that waits for a lock another thread holds would wait with the
+turn in hand, so no thread hands over while it holds one of the locks a
+caller names: the code those locks guard runs whole, as the locks
+promise, and the same code with a lock left out is interleaved.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ import sys
 import threading
 
 
-def take_turns(works, seed):
+def take_turns(works, seed, locks=()):
     """The results of the callables ``works``, each run on a thread of
     its own, one thread at a time. At each return from a C function the
     running thread hands the interpreter, with probability 1/2, to
-    another unfinished one; ``Random(seed)`` draws both choices. An
-    exception of a work is raised here, once every thread has ended."""
+    another unfinished one, unless one of ``locks`` is held;
+    ``Random(seed)`` draws both choices. An exception of a work is raised
+    here, once every thread has ended."""
     pick = random.Random(seed)
     turns = [threading.Lock() for _ in works]
     for turn in turns:
@@ -33,6 +39,8 @@ def take_turns(works, seed):
 
     def hand_over(i):
         # give the turn to another running thread and wait for it back
+        if any(lock.locked() for lock in locks):
+            return
         others = [j for j in running if j != i]
         if others and pick.random() < 0.5:
             turns[pick.choice(others)].release()
