@@ -12,32 +12,31 @@ keyed by ``(rng_seed, seed, stream_id)`` with the run's own ``seed``, so
 repeated trials and the two batch kinds of one iteration never share
 draws.
 
-A :class:`SampleStream` draws in blocks: it has Philox fill ``BLOCK``
-values of its noise model's distribution at a time and serves each
-batch as a slice of the current block, so a batch of a few samples
-costs a slice, not a call into numpy's generator. This does not change
-a single value. Philox makes one 64-bit word per double and keeps its
-unused words between calls, and ``random`` and ``standard_normal``
-fill their output one element after the other, so filling ``a`` values
-and then ``b`` values gives the numbers one fill of ``a + b`` gives.
-A U(-1, 1) fill, ``random`` then ``2u - 1``, has the bits of ``uniform``'s
-``-1.0 + 2.0 * u``: both are exact for every ``u`` on the 2**-53 grid.
+A :class:`SampleStream` has Philox fill each array it is handed with
+the next values of its noise model's distribution. How a stream's
+draws are split into fills does not change a single value. Philox makes
+one 64-bit word per double and keeps its unused words between calls,
+and ``random`` and ``standard_normal`` fill their output one element
+after the other, so filling ``a`` values and then ``b`` values gives
+the numbers one fill of ``a + b`` gives. A U(-1, 1) fill, ``random``
+then ``2u - 1``, has the bits of ``uniform``'s ``-1.0 + 2.0 * u``: both
+are exact for every ``u`` on the 2**-53 grid.
 
 A solver fixes its batch sizes before its first draw, as one list
 (:func:`~svilab.schedule.sizes_within`), and reads each stream through a
-:class:`Feed` of that list. The feed prepares the
-part of the coming batches that does not depend on the iterate, for the
-steps that fit in what is left of the stream's block, in one numpy pass
-(a step across the block's end is a chunk of its own, and the only one
-copied): the Gaussian noise parts of the batch means,
-``(sigma * sqrt(n) * z) / n``, or the scaled sums of a run of
-equal-size batches of payoff perturbations. A payoff batch past a
-block is summed in groups of about 2**18 values, and each group is
-drawn ``PART`` values at a time into one buffer whose first row carries
-the group's sum so far, so only 512 KB of drawn values are held at a
-time. ``noise_sum`` then returns the noise part of one batch mean, the
-mean minus ``F(x)``: a Gaussian step's is its prepared row, and a
-payoff step's is formed at the iterate and divided by ``n``, in a
+:class:`Feed` of that list. The feed prepares the part of the coming
+batches that does not depend on the iterate, a chunk of steps at a
+time, in one numpy pass over one fill of an array made for the chunk.
+A chunk's length depends on the size list alone: the steps of at most
+``BLOCK`` drawn values, or one step. Its parts are the Gaussian noise
+parts of the batch means, ``(sigma * sqrt(n) * z) / n``, or the scaled
+sums of a run of equal-size batches of payoff perturbations. A payoff
+batch past a block is summed in groups of about 2**18 values, and each
+group is drawn ``PART`` values at a time into one buffer whose first
+row carries the group's sum so far, so only 512 KB of drawn values are
+held at a time. ``noise_sum`` then returns the noise part of one batch
+mean, the mean minus ``F(x)``: a Gaussian step's is its prepared row,
+and a payoff step's is formed at the iterate and divided by ``n``, in a
 noise vector that the feed keeps for the run (:attr:`Feed.scratch`).
 :func:`batch_mean` adds ``F(x)`` to it at once.
 The bits do not move either: the chunk takes the values that feeds of
@@ -60,8 +59,8 @@ Runs that would read the same batches (same noise model, dimension,
 stream keys and batch sizes, as the rows of one extragradient trial
 seed in the harness) can share them through a tape, a dict that
 :meth:`StochasticOracle.feeds` fills. The first run's feeds record each
-chunk they prepare, as owned, read-only arrays; the feeds of the others
-replay those chunks, so those runs draw nothing. A replayed part is the
+chunk they prepare, made read-only; the feeds of the others replay
+those chunks, so those runs draw nothing. A replayed part is the
 part the recording run read, so not a bit moves either. The tape's key
 and each replayed step's size are the one test of "the same batches":
 a replay that fails either raises :class:`ContractViolation`.
@@ -111,79 +110,36 @@ def generator(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-# values per Philox block: 128 KB of doubles
+# drawn values per chunk of steps, a block: 128 KB of doubles. A batch
+# past a block is a chunk of one step
 BLOCK = 2**14
 # values per part of a payoff group summed past a block: 512 KB of
 # doubles, a quarter of a core's 2 MB L2
 PART = 2**16
-_EMPTY = np.empty(0)
 
 
 class SampleStream:
     """The values of one stream in the order a run draws them.
 
     ``fill(out)`` writes a generator's next ``out.size`` values into
-    ``out``; a noise model's ``sampler(gen)`` gives it for ``gen``. The
-    stream fills one ``BLOCK`` at a time and serves :meth:`take` from
-    the current block. :meth:`take_into` serves a caller's array: the
-    block's leftover values first, then what remains from a fresh block,
-    which it keeps, or, if that is at least one block, a fill of the
-    array itself. A :meth:`take` that does not fit the block is a
-    :meth:`take_into` of a fresh array. ``served`` counts the values it
-    has served, and ``key`` is the Philox key it reads.
+    ``out``; a noise model's ``sampler(gen)`` gives it for ``gen``.
+    ``served`` counts the values the stream has served, and ``key`` is
+    the Philox key it reads.
     """
 
-    __slots__ = ("_fill", "_block", "_next", "served", "key")
+    __slots__ = ("_fill", "served", "key")
 
     def __init__(self, fill, key):
         self._fill = fill
-        self._block = _EMPTY
-        self._next = 0
         self.served = 0
         self.key = key
 
-    @property
-    def room(self):
-        """How many values :meth:`take` can serve next without a copy."""
-        return self._block.size - self._next or BLOCK
-
-    def take(self, count):
-        """The next ``count`` values. The result may be a view of the
-        block; the stream never serves those values again, so the caller
-        may overwrite them."""
-        start = self._next
-        end = start + count
-        if end > self._block.size:
-            if start < self._block.size or count >= BLOCK:
-                return self.take_into(np.empty(count))
-            self._refill()
-            start, end = 0, count
-        self.served += count
-        self._next = end
-        return self._block[start:end]
-
     def take_into(self, out):
-        """Write the next ``out.size`` values into ``out``, a contiguous
-        float64 vector, and return it."""
+        """Write the next ``out.size`` values into ``out``, a C-contiguous
+        float64 array, in its element order, and return it."""
         self.served += out.size
-        start = self._next
-        left = min(self._block.size - start, out.size)
-        out[:left] = self._block[start:start + left]
-        self._next = start + left
-        rest = out[left:]
-        if rest.size >= BLOCK:
-            self._block, self._next = _EMPTY, 0
-            self._fill(rest)
-        elif rest.size:
-            self._refill()
-            self._next = rest.size
-            rest[...] = self._block[:rest.size]
+        self._fill(out)
         return out
-
-    def _refill(self):
-        self._block = np.empty(BLOCK)
-        self._fill(self._block)
-        self._next = 0
 
 
 class Feed:
@@ -193,16 +149,16 @@ class Feed:
     keeps the index of the first step it has not prepared.
     ``noise.prepare(stream, sizes, at, dim)`` forms the
     iterate-independent parts of a chunk of steps from index ``at`` on
-    and returns their count and their parts. :meth:`next` serves the
-    parts one step after the other, so the stream is read only for the
-    steps of ``sizes`` and in their order.
+    and returns their count and their parts, an array made for the
+    chunk or the only view of one. :meth:`next` serves the parts one
+    step after the other, so the stream is read only for the steps of
+    ``sizes`` and in their order.
 
     A feed with a ``tape``, a list, appends each chunk it prepares to it
-    as ``(sizes, parts)``, the parts copied if they view a stream block
-    or a summing buffer, and read-only. A feed without a stream replays
-    such a list: it serves the recorded chunks in order, reads no stream
-    and prepares nothing. :meth:`StochasticOracle.feeds` keeps a run's
-    two lists in its tape.
+    as ``(sizes, parts)``, the parts made read-only. A feed without a
+    stream replays such a list: it serves the recorded chunks in order,
+    reads no stream and prepares nothing. :meth:`StochasticOracle.feeds`
+    keeps a run's two lists in its tape.
 
     A run's scratch lives on its feeds, which one run reads on one
     thread, so no other run sees it; the problem's map, set, noise model
@@ -242,7 +198,7 @@ class Feed:
         return part
 
     def _refill(self):
-        # let the used chunk, and the stream block it may view, go first
+        # let the used chunk go before the next one is made
         self._chunk = iter(())
         if self._stream is None:
             sizes, parts = next(self._tape, (None, None))
@@ -257,19 +213,11 @@ class Feed:
             self._at = at + count
             sizes = self._sizes[at:self._at]
             if self._tape is not None:
-                parts = _owned(parts)
+                # no reader can change what the tape replays
+                parts.flags.writeable = False
                 self._tape.append((sizes, parts))
         self._chunk = zip(sizes, parts)
         return next(self._chunk)
-
-
-def _owned(parts):
-    # a tape's copy of a chunk's parts: it keeps no stream block or
-    # summing buffer alive, and no reader can change what it replays
-    if parts.base is not None:
-        parts = parts.copy()
-    parts.flags.writeable = False
-    return parts
 
 
 class BudgetCounter:
@@ -363,10 +311,10 @@ class AdditiveGaussian:
         # rounded to the nearest double, as math.sqrt and a division by
         # n round it, and np.sqrt is correctly rounded like math.sqrt;
         # dividing by 1.0 is exact
-        steps = sizes[at:at + max(1, stream.room // dim)]
+        steps = sizes[at:at + max(1, BLOCK // dim)]
         count = len(steps)
         counts = np.array(steps, dtype=np.float64)[:, None]
-        parts = stream.take(count * dim).reshape(count, dim)
+        parts = stream.take_into(np.empty((count, dim)))
         parts *= self.sigma * np.sqrt(counts)
         parts /= counts
         return count, parts
@@ -430,18 +378,17 @@ class MatrixPerturbation:
         if n * size > BLOCK:
             parts = self._sum(stream, n)[None]
         else:
-            # the run of equal sizes from index at that the stream's
-            # block holds; summing the middle axis adds each step's
-            # matrices in the order a (n, rows, cols) sum over its first
-            # axis adds them
-            stop = min(len(sizes) - at, stream.room // (n * size))
+            # the run of equal sizes from index at that a block holds;
+            # summing the middle axis adds each step's matrices in the
+            # order a (n, rows, cols) sum over its first axis adds them
+            stop = min(len(sizes) - at, BLOCK // (n * size))
             while count < stop and sizes[at + count] == n:
                 count += 1
-            drawn = stream.take(count * n * size)
+            drawn = stream.take_into(np.empty((count, n, rows, cols)))
             if n == 1:
                 parts = drawn.reshape(count, rows, cols)
             else:
-                parts = drawn.reshape(count, n, rows, cols).sum(axis=1)
+                parts = drawn.sum(axis=1)
         parts *= self._scale
         return count, parts
 
@@ -456,7 +403,6 @@ class MatrixPerturbation:
         size = rows * cols
         part = min(n, self._chunk, max(1, PART // size))
         buf = np.empty((part + 1, rows, cols))
-        flat = buf.reshape(-1)
         e_sum = None
         left = n
         while left > 0:
@@ -466,7 +412,7 @@ class MatrixPerturbation:
             while group > 0:
                 k = min(group, part)
                 group -= k
-                stream.take_into(flat[size:(k + 1) * size])
+                stream.take_into(buf[1:k + 1])
                 g_sum = buf[first:k + 1].sum(axis=0)
                 buf[0] = g_sum
                 first = 0

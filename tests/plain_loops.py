@@ -52,7 +52,7 @@ def payoff_sum(stream, n, rows, cols):
     e_sum = None
     for start in range(0, n, chunk):
         c = min(chunk, n - start)
-        drawn = stream.take(c * rows * cols).reshape(c, rows, cols)
+        drawn = stream.take_into(np.empty((c, rows, cols)))
         part = drawn.sum(axis=0)
         e_sum = part if e_sum is None else e_sum + part
     return e_sum
@@ -63,7 +63,8 @@ def batch_mean(oracle, x, n, stream):
     noise = oracle.noise_model
     if isinstance(noise, AdditiveGaussian):
         # one N(0, n sigma^2 I) draw is the sum of the batch's noise
-        total = stream.take(x.size) * (noise.sigma * math.sqrt(n))
+        total = (stream.take_into(np.empty(x.size))
+                 * (noise.sigma * math.sqrt(n)))
     elif isinstance(noise, MatrixPerturbation):
         cols = noise.cols
         e_sum = payoff_sum(stream, n, noise.rows, cols) * noise.scale

@@ -29,7 +29,7 @@ from svilab.oracle import (
 )
 from svilab.problems import bimatrix_from_payoff
 
-from feeds import one_step
+from feeds import one_step, take
 from plain_loops import payoff_sum
 
 
@@ -81,7 +81,7 @@ DIRECT_DRAWS = [
     (MatrixPerturbation(2, 3, 1.0),
      lambda gen, size: gen.uniform(-1.0, 1.0, size)),
 ]
-# small batches, requests around one block, and requests past it
+# small batches, requests around a chunk's BLOCK values, and past it
 REQUEST = st.one_of(st.integers(0, 40), st.integers(BLOCK - 40, BLOCK + 40),
                     st.integers(BLOCK + 41, 3 * BLOCK))
 
@@ -90,20 +90,22 @@ REQUEST = st.one_of(st.integers(0, 40), st.integers(BLOCK - 40, BLOCK + 40),
 @given(case=st.sampled_from(DIRECT_DRAWS),
        requests=st.lists(st.tuples(st.booleans(), REQUEST), max_size=12))
 def test_any_split_of_a_stream_draws_the_same_values(case, requests):
-    # any mix of take and take_into calls serves the direct draw
+    # any split into take_into calls serves the direct draw
     noise, direct = case
     stream = StochasticOracle(None, noise, rng_seed=4).stream(0, 1)
-    # served values are kept, not copied: a later take must not move them
+    # served values are kept: a later call must not move them
     served = []
-    for into, size in requests:
-        if into:
-            # a view inside a larger array, written only where it lies
-            buffer = np.full(size + 2, np.nan)
+    for in_rows, size in requests:
+        if in_rows:
+            # rows 1.. of a larger array, written only where they lie
+            buffer = np.full((size + 2, 1), np.nan)
             assert stream.take_into(buffer[1:size + 1]).base is buffer
             assert np.isnan(buffer[0]) and np.isnan(buffer[-1])
-            served.append(buffer[1:size + 1])
+            served.append(buffer[1:size + 1, 0])
         else:
-            served.append(stream.take(size))
+            out = np.empty(size)
+            assert stream.take_into(out) is out
+            served.append(out)
     sizes = [size for _, size in requests]
     assert [part.size for part in served] == sizes
     assert stream.served == sum(sizes)
@@ -116,8 +118,8 @@ def test_any_split_of_a_stream_draws_the_same_values(case, requests):
 @pytest.mark.parametrize("noise, direct", DIRECT_DRAWS)
 @pytest.mark.parametrize("size", [0, 1, 7, BLOCK, BLOCK + 3])
 def test_sampler_fills_a_view_with_the_direct_draw(noise, direct, size):
-    # the stream fills blocks and the tail of a request after its
-    # leftover values: views that start inside a larger array
+    # a stream fills what it is handed, such as a summing buffer's rows:
+    # views that start inside a larger array
     buffer = np.full(size + 5, np.nan)
     noise.sampler(generator(4, 0, 1))(buffer[2:2 + size])
     want = direct(generator(4, 0, 1), size)
@@ -408,21 +410,21 @@ class TestPayoffSum:
     def test_equals_one_sum_per_group(self, n, skip):
         oracle = StochasticOracle(None, self.NOISE, rng_seed=5)
         stream, plain = oracle.stream(0, 1), oracle.stream(0, 1)
-        stream.take(skip)
-        plain.take(skip)
+        take(stream, skip)
+        take(plain, skip)
         got = self.NOISE._sum(stream, n)
         want = payoff_sum(plain, n, 10, 20)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.array_equal(stream.take(3), plain.take(3))
+        assert np.array_equal(take(stream, 3), take(plain, 3))
 
     def test_a_large_batch_holds_one_part_at_a_time(self):
         # 20,000 matrices in groups of 1310 (2 MB each) go through one
-        # buffer of PART values (512 KB) next to the stream's block.
-        # Measured peak on numpy 2.4.6: 662,613 bytes; drawing each
-        # group into an array of its own read 2,100,709
+        # buffer of PART values (512 KB). Measured peak on numpy 2.4.6:
+        # 531,080 bytes; drawing each group into an array of its own
+        # read 2,100,709
         stream = StochasticOracle(None, self.NOISE, rng_seed=5).stream(0, 1)
-        stream.take(37)
+        take(stream, 37)
         tracemalloc.start()
         try:
             self.NOISE._sum(stream, 20_000)
@@ -444,7 +446,7 @@ class TestAdditiveGaussianBits:
 
     @pytest.mark.parametrize("dim", [50, BLOCK + 3])
     def test_mixed_sizes_on_one_stream(self, dim):
-        # small vectors share blocks; longer ones are drawn directly
+        # one feed a step: a fill of one vector each, short or long
         noise = AdditiveGaussian(self.SIGMA)
         stream = StochasticOracle(None, noise, rng_seed=3).stream(0, 1)
         gen = generator(3, 0, 1)
@@ -474,7 +476,7 @@ class TestAdditiveGaussianBits:
 
 # (noise model, point dimension): matrices of 1, 6 and 200 entries, and
 # Gaussian vectors of 5 or 3000 entries (3276 or 5 steps per chunk) and
-# past one block (drawn directly)
+# past one block (one step per chunk)
 FED_MODELS = [
     (MatrixPerturbation(1, 1, 0.3), 2),
     (MatrixPerturbation(2, 3, 1.0), 5),
@@ -529,7 +531,7 @@ def test_fed_batches_equal_per_step_noise_sums(case):
         got = noise.noise_sum(z, n, feeds[step >= cut])
         want = noise.noise_sum(z, n, one_step(noise, plain_stream, n, dim))
         assert np.array_equal(got, want), (step, n)
-    assert np.array_equal(fed_stream.take(3), plain_stream.take(3))
+    assert np.array_equal(take(fed_stream, 3), take(plain_stream, 3))
 
 
 @pytest.mark.parametrize("noise, dim", [(ZeroNoise(), 6),
@@ -612,33 +614,6 @@ def test_run_feeds_with_reused_buffers_match_fresh(oracle, sizes, calls,
                     assert np.array_equal(buf, before[i]), i
 
 
-class Recording:
-    """A stream that records each take: its size and whether it was
-    served as a view of the block rather than copied."""
-
-    def __init__(self, stream):
-        self.stream, self.counts, self.views = stream, [], []
-
-    @property
-    def room(self):
-        return self.stream.room
-
-    @property
-    def served(self):
-        return self.stream.served
-
-    def take(self, count):
-        out = self.stream.take(count)
-        self.counts.append(count)
-        self.views.append(np.shares_memory(out, self.stream._block))
-        return out
-
-    def take_into(self, out):
-        self.counts.append(out.size)
-        self.views.append(False)
-        return self.stream.take_into(out)
-
-
 class TestFeed:
     def test_reads_only_its_own_steps(self):
         noise = MatrixPerturbation(2, 3, 1.0)
@@ -649,46 +624,35 @@ class TestFeed:
         with pytest.raises(ContractViolation, match="no step left"):
             feed.next(1)
         # 2 + 2 + 5 matrices of 6 entries were taken, nothing more
-        assert np.array_equal(stream.take(1),
+        assert np.array_equal(take(stream, 1),
                               generator(1, 0, 0).uniform(-1.0, 1.0, 55)[54:])
 
     @pytest.mark.parametrize("noise, dim",
                              [(MatrixPerturbation(10, 20, 0.1), 30),
-                              (AdditiveGaussian(0.7), 3000)])
+                              (AdditiveGaussian(0.7), 3000),
+                              (AdditiveGaussian(0.7), BLOCK + 3)])
     def test_a_chunk_takes_at_most_one_block(self, noise, dim):
-        stream = Recording(
-            StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
-        sizes = [1] * 200 + [2] * 100 + [81] * 3
-        feed = Feed(noise, stream, sizes, dim)
-        for n in sizes:
-            noise.noise_sum(_point(dim), n, feed)
-        assert max(stream.counts) <= BLOCK
-        # a block is read by the chunk that starts in it and by one step
-        # across its end; each of the two changes of size ends a chunk
-        blocks = math.ceil(sum(stream.counts) / BLOCK)
-        assert len(stream.counts) <= 2 * blocks + 2
-
-    @pytest.mark.parametrize("noise, dim",
-                             [(MatrixPerturbation(10, 20, 0.1), 30),
-                              (AdditiveGaussian(0.7), 50)])
-    def test_only_a_step_across_a_block_end_is_copied(self, noise, dim):
-        # chunks end where the stream's block ends, so every other chunk
-        # is served as a view of its block
-        stream = Recording(
-            StochasticOracle(None, noise, rng_seed=1).stream(0, 0))
-        sizes = [1] * 700 + [2] * 300 + [3] * 300
-        at = copied = 0
+        # a chunk draws the values of its own steps: at most BLOCK of
+        # them, or those of one step past a block
+        stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
+        sizes = [1] * 200 + [2] * 100 + [81] * 3 + [82, 500, 1]
+        at = 0
         while at < len(sizes):
-            count, _ = noise.prepare(stream, sizes, at, dim)
-            if not stream.views[-1]:
-                assert count == 1
-                copied += 1
+            served = stream.served
+            count, parts = noise.prepare(stream, sizes, at, dim)
+            steps = sizes[at:at + count]
+            if isinstance(noise, MatrixPerturbation):
+                drawn = sum(steps) * 200
+            else:
+                drawn = count * dim
+            assert stream.served - served == drawn, at
+            assert drawn <= BLOCK or count == 1, at
+            assert len(parts) == count
             at += count
-        assert copied and len(stream.counts) < 100
 
-    def test_a_payoff_chunk_ends_at_a_size_change_or_the_blocks_room(self):
+    def test_a_payoff_chunk_ends_at_a_size_change_or_a_blocks_worth(self):
         # 200 values a matrix: batches of up to 81 matrices fit a block,
-        # and a run of equal sizes is one chunk as far as the block holds
+        # and a run of equal sizes is one chunk as far as a block holds
         # it; a batch past a block is a chunk of its own, even in a run
         noise = MatrixPerturbation(10, 20, 0.1)
         stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
@@ -696,7 +660,7 @@ class TestFeed:
                  + [1] * 300)
         at, ends = 0, set()
         while at < len(sizes):
-            n, room = sizes[at], stream.room // (sizes[at] * 200)
+            n = sizes[at]
             run = next((j for j in range(at, len(sizes)) if sizes[j] != n),
                        len(sizes)) - at
             count, parts = noise.prepare(stream, sizes, at, 30)
@@ -705,24 +669,48 @@ class TestFeed:
                 assert count == 1
                 ends.add("past a block")
             else:
-                assert count == max(1, min(run, room)), at
-                ends.add("size change" if count == run else "room")
+                assert count == min(run, BLOCK // (n * 200)), at
+                ends.add("size change" if count == run else "block")
             at += count
-        assert ends == {"past a block", "size change", "room"}
+        assert ends == {"past a block", "size change", "block"}
 
     @pytest.mark.parametrize("dim", [50, 3000, BLOCK + 3])
-    def test_a_gaussian_chunk_holds_what_the_room_holds(self, dim):
+    def test_a_gaussian_chunk_holds_a_blocks_worth_of_steps(self, dim):
         # one Gaussian vector a step, whatever its batch size
         noise = AdditiveGaussian(0.7)
         stream = StochasticOracle(None, noise, rng_seed=1).stream(0, 0)
         sizes = [1, 2, 2, 7, 2**31 + 1, 1, 5] * 200
         at = 0
         while at < len(sizes):
-            room = stream.room
             count, parts = noise.prepare(stream, sizes, at, dim)
-            assert count == min(len(sizes) - at, max(1, room // dim)), at
+            assert count == min(len(sizes) - at, max(1, BLOCK // dim)), at
             assert parts.shape == (count, dim)
             at += count
+
+    @pytest.mark.parametrize("skip", [37, BLOCK - 5])
+    @pytest.mark.parametrize("noise, dim",
+                             [(MatrixPerturbation(2, 3, 1.0), 5),
+                              (MatrixPerturbation(10, 20, 0.1), 30),
+                              (AdditiveGaussian(0.7), 50)],
+                             ids=["payoff-2x3", "payoff-10x20", "gaussian"])
+    def test_chunk_boundaries_depend_on_the_size_list_alone(self, noise,
+                                                            dim, skip):
+        # a feed on a stream that has already served values prepares the
+        # chunks a feed on a fresh stream prepares, so the feeds of runs
+        # that share a size list end their chunks at the same steps
+        sizes = [1] * 3000 + [2] * 50 + [3] * 40 + [1] * 9
+        oracle = StochasticOracle(None, noise, rng_seed=1)
+        fresh, used = oracle.stream(0, 0), oracle.stream(1, 0)
+        take(used, skip)
+        steps = []
+        for stream in (fresh, used):
+            tape = []
+            feed = Feed(noise, stream, sizes, dim, tape)
+            for n in sizes:
+                feed.next(n)
+            steps.append([len(chunk) for chunk, _ in tape])
+        assert steps[0] == steps[1]
+        assert sum(steps[0]) == len(sizes) and len(steps[0]) > 4
 
     def test_a_feed_past_a_block_continues_the_stream_in_order(self):
         oracle = StochasticOracle(None, PAST_BLOCK_NOISE, rng_seed=4)
@@ -736,7 +724,7 @@ class TestFeed:
             assert np.array_equal(got, want), (step, n)
         # nothing was prepared past the last step
         assert stream.served == plain.served
-        assert np.array_equal(stream.take(5), plain.take(5))
+        assert np.array_equal(take(stream, 5), take(plain, 5))
 
     def test_a_continued_stream_gets_a_new_feed(self):
         # two feeds in turn on one stream, as consecutive PPAWSS runs
@@ -750,7 +738,7 @@ class TestFeed:
                     z, n, one_step(PAST_BLOCK_NOISE, plain, n, 80))
                 got = PAST_BLOCK_NOISE.noise_sum(z, n, feed)
                 assert np.array_equal(got, want), n
-        assert np.array_equal(stream.take(3), plain.take(3))
+        assert np.array_equal(take(stream, 3), take(plain, 3))
 
     def test_rejects_a_batch_of_another_size(self):
         noise = AdditiveGaussian(1.0)
@@ -788,10 +776,8 @@ class TestTape:
         tape, streams = {}, self._streams()
         with self.ORACLE.feeds(streams, self.SIZES, tape) as feeds:
             for n in self.SIZES:
-                for feed, stream in zip(feeds, streams):
-                    part = feed.next(n)
-                    assert not part.flags.writeable
-                    assert not np.shares_memory(part, stream._block)
+                for feed in feeds:
+                    assert not feed.next(n).flags.writeable
         return tape
 
     def test_replay_serves_the_recorded_parts_and_reads_no_stream(self):
@@ -811,14 +797,19 @@ class TestTape:
         assert [s.served for s in replayed] == [0, 0]
 
     def test_parts_are_owned_and_read_only(self):
-        # a chunk that views a stream block (1, 3) or a summing buffer
-        # (a batch past a block) is copied: the tape keeps neither alive
+        # each chunk's parts, drawn (1, 3) or summed (a batch past a
+        # block), are an array of their own that no reader can change
         (streams,) = self._record().values()
+        recorded = []
         for chunks in streams:
             assert [n for sizes, _ in chunks for n in sizes] == self.SIZES
             for sizes, parts in chunks:
-                assert parts.base is None and not parts.flags.writeable
+                assert not parts.flags.writeable
                 assert parts.shape == (len(sizes), 40, 40)
+                recorded.append(parts)
+        for i, parts in enumerate(recorded):
+            for other in recorded[i + 1:]:
+                assert not np.shares_memory(parts, other)
 
     def test_a_replay_of_other_batches_raises(self):
         tape = self._record()
