@@ -1,8 +1,15 @@
-"""Deterministic extragradient on a mean map, with an exact affine finish.
+"""Deterministic forward-backward-forward splitting on a mean map, with an
+exact affine finish.
 
 Shared backend for reference solutions, resolvent evaluations and the
 gap maximiser. Not a benchmark scheme: no oracle, no budget, the map is
 evaluated exactly.
+
+Each step of Tseng's splitting takes ``y = P(z - a F(z))`` and then
+``z+ = y - a (F(y) - F(z))``: two map calls and one projection. ``z+``
+may leave the set, so the map is evaluated off it; every map here is
+defined on the whole space. A residual check reads the start point
+first, then the latest ``y``, so every point it certifies is feasible.
 
 Every such VI here is affine on a product of boxes and simplices. Each
 residual check solves it on the iterate's active face (simplex zeros,
@@ -12,7 +19,7 @@ of the free coordinates plus one multiplier per simplex (von Stengel,
 is fixed, at exactly 0 or a bound, so its point depends on the face
 alone and an early try moves no returned bit. That point is returned
 only if its natural residual at ``gamma = 1/L`` is at most ``tol``, the
-certificate of an extragradient iterate.
+certificate every returned point carries.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ from .sets import Box, Product, Simplex
 __all__ = ["solve_deterministic_vi"]
 
 # residuals are certified at gamma = 1/L regardless of the internal step;
-# 0.7 < 1/sqrt(2), the classical extragradient stepsize bound
-_STEP_FRACTION = 0.7
-# residual check cadence; the check reuses the map value of the current
-# iterate, so sparse checks keep the loop at two map evaluations per step
+# forward-backward-forward splitting converges for any step below 1/L
+# (Tseng, SIAM J. Control Optim. 38(2), 2000)
+_STEP_FRACTION = 0.9
+# residual check cadence; a check reuses the map value of the point it
+# reads, so sparse checks keep the loop at two map evaluations and one
+# projection per step
 _CHECK_EVERY = 10
 
 
@@ -108,8 +117,9 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
                            max_steps=10**7):
     """Solve VI(X, F) for an exactly evaluated map F.
 
-    Runs extragradient with step ``0.7/L`` until the natural residual at
-    ``gamma = 1/L`` drops to ``tol``. Raises
+    Runs forward-backward-forward splitting with step ``0.9/L`` until the
+    natural residual at ``gamma = 1/L`` drops to ``tol``; a start point
+    that already meets it is returned unchanged. Raises
     :class:`~svilab.errors.NoConvergence` when ``max_steps`` iterations
     do not reach the tolerance.
 
@@ -118,7 +128,7 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
     also solves the VI on the iterate's face unless that face was tried
     last (see the module docstring), and returns the projected solution
     if its natural residual at ``gamma = 1/L`` is at most ``tol``. Any
-    other map or set runs extragradient alone; every returned point
+    other map or set runs the splitting alone; every returned point
     carries the same certificate.
 
     Parameters
@@ -144,25 +154,29 @@ def solve_deterministic_vi(mean_map, feasible_set, tol, z0=None,
     project = feasible_set.project
     norm = np.linalg.norm
     finish = _FaceFinish.of(mean_map, feasible_set)
+    fz = mean_map(z)
+    # the start is checked first and returned as it is; every later check
+    # reads the latest forward-backward point y, which is feasible
+    y, fy = z, fz
     for it in range(max_steps):
-        fz = mean_map(z)
         if it % _CHECK_EVERY == 0:
-            r = norm(z - project(z - res_gamma * fz))
+            r = norm(y - project(y - res_gamma * fy))
             if r <= tol:
-                return z
+                return y
             if finish is not None:
-                c = finish.candidate(z)
+                c = finish.candidate(y)
                 if c is not None:
                     c = project(c)
                     if norm(c - project(c - res_gamma * mean_map(c))) <= tol:
                         return c
-        half = project(z - step * fz)
-        z = project(z - step * mean_map(half))
-    fz = mean_map(z)
-    r = norm(z - project(z - res_gamma * fz))
+        y = project(z - step * fz)
+        fy = mean_map(y)
+        z = y - step * (fy - fz)
+        fz = mean_map(z)
+    r = norm(y - project(y - res_gamma * fy))
     if r <= tol:
-        return z
+        return y
     raise NoConvergence(
-        f"extragradient did not reach residual {tol:g} in {max_steps} steps "
-        f"(last residual {r:.3e})"
+        f"forward-backward-forward splitting did not reach residual {tol:g} "
+        f"in {max_steps} steps (last residual {r:.3e})"
     )

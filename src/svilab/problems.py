@@ -178,7 +178,7 @@ def reference_solution(problem, tol=1e-10):
     to natural residual ``tol`` at ``gamma = 1/L`` (cap 1e7 steps, then
     :class:`~svilab.errors.NoConvergence`); on the shipped problems, affine
     on boxes and simplices, its exact face solve ends a table-1 solve
-    after 185 map calls. Returns the point and, for bimatrix problems,
+    after 145 map calls. Returns the point and, for bimatrix problems,
     the mean saddle value ``<A x*, y*>``. Consumes no stochastic budget.
     """
     point = solve_deterministic_vi(problem.mean_map, problem.feasible_set, tol)

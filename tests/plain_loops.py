@@ -1,8 +1,8 @@
 """The solvers' loops written out with bare sample streams and plain numpy.
 
 Each loop forms every batch mean by hand from the values a bare
-``oracle.stream(...)`` serves through ``SampleStream.take``, with the
-arithmetic of the plain allocating form: scale the drawn values (for
+``oracle.stream(...)`` serves through ``SampleStream.take_into``, with
+the arithmetic of the plain allocating form: scale the drawn values (for
 payoff noise, sum the matrices first), take the products with the point,
 divide by ``n``, then add ``F(x)`` written as plain products. Python
 floats and ints are the scalar operands, and each loop repeats its
